@@ -355,26 +355,12 @@ def kp4_defect(ring, g, v, E):
 # zero and equality tests
 
 
-def is_zero(a, cross_check=False):
-    """Exact zero test: push each homogeneous part to the groupoid model.
-
-    With cross_check=True the degree-zero part is independently verified
-    with the matrix-unit method.
-    """
+def is_zero(a):
+    """Exact zero test: push each homogeneous part to the groupoid model."""
     from . import groupoid
 
-    result = True
-    for key, part in grade(a).items():
-        part_zero = groupoid.func_is_zero(groupoid.pi_t(part))
-        if cross_check and key == degrees.zero(len(key)):
-            alt = core_is_zero(part)
-            assert alt == part_zero, "zero-test oracles disagree on the core"
-        if not part_zero:
-            result = False
-            if not cross_check:
-                break
-    return result
+    return all(groupoid.func_is_zero(groupoid.pi_t(part)) for part in grade(a).values())
 
 
-def equals(a, b, cross_check=False):
-    return is_zero(a - b, cross_check=cross_check)
+def equals(a, b):
+    return is_zero(a - b)

@@ -86,7 +86,7 @@ def _staircase(g, v):
         seen[cur] = len(edges)
 
 
-def check_aperiodic(g, bound=None):
+def check_aperiodic(g):
     """Decide whether every vertex ranges an aperiodic boundary path.
 
     Acyclic graphs are aperiodic outright.  On cyclic graphs, a vertex whose
@@ -98,7 +98,7 @@ def check_aperiodic(g, bound=None):
         return AperiodicityVerdict(status="aperiodic", note="acyclic graph")
     unresolved = []
     for v in g.vertices:
-        if not _has_cycle_within(g, g.reachable(v)):
+        if not g.reaches_cycle([v]):
             continue
         if not _deterministic_from(g, v):
             unresolved.append(v)
@@ -127,29 +127,6 @@ def check_aperiodic(g, bound=None):
     return AperiodicityVerdict(status="aperiodic", note="all regions resolve")
 
 
-def _has_cycle_within(g, verts):
-    color = {w: 0 for w in verts}
-    for v0 in verts:
-        if color[v0]:
-            continue
-        stack = [(v0, iter(g.out_edges(v0)))]
-        color[v0] = 1
-        while stack:
-            v, it = stack[-1]
-            eid = next(it, None)
-            if eid is None:
-                color[v] = 2
-                stack.pop()
-                continue
-            w = g.edge(eid).source
-            if color[w] == 1:
-                return True
-            if color[w] == 0:
-                color[w] = 1
-                stack.append((w, iter(g.out_edges(w))))
-    return False
-
-
 def periodicity_kernel(ring, verdict):
     """The non-zero element annihilated by the boundary representation:
     s_{mu alpha} s_{mu alpha}^* - s_{nu alpha} s_{mu alpha}^*."""
@@ -176,7 +153,7 @@ def _visited_vertices(g, x):
     return verts
 
 
-def check_cofinal(g, bound=3):
+def check_cofinal(g):
     """Decide whether every vertex can reach every boundary path.
 
     Exact on acyclic graphs.  On cyclic graphs, all-pairs reachability is a
@@ -213,20 +190,9 @@ def check_cofinal(g, bound=3):
 # groupoid formulations
 
 
-def is_effective(g, bound=None):
-    """Three-valued: the groupoid is effective iff the graph is aperiodic.
-
-    On acyclic graphs this is additionally verified pointwise: an element
-    with equal legs must have offset zero.
-    """
-    verdict = check_aperiodic(g, bound=bound)
-    if g.is_acyclic():
-        direct = all(
-            el.m == degrees.zero(g.k)
-            for el in groupoid.enumerate_groupoid(g)
-            if el.x == el.y
-        )
-        assert direct == (verdict.status == "aperiodic")
+def is_effective(g):
+    """Three-valued: the groupoid is effective iff the graph is aperiodic."""
+    verdict = check_aperiodic(g)
     if verdict.status == "aperiodic":
         return "yes"
     if verdict.status == "periodic":
@@ -234,16 +200,9 @@ def is_effective(g, bound=None):
     return "unknown"
 
 
-def is_minimal(g, bound=3):
-    """Three-valued: the groupoid is minimal iff the graph is cofinal.
-
-    On acyclic graphs this coincides with the boundary having one orbit,
-    which is checked directly.
-    """
-    verdict = check_cofinal(g, bound=bound)
-    if g.is_acyclic():
-        direct = len(boundary.orbits(g)) <= 1
-        assert direct == (verdict.status == "cofinal")
+def is_minimal(g):
+    """Three-valued: the groupoid is minimal iff the graph is cofinal."""
+    verdict = check_cofinal(g)
     if verdict.status == "cofinal":
         return "yes"
     if verdict.status == "not_cofinal":
@@ -251,10 +210,10 @@ def is_minimal(g, bound=3):
     return "unknown"
 
 
-def boundary_rep_faithful(g, ring=QQ, bound=None):
+def boundary_rep_faithful(g, ring=QQ):
     """Whether the boundary-path representation is injective: it is exactly
     when the graph is aperiodic; a periodic witness yields a kernel element."""
-    verdict = check_aperiodic(g, bound=bound)
+    verdict = check_aperiodic(g)
     if verdict.status == "aperiodic":
         return FaithfulnessVerdict(status="faithful")
     if verdict.status == "periodic":
@@ -269,7 +228,6 @@ def boundary_rep_faithful(g, ring=QQ, bound=None):
 
 
 def _meet(a, b):
-    order = {"no": 0, "unknown": 1, "yes": 2}
     if "no" in (a, b):
         return "no"
     if "unknown" in (a, b):
@@ -277,9 +235,9 @@ def _meet(a, b):
     return "yes"
 
 
-def report(g, ring=QQ, bound=3):
-    aper = check_aperiodic(g, bound=bound)
-    cof = check_cofinal(g, bound=bound)
+def report(g, ring=QQ):
+    aper = check_aperiodic(g)
+    cof = check_cofinal(g)
     aper3 = {"aperiodic": "yes", "periodic": "no", "unknown": "unknown"}[aper.status]
     cof3 = {"cofinal": "yes", "not_cofinal": "no", "unknown": "unknown"}[cof.status]
     basic = _meet(aper3, cof3)

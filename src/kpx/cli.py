@@ -1,16 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success / property holds, 1 property is false, 2 input
-error, 3 a three-valued verdict came back unknown.  The environment
-variable KPX_BUDGET overrides the default search bound for analyze.
+error, 3 a three-valued verdict came back unknown.
 """
 
 import argparse
 import json
-import os
 import sys
 
-from . import algebra, analysis, boundary, degrees, elements, groupoid, io
+from . import algebra, analysis, boundary, elements, groupoid, io
 from .errors import KpxError
 from .kgraph import omega_graph
 from .rings import QQ, parse_ring
@@ -201,7 +199,7 @@ def cmd_refine(args):
 def cmd_analyze(args):
     g = _load(args)
     ring = parse_ring(args.ring)
-    rep = analysis.report(g, ring=ring, bound=args.bound)
+    rep = analysis.report(g, ring=ring)
     payload = {
         "predicates": rep.predicates,
         "aperiodicity": rep.aperiodicity.status,
@@ -318,13 +316,7 @@ def build_parser():
     p = add("refine", help="disjointify a list of groupoid cells")
     p.add_argument("cells", nargs="+")
 
-    p = add("analyze", help="aperiodicity / cofinality / simplicity")
-    p.add_argument(
-        "--bound",
-        type=int,
-        default=int(os.environ.get("KPX_BUDGET", "3")),
-        help="search bound for cyclic graphs (default KPX_BUDGET or 3)",
-    )
+    add("analyze", help="aperiodicity / cofinality / simplicity")
 
     add("dim", help="dimension over a field (acyclic graphs)")
     return parser

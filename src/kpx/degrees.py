@@ -47,10 +47,6 @@ def join(m, n):
     return tuple(max(a, b) for a, b in zip(m, n))
 
 
-def meet(m, n):
-    return tuple(min(a, b) for a, b in zip(m, n))
-
-
 def total(m):
     return sum(m)
 

@@ -18,6 +18,7 @@ from .errors import (
     RangeMismatch,
 )
 from .kgraph import Path
+from .rings import ZZ
 
 
 @dataclass(frozen=True)
@@ -173,19 +174,9 @@ def cell_subtract(c1, c2):
 
 def disjointify(cells):
     """The common refinement: disjoint cells with the same union, splitting
-    every overlap into its own cell."""
-    atoms = []
-    for c in cells:
-        if c is None:
-            continue
-        new_atoms = []
-        rem = [c]
-        for a in atoms:
-            new_atoms.extend(cell_intersect(a, c))
-            new_atoms.extend(cell_subtract(a, c))
-            rem = [q for p in rem for q in cell_subtract(p, a)]
-        atoms = new_atoms + rem
-    return sorted(atoms, key=Cell.sort_key)
+    every overlap into its own cell.  Over ZZ with every coefficient 1
+    nothing cancels, so this is the support of the sum of the indicators."""
+    return [cell for _, cell in func_from_terms(ZZ, [(1, c) for c in cells]).terms]
 
 
 # ----------------------------------------------------------------------

@@ -218,8 +218,6 @@ class KGraph:
         return sorted(self._edges)
 
     def out_edges(self, v, color=None):
-        if v not in self._out and (v, 1) not in self._out:
-            pass
         if color is not None:
             return list(self._out[(v, color)])
         out = []
@@ -344,19 +342,26 @@ class KGraph:
     # path enumeration
 
     def paths_from(self, v, n):
-        """All paths with range v and degree exactly n, sorted."""
+        """All paths with range v and degree exactly n, sorted.
+
+        A normal-form word lists its color-1 edges first, then its color-2
+        edges, and so on, so the paths grow one edge at a time in that order
+        with no rewriting.  Extending a sorted list of equal-length words by
+        sorted edge lists keeps it sorted.
+        """
         if v not in self.vertices:
             raise UnknownId(f"unknown vertex id {v!r}")
-        if not any(n):
-            return [self.vertex(v)]
-        color = next(i + 1 for i, c in enumerate(n) if c)
-        rest = degrees.sub(n, degrees.unit(self.k, color))
-        out = set()
-        for eid in self._out[(v, color)]:
-            head = self.path([eid])
-            for tail in self.paths_from(self.edge(eid).source, rest):
-                out.add(self.compose(head, tail))
-        return sorted(out, key=Path.sort_key)
+        if any(c < 0 for c in n) or any(n[self.k:]):
+            raise DegreeOutOfRange(f"degree {n} is not in N^{self.k}")
+        words = [((), v)]  # (edge word, source)
+        for color, count in enumerate(n, start=1):
+            for _ in range(count):
+                words = [
+                    (word + (eid,), self._edges[eid].source)
+                    for word, w in words
+                    for eid in self._out[(w, color)]
+                ]
+        return [Path(self, v, word) for word, _ in words]
 
     def paths_upto(self, v, n):
         """All paths with range v and degree <= n, sorted."""
@@ -520,28 +525,31 @@ class KGraph:
 
     def is_acyclic(self):
         if self._acyclic is None:
-            color = {v: 0 for v in self.vertices}  # 0 new, 1 open, 2 done
-            self._acyclic = True
-            for v0 in self.vertices:
-                if color[v0] or not self._acyclic:
-                    continue
-                stack = [(v0, iter(self.out_edges(v0)))]
-                color[v0] = 1
-                while stack:
-                    v, it = stack[-1]
-                    eid = next(it, None)
-                    if eid is None:
-                        color[v] = 2
-                        stack.pop()
-                        continue
-                    w = self.edge(eid).source
-                    if color[w] == 1:
-                        self._acyclic = False
-                        break
-                    if color[w] == 0:
-                        color[w] = 1
-                        stack.append((w, iter(self.out_edges(w))))
+            self._acyclic = not self.reaches_cycle(self.vertices)
         return self._acyclic
+
+    def reaches_cycle(self, roots):
+        """True iff some path from a vertex in roots runs into a cycle."""
+        color = {}  # absent new, 1 open, 2 done
+        for v0 in roots:
+            if v0 in color:
+                continue
+            stack = [(v0, iter(self.out_edges(v0)))]
+            color[v0] = 1
+            while stack:
+                v, it = stack[-1]
+                eid = next(it, None)
+                if eid is None:
+                    color[v] = 2
+                    stack.pop()
+                    continue
+                w = self.edge(eid).source
+                if color.get(w) == 1:
+                    return True
+                if w not in color:
+                    color[w] = 1
+                    stack.append((w, iter(self.out_edges(w))))
+        return False
 
     def has_sources(self):
         """True iff some vertex receives no edge of some color."""

@@ -4,8 +4,10 @@ import pytest
 
 from kpx import analysis as ana
 from kpx import boundary as bnd
+from kpx import groupoid as gpd
 from kpx import presets
 from kpx.algebra import is_zero
+from kpx.degrees import zero
 from kpx.rings import QQ, ZZ, IntegersMod
 
 
@@ -54,10 +56,16 @@ def test_cofinality_counterexample_fields(lambda2):
 
 
 def test_effective_minimal_match_direct_checks(acyclic_graph):
-    # the acyclic branches of these functions carry built-in pointwise
-    # asserts; calling them exercises the cross-check
-    assert ana.is_effective(acyclic_graph) == "yes"
-    assert ana.is_minimal(acyclic_graph) in ("yes", "no")
+    g = acyclic_graph
+    # effective: every groupoid element with equal legs has offset zero
+    direct_effective = all(
+        el.m == zero(g.k) for el in gpd.enumerate_groupoid(g) if el.x == el.y
+    )
+    assert direct_effective
+    assert ana.is_effective(g) == "yes"
+    # minimal: the boundary is a single shift orbit
+    direct_minimal = len(bnd.orbits(g)) <= 1
+    assert ana.is_minimal(g) == ("yes" if direct_minimal else "no")
 
 
 def test_faithfulness(lambda2, loop):

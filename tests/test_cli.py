@@ -63,6 +63,16 @@ def test_paths_bad_degree(capsys):
     assert run(capsys, "--graph", L2, "paths", "--from", "v1", "--degree", "1")[0] == 2
 
 
+def test_paths_deep_degree(capsys):
+    code, out = run(capsys, "--graph", LOOP, "paths", "--from", "v", "--degree", "1500")
+    assert code == 0
+    assert out == ".".join(["e"] * 1500) + "\n"
+
+
+def test_paths_negative_degree(capsys):
+    assert run(capsys, "--graph", LOOP, "paths", "--from", "v", "--degree", "-1")[0] == 2
+
+
 def test_mce(capsys):
     code, out = run(capsys, "--graph", L2, "mce", "e1", "f2", "--json")
     assert code == 0

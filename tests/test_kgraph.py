@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpx import errors, presets
-from kpx.degrees import join, le, sub, zero
+from kpx.degrees import below, join, le, sub, zero
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 
 from conftest import exhaustive_oracle, exhaustive_oracle_bool, mce_oracle
@@ -183,6 +183,32 @@ def test_paths_from_lambda2(lambda2):
     assert {p.label() for p in lambda2.paths_from("v1", (1, 1))} == {"e1.f1"}
     assert {p.label() for p in lambda2.paths_from("v1", (1, 0))} == {"e1", "e3"}
     assert lambda2.paths_from("v5", (0, 1)) == []
+
+
+def test_paths_from_matches_all_paths(acyclic_graph):
+    # all_paths grows paths by compose, so it is independent of paths_from
+    g = acyclic_graph
+    for v in g.vertices:
+        for n in below(g.max_path_degree()):
+            want = [p for p in g.all_paths() if p.range == v and p.degree == n]
+            assert g.paths_from(v, n) == want, (v, n)
+
+
+def test_paths_from_counts_commuting_loops(cloops):
+    # one color-1 loop and three color-2 loops: a path of degree (a, b) is
+    # e^a followed by any word of length b in f1, f2, f3
+    for a in range(3):
+        for b in range(4):
+            assert len(cloops.paths_from("v", (a, b))) == 3**b
+
+
+def test_paths_from_rejects_bad_degrees(lambda2, loop):
+    with pytest.raises(errors.DegreeOutOfRange):
+        loop.paths_from("v", (-1,))
+    with pytest.raises(errors.DegreeOutOfRange):
+        lambda2.paths_from("v1", (1, -1))
+    with pytest.raises(errors.DegreeOutOfRange):
+        lambda2.paths_from("v1", (0, 0, 1))
 
 
 def test_omega_path_counts(omega13, omega211):
