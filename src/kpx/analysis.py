@@ -7,7 +7,7 @@ that may return "unknown".
 
 from dataclasses import dataclass
 
-from . import algebra, boundary, degrees, groupoid
+from . import algebra, boundary, groupoid
 from .rings import QQ
 
 
@@ -143,29 +143,23 @@ def periodicity_kernel(ring, verdict):
 # cofinality
 
 
-def _visited_vertices(g, x):
-    if x.is_finite:
-        return {boundary.vertex_at(x, n) for n in degrees.below(x.head.degree)}
-    verts = {boundary.vertex_at(x, n) for n in degrees.below(x.head.degree)}
-    cyc = x.cycle
-    for n in degrees.below(cyc.degree):
-        verts.add(g.factor(cyc, n)[0].source)
-    return verts
-
-
 def check_cofinal(g):
     """Decide whether every vertex can reach every boundary path.
 
-    Exact on acyclic graphs.  On cyclic graphs, all-pairs reachability is a
-    certificate for cofinality; otherwise a periodic boundary witness is
-    searched inside deterministic regions, and failing both the verdict is
-    unknown.
+    A boundary path x meets reachable(v) exactly when that set holds its
+    tail vertex x.head.source (the source of a finite x, the cycle base of a
+    lasso), since every vertex x visits reaches it.  Exact on acyclic graphs,
+    where the boundary is enumerated once.  On cyclic graphs, all-pairs
+    reachability is a certificate for cofinality; otherwise a periodic
+    boundary witness is searched inside deterministic regions, and failing
+    both the verdict is unknown.
     """
     if g.is_acyclic():
+        bnd = boundary.enumerate_boundary(g)
         for v in g.vertices:
             reach = g.reachable(v)
-            for x in boundary.enumerate_boundary(g):
-                if not (_visited_vertices(g, x) & reach):
+            for x in bnd:
+                if x.head.source not in reach:
                     return CofinalityVerdict(status="not_cofinal", vertex=v, path=x)
         return CofinalityVerdict(status="cofinal", note="exact boundary sweep")
     if all(g.reachable(v) == set(g.vertices) for v in g.vertices):
@@ -179,7 +173,7 @@ def check_cofinal(g):
         head = g.path(prefix_edges) if prefix_edges else g.vertex(w)
         x = boundary.lasso(head, g.path(cycle_edges))
         for v in g.vertices:
-            if not (_visited_vertices(g, x) & g.reachable(v)):
+            if x.head.source not in g.reachable(v):
                 return CofinalityVerdict(status="not_cofinal", vertex=v, path=x)
     return CofinalityVerdict(
         status="unknown", note="reachability incomplete and no witness found"
@@ -189,25 +183,24 @@ def check_cofinal(g):
 # ----------------------------------------------------------------------
 # groupoid formulations
 
+# the three-valued answer carried by each verdict status
+_ANSWER = {
+    "aperiodic": "yes",
+    "periodic": "no",
+    "cofinal": "yes",
+    "not_cofinal": "no",
+    "unknown": "unknown",
+}
+
 
 def is_effective(g):
     """Three-valued: the groupoid is effective iff the graph is aperiodic."""
-    verdict = check_aperiodic(g)
-    if verdict.status == "aperiodic":
-        return "yes"
-    if verdict.status == "periodic":
-        return "no"
-    return "unknown"
+    return _ANSWER[check_aperiodic(g).status]
 
 
 def is_minimal(g):
     """Three-valued: the groupoid is minimal iff the graph is cofinal."""
-    verdict = check_cofinal(g)
-    if verdict.status == "cofinal":
-        return "yes"
-    if verdict.status == "not_cofinal":
-        return "no"
-    return "unknown"
+    return _ANSWER[check_cofinal(g).status]
 
 
 def boundary_rep_faithful(g, ring=QQ):
@@ -238,12 +231,8 @@ def _meet(a, b):
 def report(g, ring=QQ):
     aper = check_aperiodic(g)
     cof = check_cofinal(g)
-    aper3 = {"aperiodic": "yes", "periodic": "no", "unknown": "unknown"}[aper.status]
-    cof3 = {"cofinal": "yes", "not_cofinal": "no", "unknown": "unknown"}[cof.status]
-    basic = _meet(aper3, cof3)
+    basic = _meet(_ANSWER[aper.status], _ANSWER[cof.status])
     simple = basic if ring.is_field else ("no" if basic != "unknown" else "unknown")
-    if basic == "no":
-        simple = "no"
     dim = None
     if g.is_acyclic() and ring.is_field:
         dim = groupoid.dim_over_field(g, ring)

@@ -24,6 +24,8 @@ def _parse_degree(text, k=None):
         deg = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise KpxError(f"bad degree literal {text!r}") from None
+    if any(c < 0 for c in deg):
+        raise KpxError(f"degree {text!r} has a negative entry")
     if k is not None and len(deg) != k:
         raise KpxError(f"degree {text!r} has wrong rank (expected {k})")
     return deg

@@ -47,10 +47,6 @@ def join(m, n):
     return tuple(max(a, b) for a, b in zip(m, n))
 
 
-def total(m):
-    return sum(m)
-
-
 def below(n):
     """All degrees m with 0 <= m <= n, in lexicographic order."""
     if not n:
@@ -59,7 +55,3 @@ def below(n):
     for head in range(n[0] + 1):
         for tail in below(n[1:]):
             yield (head,) + tail
-
-
-def is_finite(m):
-    return all(a != INF for a in m)

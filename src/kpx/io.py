@@ -36,7 +36,7 @@ def spec_from_dict(data):
             )
             for sq in data.get("squares", [])
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
     return KGraphSpec(k=k, vertices=vertices, edges=edges, squares=squares)
 
@@ -44,7 +44,10 @@ def spec_from_dict(data):
 def load_graph(path):
     """Read, parse, and validate a graph file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid graph file {path}: not UTF-8 text") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -7,6 +7,7 @@ form where edge colors appear in non-decreasing order; the squares are the
 rewriting rules that transport any edge word into that normal form.
 """
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 
@@ -198,8 +199,10 @@ class KGraph:
                     if z.range != y.source or z.color >= y.color:
                         continue
                     w = [x.id, y.id, z.id]
-                    a = self._normalize_word(list(w), first_swap=0)
-                    b = self._normalize_word(list(w), first_swap=1)
+                    a = self._normalize_word(w)
+                    b = self._normalize_word(
+                        [x.id, *self._to_colormajor[(y.id, z.id)]]
+                    )
                     if a != b:
                         raise CubeInconsistent(
                             f"word {w} normalizes to both {a} and {b}"
@@ -251,26 +254,39 @@ class KGraph:
     # ------------------------------------------------------------------
     # normal form machinery
 
-    def _normalize_word(self, word, first_swap=None):
-        """Sort an edge word into non-decreasing color order via squares."""
+    def _sort_word(self, word, keys):
+        """Bubble-sort an edge word into key order through the squares.
+
+        ``keys[i]`` belongs to ``word[i]`` and moves with it.  The keys of
+        the edges of one color must already be in order, so only edges of
+        different colors are swapped and edges of one color keep their order.
+        """
         w = list(word)
-        if first_swap is not None:
-            i = first_swap
-            w[i], w[i + 1] = self._to_colormajor[(w[i], w[i + 1])]
+        keys = list(keys)
         changed = True
         while changed:
             changed = False
             for i in range(len(w) - 1):
-                a, b = w[i], w[i + 1]
-                if self.edge(a).color > self.edge(b).color:
-                    try:
-                        w[i], w[i + 1] = self._to_colormajor[(a, b)]
-                    except KeyError:
-                        raise NotBijective(
-                            f"no square covers the edge pair {(a, b)}"
-                        ) from None
-                    changed = True
+                if keys[i] <= keys[i + 1]:
+                    continue
+                pair = (w[i], w[i + 1])
+                if self._edges[pair[0]].color > self._edges[pair[1]].color:
+                    table = self._to_colormajor
+                else:
+                    table = self._from_colormajor
+                try:
+                    w[i], w[i + 1] = table[pair]
+                except KeyError:
+                    raise NotBijective(
+                        f"no square covers the edge pair {pair}"
+                    ) from None
+                keys[i], keys[i + 1] = keys[i + 1], keys[i]
+                changed = True
         return w
+
+    def _normalize_word(self, word):
+        """Sort an edge word into non-decreasing color order via squares."""
+        return self._sort_word(word, [self.edge(eid).color for eid in word])
 
     def compose(self, lam, mu):
         if lam.source != mu.range:
@@ -282,44 +298,25 @@ class KGraph:
         word = self._normalize_word(list(lam.edges) + list(mu.edges))
         return Path(self, lam.range, tuple(word))
 
-    def _peel_first(self, range_v, word, color):
-        """Rewrite the word so that it starts with an edge of the given color.
-
-        Returns (edge_id, remaining word).  Requires the word to contain an
-        edge of that color.
-        """
-        w = list(word)
-        pos = next(i for i, eid in enumerate(w) if self.edge(eid).color == color)
-        while pos > 0:
-            a, b = w[pos - 1], w[pos]
-            w[pos - 1], w[pos] = self._from_colormajor[(a, b)]
-            pos -= 1
-        return w[0], w[1:]
-
     def factor(self, lam, m):
-        """Split lam into its unique prefix of degree m and the rest."""
+        """Split lam into its unique prefix of degree m and the rest.
+
+        The j-th color-c edge (counting from 0) gets the key
+        (j >= m[c-1], c): sorting by it moves the first m[c-1] edges of each
+        color c to the front, and both halves come out color-sorted.
+        """
         if not degrees.le(m, lam.degree):
             raise DegreeOutOfRange(f"{m} exceeds degree {lam.degree}")
-        head = []
-        word = list(lam.edges)
-        rem = list(m)
-        while any(rem):
-            color = next(i + 1 for i, c in enumerate(rem) if c)
-            eid, word = self._peel_first(lam.range, word, color)
-            head.append(eid)
-            rem[color - 1] -= 1
-        prefix = (
-            Path(self, lam.range, tuple(self._normalize_word(head)))
-            if head
-            else Path(self, lam.range, ())
-        )
-        tail_range = prefix.source
-        tail = (
-            Path(self, tail_range, tuple(self._normalize_word(word)))
-            if word
-            else Path(self, tail_range, ())
-        )
-        return prefix, tail
+        seen = [0] * self.k
+        keys = []
+        for eid in lam.edges:
+            c = self._edges[eid].color
+            keys.append((seen[c - 1] >= m[c - 1], c))
+            seen[c - 1] += 1
+        word = self._sort_word(lam.edges, keys)
+        cut = sum(m)
+        prefix = Path(self, lam.range, tuple(word[:cut]))
+        return prefix, Path(self, prefix.source, tuple(word[cut:]))
 
     def segment(self, lam, m, n):
         """The factor lam(m, n) for m <= n <= d(lam)."""
@@ -368,7 +365,7 @@ class KGraph:
         out = []
         for m in degrees.below(n):
             out.extend(self.paths_from(v, m))
-        return sorted(set(out), key=Path.sort_key)
+        return sorted(out, key=Path.sort_key)
 
     def paths_leq(self, v, n):
         """The relative boundary set: paths of degree <= n that cannot be
@@ -446,61 +443,38 @@ class KGraph:
         """A path gamma in v*Lambda with no common extension with any member
         of E, or None if E is exhaustive at v.
 
-        Works by a least-fixpoint search over states (vertex, obligation set):
-        a witness through a first edge a must avoid every path in the
+        Works by a breadth-first search over states (vertex, obligation
+        set): a witness through a first edge a must avoid every path in the
         minimal-extension transfer of the obligations along a.  Degrees of
         obligations never increase, so the state space is finite even on
-        cyclic graphs.
+        cyclic graphs.  Successors are visited in out_edges order, so the
+        witness returned is the lexicographically first of the shortest ones.
         """
         E = frozenset(E)
         for mu in E:
             if mu.range != v:
                 raise RangeMismatch(f"{mu!r} is not a path at {v!r}")
         start = (v, E)
-        succ = {}
-        stack = [start]
-        seen = {start}
-        while stack:
-            state = stack.pop()
+        parent = {start: None}  # state -> (previous state, edge id)
+        queue = collections.deque([start])
+        while queue:
+            state = queue.popleft()
             w, S = state
-            if not S:
-                continue  # terminal: witness found
+            if not S:  # witness found: walk the parent pointers back
+                word = []
+                while parent[state] is not None:
+                    state, eid = parent[state]
+                    word.append(eid)
+                return self.path(word[::-1]) if word else self.vertex(v)
             if any(p.is_vertex() for p in S):
-                succ[state] = []  # dead: the vertex meets everything
-                continue
-            lst = []
+                continue  # dead: the vertex meets everything
             for eid in self.out_edges(w):
                 a = self.path([eid])
-                transfer = self.ext(a, S)
-                nxt = (a.source, frozenset(transfer))
-                lst.append((eid, nxt))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-            succ[state] = lst
-        dist = {s: 0 for s in seen if not s[1]}
-        changed = True
-        while changed:
-            changed = False
-            for state, lst in succ.items():
-                best = min(
-                    (dist[n] + 1 for _, n in lst if n in dist), default=None
-                )
-                if best is not None and best < dist.get(state, best + 1):
-                    dist[state] = best
-                    changed = True
-        if start not in dist:
-            return None
-        word = []
-        state = start
-        while state[1]:
-            eid, state = next(
-                (eid, nxt)
-                for eid, nxt in succ[state]
-                if nxt in dist and dist[nxt] == dist[state] - 1
-            )
-            word.append(eid)
-        return self.path(word) if word else self.vertex(v)
+                nxt = (a.source, self.ext(a, S))
+                if nxt not in parent:
+                    parent[nxt] = (state, eid)
+                    queue.append(nxt)
+        return None
 
     def is_exhaustive(self, v, E):
         """True iff every path at v has a common extension with a member of E."""

@@ -7,7 +7,8 @@ from kpx import boundary as bnd
 from kpx import groupoid as gpd
 from kpx import presets
 from kpx.algebra import is_zero
-from kpx.degrees import zero
+from kpx.degrees import below, zero
+from kpx.kgraph import Edge, KGraph, KGraphSpec
 from kpx.rings import QQ, ZZ, IntegersMod
 
 
@@ -52,7 +53,22 @@ def test_cofinality_counterexample_fields(lambda2):
     v = ana.check_cofinal(lambda2)
     # the witness boundary path is unreachable from the named vertex
     reach = lambda2.reachable(v.vertex)
-    assert not (ana._visited_vertices(lambda2, v.path) & reach)
+    x = v.path
+    visited = {bnd.vertex_at(x, n) for n in below(x.degree)}
+    assert not (visited & reach)
+
+
+def test_cofinality_cyclic_counterexample():
+    # two disjoint loops: the loop at a is a boundary path that b cannot reach
+    spec = KGraphSpec(
+        k=1,
+        vertices=("a", "b"),
+        edges=(Edge("p", 1, "a", "a"), Edge("q", 1, "b", "b")),
+        squares=(),
+    )
+    v = ana.check_cofinal(KGraph.validate(spec))
+    assert v.status == "not_cofinal"
+    assert v.vertex == "b" and v.path.label() == "a(p)^oo"
 
 
 def test_effective_minimal_match_direct_checks(acyclic_graph):

@@ -24,11 +24,18 @@ def test_validate(capsys):
 
 
 def test_validate_bad_file(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"k": 2,\n  "vertices": }')
-    code, _ = run(capsys, "--graph", str(bad), "validate")
-    assert code == 2
-    err = capsys.readouterr().err if hasattr(capsys, "readouterr") else ""
+    documents = [
+        b'{"k": 2,\n  "vertices": }',
+        b'{"k": 1, "vertices": ["\xff"]}',  # not UTF-8
+        b'{"k": 1e400, "vertices": []}',
+        b'{"k": 1, "vertices": ["v"], "edges": '
+        b'[{"id": "e", "color": 1e400, "range": "v", "source": "v"}]}',
+    ]
+    for doc in documents:
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(doc)
+        code, _ = run(capsys, "--graph", str(bad), "validate")
+        assert code == 2, doc
 
 
 def test_missing_graph_flag(capsys):
@@ -70,7 +77,13 @@ def test_paths_deep_degree(capsys):
 
 
 def test_paths_negative_degree(capsys):
-    assert run(capsys, "--graph", LOOP, "paths", "--from", "v", "--degree", "-1")[0] == 2
+    for argv in (
+        ["--graph", LOOP, "paths", "--from", "v", "--degree", "-1"],
+        ["--graph", LOOP, "paths", "--from", "v", "--degree", "-1", "--leq"],
+        ["--omega", "2,-1", "analyze"],
+        ["--omega", "-1", "dim"],
+    ):
+        assert run(capsys, *argv)[0] == 2, argv
 
 
 def test_mce(capsys):

@@ -150,14 +150,26 @@ def test_factor_out_of_range(lambda2):
         lambda2.factor(p, (0, 1))
 
 
-def test_factor_compose_roundtrip_all(acyclic_graph):
-    g = acyclic_graph
-    for p in g.all_paths():
+def _check_factor_roundtrip(g, paths):
+    for p in paths:
         for m in itertools.product(*(range(n + 1) for n in p.degree)):
             head, tail = g.factor(p, m)
             assert head.degree == m
             assert g.compose(head, tail) == p
             assert g.segment(p, m, p.degree) == tail
+            # both halves come out in normal form
+            for half in (head, tail):
+                assert half.is_vertex() or half == g.path(half.edges)
+
+
+def test_factor_compose_roundtrip_all(acyclic_graph):
+    _check_factor_roundtrip(acyclic_graph, acyclic_graph.all_paths())
+
+
+def test_factor_compose_roundtrip_cyclic(cloops, loop):
+    for g in (cloops, loop):
+        for v in g.vertices:
+            _check_factor_roundtrip(g, g.paths_upto(v, (2,) * g.k))
 
 
 def test_vertex_at_matches_factor(lambda2):
@@ -329,6 +341,8 @@ def test_exhaustive_against_oracle(acyclic_graph):
             else:
                 assert w is not None
                 assert not any(g.mce(w, mu) for mu in combo)
+                # a shortest witness, as long as the oracle's first one
+                assert len(w.edges) == len(exhaustive_oracle(g, v, combo).edges)
 
 
 def test_exhaustive_cyclic(cloops, loop):
