@@ -354,6 +354,9 @@ def test_exhaustive_cyclic(cloops, loop):
     assert cloops.is_exhaustive("v", fs) is True
     w = cloops.exhaustiveness_witness("v", [f1])
     assert w is not None and not cloops.mce(w, f1)
+    # the lexicographically first of the shortest witnesses, in out_edges order
+    squares = [cloops.parse_path(s) for s in ("f1.f1", "f2.f2", "f3.f3")]
+    assert cloops.exhaustiveness_witness("v", squares).label() == "f1.f2"
     assert loop.is_exhaustive("v", [loop.parse_path("e")]) is True
 
 
