@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / property holds, 1 property is false, 2 input
-error, 3 a three-valued verdict came back unknown.
+error or internal error (reported on stderr, never as a traceback), 3 a
+three-valued verdict came back unknown.
 """
 
 import argparse
@@ -353,6 +354,9 @@ def main(argv=None):
         return EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:  # a fault in kpx itself, not in the input
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -16,27 +16,44 @@ from .errors import ParseError
 from .kgraph import Edge, KGraph, KGraphSpec, Square
 
 
+def _typed(value, kind, what):
+    """value itself, if its JSON type is kind; no float or bool is an int."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _pair(value, what):
+    if len(_typed(value, list, what)) != 2:
+        raise ParseError(f"{what} must list two edge ids, not {len(value)}")
+    return tuple(_typed(eid, str, what) for eid in value)
+
+
 def spec_from_dict(data):
+    """Build a specification from a parsed graph document, which must use
+    JSON integers for k and colors and JSON strings for every id."""
     try:
-        k = int(data["k"])
-        vertices = tuple(str(v) for v in data["vertices"])
+        k = _typed(data["k"], int, "k")
+        vertices = tuple(
+            _typed(v, str, "vertex id") for v in _typed(data["vertices"], list, "vertices")
+        )
         edges = tuple(
             Edge(
-                id=str(e["id"]),
-                color=int(e["color"]),
-                range=str(e["range"]),
-                source=str(e["source"]),
+                id=_typed(e["id"], str, "edge id"),
+                color=_typed(e["color"], int, "edge color"),
+                range=_typed(e["range"], str, "edge range"),
+                source=_typed(e["source"], str, "edge source"),
             )
-            for e in data.get("edges", [])
+            for e in _typed(data.get("edges", []), list, "edges")
         )
         squares = tuple(
             Square(
-                first=(str(sq["first"][0]), str(sq["first"][1])),
-                second=(str(sq["second"][0]), str(sq["second"][1])),
+                first=_pair(sq["first"], "square side first"),
+                second=_pair(sq["second"], "square side second"),
             )
-            for sq in data.get("squares", [])
+            for sq in _typed(data.get("squares", []), list, "squares")
         )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
     return KGraphSpec(k=k, vertices=vertices, edges=edges, squares=squares)
 

@@ -53,7 +53,7 @@ class KGraphSpec:
     squares: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A morphism in normal form: a range vertex plus a color-sorted edge word."""
 
@@ -108,8 +108,11 @@ class KGraph:
         for eid in sorted(self._edges):
             e = self._edges[eid]
             self._out[(e.range, e.color)].append(eid)
+        # derived caches, which live as long as the graph
         self._all_paths_cache = None
         self._acyclic = None
+        self._mce = {}  # (lam, mu) -> minimal_common_extensions(lam, mu)
+        self._boundary = None  # filled by boundary.enumerate_boundary
 
     @property
     def spec(self):
@@ -408,9 +411,17 @@ class KGraph:
     # common extensions
 
     def minimal_common_extensions(self, lam, mu):
-        """All pairs (rho, tau) with lam*rho = mu*tau of degree d(lam) v d(mu)."""
+        """All pairs (rho, tau) with lam*rho = mu*tau of degree d(lam) v d(mu).
+
+        Memoized per graph for paths with one range: the result is an
+        immutable frozenset.
+        """
         if lam.range != mu.range:
             return frozenset()
+        key = (lam, mu)
+        out = self._mce.get(key)
+        if out is not None:
+            return out
         top = degrees.join(lam.degree, mu.degree)
         out = set()
         for rho in self.paths_from(lam.source, degrees.sub(top, lam.degree)):
@@ -418,7 +429,8 @@ class KGraph:
             head, tau = self.factor(ext, mu.degree)
             if head == mu:
                 out.add((rho, tau))
-        return frozenset(out)
+        out = self._mce[key] = frozenset(out)
+        return out
 
     def mce(self, lam, mu):
         """The minimal common extensions themselves, sorted."""

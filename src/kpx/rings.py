@@ -67,6 +67,11 @@ class Ring:
     name = "?"
     is_field = False
 
+    def __init__(self):
+        # built once: every value is immutable, so callers can share them
+        self._zero = self.from_int(0)
+        self._one = self.from_int(1)
+
     def from_int(self, n):
         raise NotImplementedError
 
@@ -75,11 +80,11 @@ class Ring:
 
     @property
     def zero(self):
-        return self.from_int(0)
+        return self._zero
 
     @property
     def one(self):
-        return self.from_int(1)
+        return self._one
 
     def __repr__(self):
         return self.name
@@ -119,6 +124,7 @@ class IntegersMod(Ring):
         self.n = n
         self.name = f"Z/{n}"
         self.is_field = _is_prime(n)
+        super().__init__()
 
     def from_int(self, m):
         return ModInt(self.n, m % self.n)

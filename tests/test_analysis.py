@@ -8,7 +8,7 @@ from kpx import groupoid as gpd
 from kpx import presets
 from kpx.algebra import is_zero
 from kpx.degrees import below, zero
-from kpx.kgraph import Edge, KGraph, KGraphSpec
+from kpx.kgraph import Edge, KGraph, KGraphSpec, omega_graph
 from kpx.rings import QQ, ZZ, IntegersMod
 
 
@@ -106,6 +106,26 @@ def test_report_omega13(omega13):
     assert rz.basically_simple == "yes" and rz.simple == "no"
     rp = ana.report(omega13, IntegersMod(5))
     assert rp.simple == "yes"
+
+
+@pytest.mark.parametrize(
+    "build", [presets.lambda2, lambda: omega_graph((2, 2))], ids=["lambda2", "omega22"]
+)
+def test_report_enumerates_boundary_once(build, monkeypatch):
+    # check_cofinal and dim_over_field (through orbits) share the boundary
+    # the graph keeps, so each path is tested once
+    calls = []
+    real = bnd.is_boundary_finite
+
+    def counted(lam):
+        calls.append(lam)
+        return real(lam)
+
+    monkeypatch.setattr(bnd, "is_boundary_finite", counted)
+    g = build()
+    r = ana.report(g, QQ)
+    assert r.dimension == sum(len(o) ** 2 for o in bnd.orbits(g))
+    assert len(calls) == len(g.all_paths())
 
 
 def test_report_loop(loop):

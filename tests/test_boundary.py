@@ -16,6 +16,16 @@ def test_lambda2_boundary_frozen(lambda2):
     assert labels == {"v4", "v5", "e2", "e3", "f1", "e1.f1"}
 
 
+def test_boundary_copy_is_private():
+    g = presets.lambda2()
+    first = bnd.enumerate_boundary(g)
+    want = list(first)
+    first.pop()
+    first.append(first[0])
+    assert bnd.enumerate_boundary(g) == want
+    assert bnd.boundary_at(g, "v1") == [x for x in want if x.range == "v1"]
+
+
 def test_boundary_matches_definition_oracle(acyclic_graph):
     g = acyclic_graph
     want = {p for p in g.all_paths() if boundary_oracle(g, p)}

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kpx import io
+from kpx import cli, io
 from kpx.cli import main
 
 FIX = "tests/fixtures"
@@ -30,12 +30,47 @@ def test_validate_bad_file(tmp_path, capsys):
         b'{"k": 1e400, "vertices": []}',
         b'{"k": 1, "vertices": ["v"], "edges": '
         b'[{"id": "e", "color": 1e400, "range": "v", "source": "v"}]}',
+        # JSON types are not coerced: k and colors are integers, ids strings
+        b'{"k": 1.9, "vertices": ["v"]}',
+        b'{"k": true, "vertices": ["v"]}',
+        b'{"k": 1, "vertices": [1]}',
+        b'{"k": 1, "vertices": "v"}',
+        b'{"k": 1, "vertices": ["v"], "edges": '
+        b'[{"id": "e", "color": 1.7, "range": "v", "source": "v"}]}',
+        b'{"k": 1, "vertices": ["v"], "edges": '
+        b'[{"id": "e", "color": true, "range": "v", "source": "v"}]}',
+        b'{"k": 1, "vertices": ["v"], "edges": '
+        b'[{"id": ["x"], "color": 1, "range": "v", "source": "v"}]}',
+        b'{"k": 1, "vertices": ["v"], "edges": '
+        b'[{"id": "e", "color": 1, "range": null, "source": "v"}]}',
+        b'{"k": 1, "vertices": ["v"], "edges": '
+        b'[{"id": "e", "color": 1, "range": "v", "source": 0}]}',
+        b'{"k": 2, "vertices": ["v"], "edges": ['
+        b'{"id": "e", "color": 1, "range": "v", "source": "v"}, '
+        b'{"id": "f", "color": 2, "range": "v", "source": "v"}], '
+        b'"squares": [{"first": ["e", 7], "second": ["f", "e"]}]}',
+        b'{"k": 2, "vertices": ["v"], "edges": ['
+        b'{"id": "e", "color": 1, "range": "v", "source": "v"}, '
+        b'{"id": "f", "color": 2, "range": "v", "source": "v"}], '
+        b'"squares": [{"first": ["e", "f", "x"], "second": ["f", "e"]}]}',
     ]
     for doc in documents:
         bad = tmp_path / "bad.json"
         bad.write_bytes(doc)
         code, _ = run(capsys, "--graph", str(bad), "validate")
         assert code == 2, doc
+
+
+def test_internal_error_has_no_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", broken)
+    code = main(["--graph", L2, "validate"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: internal error: RuntimeError: boom\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_missing_graph_flag(capsys):

@@ -263,11 +263,37 @@ def test_mce_lambda2_frozen(lambda2):
 def test_mce_against_oracle(acyclic_graph):
     g = acyclic_graph
     paths = g.all_paths()
-    for lam in paths:
-        for mu in paths:
-            assert set(g.mce(lam, mu)) == mce_oracle(g, lam, mu)
-            for rho, tau in g.minimal_common_extensions(lam, mu):
-                assert g.compose(lam, rho) == g.compose(mu, tau)
+    for _ in range(2):  # the second pass answers from the graph's memo
+        for lam in paths:
+            for mu in paths:
+                assert set(g.mce(lam, mu)) == mce_oracle(g, lam, mu)
+                for rho, tau in g.minimal_common_extensions(lam, mu):
+                    assert g.compose(lam, rho) == g.compose(mu, tau)
+
+
+def _two_loop_square_graph(flip):
+    """One vertex, loops e1, e2 (color 1) and f1, f2 (color 2), with the
+    squares e_i f_j = f_j e_i, or e_i f_j = f_j e_(3-i) when flip is set."""
+    edges = tuple(Edge(f"{c}{i}", color, "v", "v")
+                  for c, color in (("e", 1), ("f", 2)) for i in (1, 2))
+    squares = tuple(
+        Square(first=(f"e{i}", f"f{j}"), second=(f"f{j}", f"e{3 - i if flip else i}"))
+        for i in (1, 2) for j in (1, 2)
+    )
+    return KGraph.validate(KGraphSpec(k=2, vertices=("v",), edges=edges, squares=squares))
+
+
+def test_mce_memo_is_per_graph():
+    # paths of A and B compare equal (the graph is not part of a path's
+    # identity), so a cache shared between graphs would answer B from A
+    a, b = _two_loop_square_graph(False), _two_loop_square_graph(True)
+    for g, tau in ((a, "e1"), (b, "e2"), (a, "e1"), (b, "e2")):
+        e1, f1 = g.parse_path("e1"), g.parse_path("f1")
+        assert g.minimal_common_extensions(e1, f1) == {(f1, g.parse_path(tau))}
+        paths = g.paths_upto("v", (1, 1))
+        for lam in paths:
+            for mu in paths:
+                assert set(g.mce(lam, mu)) == mce_oracle(g, lam, mu)
 
 
 def test_mce_symmetry_and_degree(lambda2, omega211):
