@@ -2,15 +2,16 @@
 
 A boundary path is a (possibly infinite) path that meets every finite
 exhaustive set based at every vertex it visits.  On acyclic graphs all
-boundary paths are finite and are enumerated exactly.  On cyclic graphs we
+boundary paths are finite, and a finite path is one iff its source vertex
+receives no edge, so they are enumerated exactly.  On cyclic graphs we
 support eventually-periodic witnesses ("lassos"): a finite head followed by
 a repeated cycle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import degrees
-from .errors import DegreeOutOfRange, NotAcyclic, NotComposable, RangeMismatch
+from .errors import DegreeOutOfRange, NotAcyclic, NotComposable
 from .kgraph import Path
 
 
@@ -182,27 +183,21 @@ def has_path_prefix(x, lam):
 
 
 def is_boundary_finite(lam):
-    """Decide whether a finite path is a boundary path.
+    """Decide whether a finite path is a boundary path: on an acyclic graph
+    it is one iff its source vertex receives no edge.
 
-    A finite path qualifies iff, for every initial degree n, every finite
-    exhaustive set at the vertex lam(n) contains a prefix of the shifted
-    path.  Equivalently: the set of non-prefixes at lam(n) is never
-    exhaustive, which is a single exhaustiveness query per n.
+    Let w = s(lam).  If w receives an edge, E = w Lambda minus {w} is finite
+    (the graph is acyclic) and exhaustive, and holds no prefix of the
+    trivial tail w, so lam fails the definition at n = d(lam).  If w
+    receives no edge and some finite exhaustive E at lam(n) missed the
+    tail t = lam(n, d(lam)), then Ext(t; E) would be exhaustive at w
+    (Raeburn-Sims-Yeend, J. Funct. Anal. 2004, Appendix C), so it would
+    contain w: some member of E prefixes t, a contradiction.
     """
     g = lam.graph
     if not g.is_acyclic():
         raise NotAcyclic("finite boundary membership requires an acyclic graph")
-    for n in degrees.below(lam.degree):
-        head, tail = g.factor(lam, n)
-        w = head.source
-        non_prefixes = [
-            mu
-            for mu in g.paths_at(w)
-            if not mu.is_vertex() and not g.has_prefix(tail, mu)
-        ]
-        if g.is_exhaustive(w, non_prefixes):
-            return False
-    return True
+    return not g.out_edges(lam.source)
 
 
 def enumerate_boundary(g):

@@ -18,6 +18,7 @@ from .errors import (
     DegreeOutOfRange,
     InvalidSpec,
     MissingEndpoint,
+    NotAcyclic,
     NotBijective,
     NotComposable,
     RangeMismatch,
@@ -347,7 +348,7 @@ class KGraph:
         A normal-form word lists its color-1 edges first, then its color-2
         edges, and so on, so the paths grow one edge at a time in that order
         with no rewriting.  Extending a sorted list of equal-length words by
-        sorted edge lists keeps it sorted.
+        sorted edge lists keeps it sorted; once no word is left, none grows.
         """
         if v not in self.vertices:
             raise UnknownId(f"unknown vertex id {v!r}")
@@ -356,6 +357,8 @@ class KGraph:
         words = [((), v)]  # (edge word, source)
         for color, count in enumerate(n, start=1):
             for _ in range(count):
+                if not words:
+                    return []
                 words = [
                     (word + (eid,), self._edges[eid].source)
                     for word, w in words
@@ -385,10 +388,8 @@ class KGraph:
         return out
 
     def all_paths(self):
-        """Every path in an acyclic graph, sorted (cached)."""
+        """Every path in an acyclic graph, sorted (cached; a new list each call)."""
         if self._all_paths_cache is None:
-            from .errors import NotAcyclic
-
             if not self.is_acyclic():
                 raise NotAcyclic("the path category of a cyclic graph is infinite")
             paths = set()
@@ -400,8 +401,8 @@ class KGraph:
                 paths.add(lam)
                 for eid in self.out_edges(lam.source):
                     queue.append(self.compose(lam, self.path([eid])))
-            self._all_paths_cache = sorted(paths, key=Path.sort_key)
-        return self._all_paths_cache
+            self._all_paths_cache = tuple(sorted(paths, key=Path.sort_key))
+        return list(self._all_paths_cache)
 
     def paths_at(self, v):
         """All paths with range v (acyclic graphs), sorted."""

@@ -13,7 +13,7 @@ import pytest
 from kpx import boundary as bnd
 from kpx import presets
 from kpx.degrees import join, le, sub, zero
-from kpx.kgraph import omega_graph
+from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +70,58 @@ def acyclic_graph(request):
         "omega3111": lambda: omega_graph((1, 1, 1)),
     }
     return builders[request.param]()
+
+
+def downset_graph(generators):
+    """The sub-k-graph of the lattice N^k spanned by the points below some
+    generator: a vertex per point, a colour-i edge from p to p + e_i when
+    both are points, and every unit square the set holds.  Each box between
+    two points lies in the set, so this is always a valid acyclic k-graph;
+    it is locally convex only when the set is a box."""
+    k = len(generators[0])
+    points = sorted({p for top in generators for p in _degree_box(top)})
+    inside = set(points)
+
+    def name(p):
+        return ",".join(str(c) for c in p)
+
+    def step(p, i):
+        return tuple(c + (j == i) for j, c in enumerate(p))
+
+    def eid(p, i):
+        return f"{name(p)}>{name(step(p, i))}"
+
+    edges = [
+        Edge(id=eid(p, i), color=i + 1, range=name(p), source=name(step(p, i)))
+        for p in points
+        for i in range(k)
+        if step(p, i) in inside
+    ]
+    squares = [
+        Square(first=(eid(p, i), eid(step(p, i), j)),
+               second=(eid(p, j), eid(step(p, j), i)))
+        for p in points
+        for i in range(k)
+        for j in range(i + 1, k)
+        if step(step(p, i), j) in inside
+    ]
+    spec = KGraphSpec(k=k, vertices=tuple(name(p) for p in points),
+                      edges=tuple(edges), squares=tuple(squares))
+    return KGraph.validate(spec)
+
+
+# generators of down-set graphs small enough for boundary_oracle (at most
+# 12 paths at any vertex); none of them is locally convex
+DOWNSET_GENERATORS = {
+    "ds20_01": ((2, 0), (0, 1)),
+    "ds31_12": ((3, 1), (1, 2)),
+    "ds100_011": ((1, 0, 0), (0, 1, 1)),
+}
+
+
+@pytest.fixture(scope="session", params=sorted(DOWNSET_GENERATORS))
+def downset(request):
+    return downset_graph(DOWNSET_GENERATORS[request.param])
 
 
 # ---------------------------------------------------------------- oracles

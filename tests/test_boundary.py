@@ -33,6 +33,22 @@ def test_boundary_matches_definition_oracle(acyclic_graph):
     assert got == want
 
 
+def test_boundary_matches_definition_oracle_downsets(downset):
+    g = downset
+    assert not g.is_locally_convex()
+    assert max(len(g.paths_at(v)) for v in g.vertices) <= 12
+    want = {p for p in g.all_paths() if boundary_oracle(g, p)}
+    got = {x.head for x in bnd.enumerate_boundary(g)}
+    assert got == want
+
+
+def test_finite_membership_needs_acyclic(loop):
+    with pytest.raises(errors.NotAcyclic):
+        bnd.is_boundary_finite(loop.parse_path("e"))
+    with pytest.raises(errors.NotAcyclic):
+        bnd.is_boundary_finite(loop.vertex("v"))
+
+
 def test_every_vertex_has_boundary_path(acyclic_graph):
     g = acyclic_graph
     for v in g.vertices:

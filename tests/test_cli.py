@@ -1,6 +1,7 @@
 """Command line interface: commands, exit codes, JSON mode, file loading."""
 
 import json
+import signal
 
 import pytest
 
@@ -109,6 +110,25 @@ def test_paths_deep_degree(capsys):
     code, out = run(capsys, "--graph", LOOP, "paths", "--from", "v", "--degree", "1500")
     assert code == 0
     assert out == ".".join(["e"] * 1500) + "\n"
+
+
+def test_paths_huge_degree(capsys):
+    # no path from v1 has 10^20 colour-1 edges: the enumeration must stop
+    # once no word is left instead of counting to 10^20
+    def too_slow(signum, frame):
+        raise TimeoutError("paths did not stop")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        code, out = run(
+            capsys, "--graph", L2, "paths", "--from", "v1",
+            "--degree", "100000000000000000000,0",
+        )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 0 and out == ""
 
 
 def test_paths_negative_degree(capsys):

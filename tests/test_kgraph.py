@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kpx import boundary as bnd
 from kpx import errors, presets
 from kpx.degrees import below, join, le, sub, zero
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
@@ -227,6 +228,17 @@ def test_omega_path_counts(omega13, omega211):
     # lattice-segment graphs have exactly one path of each legal shape
     assert len(omega13.all_paths()) == 4 + 3 + 2 + 1
     assert len(omega211.all_paths()) == 9
+
+
+def test_all_paths_copy_is_private():
+    g = presets.lambda2()
+    want = list(g.all_paths())
+    want_v1 = g.paths_at("v1")
+    g.all_paths().clear()
+    g.paths_at("v1").clear()
+    assert g.all_paths() == want
+    assert g.paths_at("v1") == want_v1
+    assert len(bnd.enumerate_boundary(g)) == 6
 
 
 def test_all_paths_raises_on_cyclic(loop):
