@@ -303,13 +303,14 @@ class GroupoidElement:
 
 
 def make_element(x, m, y):
-    """Validate and build a groupoid element from finite boundary paths."""
-    g = x.graph
-    for p in degrees.below(x.degree):
-        for q in degrees.below(y.degree):
-            if degrees.diff(p, q) == m and boundary.shift(x, p) == boundary.shift(y, q):
-                return GroupoidElement(x=x, m=m, y=y)
-    raise DegreeOutOfRange(f"({x!r}, {m}, {y!r}) is not a groupoid element")
+    """Validate and build a groupoid element from finite boundary paths.
+
+    (x, m, y) is one iff s(x) = s(y) and m = d(x) - d(y): equal finite tails
+    shift(x, p) = shift(y, q) have equal degrees, so d(x) - p = d(y) - q with
+    m = p - q; conversely p = d(x), q = d(y) both leave the tail s(x) = s(y)."""
+    if x.source != y.source or m != degrees.diff(x.degree, y.degree):
+        raise DegreeOutOfRange(f"({x!r}, {m}, {y!r}) is not a groupoid element")
+    return GroupoidElement(x=x, m=m, y=y)
 
 
 def enumerate_groupoid(g):

@@ -4,7 +4,9 @@ A rank-k graph is presented by a k-colored digraph together with a complete
 collection of commuting squares pairing each bicolored edge path with its
 factorization in the opposite color order.  Paths are stored in a normal
 form where edge colors appear in non-decreasing order; the squares are the
-rewriting rules that transport any edge word into that normal form.
+rewriting rules that transport any edge word into that normal form.  Path
+sets (exact degree, degree box, relative boundary, all paths) all come from
+one enumerator that grows normal-form words one color at a time.
 """
 
 import collections
@@ -342,65 +344,59 @@ class KGraph:
     # ------------------------------------------------------------------
     # path enumeration
 
-    def paths_from(self, v, n):
-        """All paths with range v and degree exactly n, sorted.
+    def _grow(self, v, lo, hi):
+        """All paths with range v and lo <= degree <= hi.
 
         A normal-form word lists its color-1 edges first, then its color-2
-        edges, and so on, so the paths grow one edge at a time in that order
-        with no rewriting.  Extending a sorted list of equal-length words by
-        sorted edge lists keeps it sorted; once no word is left, none grows.
+        edges, and so on, so the words grow one color at a time with no
+        rewriting, and color c keeps its levels lo[c-1]..hi[c-1].  A color
+        stops once no word extends, so a huge bound costs nothing where no
+        path exists.  When lo == hi the words come out sorted.
         """
         if v not in self.vertices:
             raise UnknownId(f"unknown vertex id {v!r}")
-        if any(c < 0 for c in n) or any(n[self.k:]):
-            raise DegreeOutOfRange(f"degree {n} is not in N^{self.k}")
+        if any(c < 0 for c in hi) or any(hi[self.k:]):
+            raise DegreeOutOfRange(f"degree {hi} is not in N^{self.k}")
+        out, edges = self._out, self._edges
         words = [((), v)]  # (edge word, source)
-        for color, count in enumerate(n, start=1):
-            for _ in range(count):
-                if not words:
-                    return []
-                words = [
-                    (word + (eid,), self._edges[eid].source)
-                    for word, w in words
-                    for eid in self._out[(w, color)]
-                ]
+        for color, (low, high) in enumerate(zip(lo, hi), start=1):
+            kept = words if low == 0 else []
+            count = 0
+            while words and count < high:
+                words = [(word + (eid,), edges[eid].source)
+                         for word, w in words for eid in out[(w, color)]]
+                count += 1
+                if count == low:
+                    kept = words
+                elif count > low:
+                    kept += words
+            words = kept
         return [Path(self, v, word) for word, _ in words]
+
+    def paths_from(self, v, n):
+        """All paths with range v and degree exactly n, sorted."""
+        return self._grow(v, n, n)
 
     def paths_upto(self, v, n):
         """All paths with range v and degree <= n, sorted."""
-        out = []
-        for m in degrees.below(n):
-            out.extend(self.paths_from(v, m))
-        return sorted(out, key=Path.sort_key)
+        return sorted(self._grow(v, (0,) * len(n), n), key=Path.sort_key)
 
     def paths_leq(self, v, n):
         """The relative boundary set: paths of degree <= n that cannot be
         extended in any color where the degree falls short of n."""
-        out = []
-        for lam in self.paths_upto(v, n):
-            ok = True
-            for i in range(self.k):
-                if lam.degree[i] < n[i] and self._out[(lam.source, i + 1)]:
-                    ok = False
-                    break
-            if ok:
-                out.append(lam)
-        return out
+        return [
+            lam for lam in self.paths_upto(v, n)
+            if not any(d < m and self._out[(lam.source, c)]
+                       for c, (d, m) in enumerate(zip(lam.degree, n), start=1))
+        ]
 
     def all_paths(self):
         """Every path in an acyclic graph, sorted (cached; a new list each call)."""
         if self._all_paths_cache is None:
             if not self.is_acyclic():
                 raise NotAcyclic("the path category of a cyclic graph is infinite")
-            paths = set()
-            queue = [self.vertex(v) for v in self.vertices]
-            while queue:
-                lam = queue.pop()
-                if lam in paths:
-                    continue
-                paths.add(lam)
-                for eid in self.out_edges(lam.source):
-                    queue.append(self.compose(lam, self.path([eid])))
+            top = (len(self.vertices),) * self.k  # more edges than any path has
+            paths = [lam for v in self.vertices for lam in self._grow(v, (0,) * self.k, top)]
             self._all_paths_cache = tuple(sorted(paths, key=Path.sort_key))
         return list(self._all_paths_cache)
 

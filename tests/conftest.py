@@ -56,20 +56,20 @@ def twodots():
     return presets.two_isolated_vertices()
 
 
-ACYCLIC_NAMES = ["lambda2", "omega13", "omega211", "point", "twodots", "omega3111"]
+ACYCLIC_BUILDERS = {
+    "lambda2": presets.lambda2,
+    "omega13": lambda: omega_graph((3,)),
+    "omega211": lambda: omega_graph((1, 1)),
+    "point": lambda: presets.single_vertex(2),
+    "twodots": presets.two_isolated_vertices,
+    "omega3111": lambda: omega_graph((1, 1, 1)),
+}
+ACYCLIC_NAMES = list(ACYCLIC_BUILDERS)
 
 
 @pytest.fixture(scope="session", params=ACYCLIC_NAMES)
 def acyclic_graph(request):
-    builders = {
-        "lambda2": presets.lambda2,
-        "omega13": lambda: omega_graph((3,)),
-        "omega211": lambda: omega_graph((1, 1)),
-        "point": lambda: presets.single_vertex(2),
-        "twodots": presets.two_isolated_vertices,
-        "omega3111": lambda: omega_graph((1, 1, 1)),
-    }
-    return builders[request.param]()
+    return ACYCLIC_BUILDERS[request.param]()
 
 
 def downset_graph(generators):
@@ -125,6 +125,23 @@ def downset(request):
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def paths_oracle(g, v, n):
+    """Every path with range v and degree <= n, sorted: a search that
+    appends one edge at a time through compose, so it shares no code with
+    the library's enumerator.  The degree bound keeps it finite on cyclic
+    graphs."""
+    found = set()
+    queue = [g.vertex(v)]
+    while queue:
+        lam = queue.pop()
+        if lam in found or not le(lam.degree, n):
+            continue
+        found.add(lam)
+        for eid in g.out_edges(lam.source):
+            queue.append(g.compose(lam, g.path([eid])))
+    return sorted(found, key=lambda p: p.sort_key())
 
 
 def mce_oracle(g, lam, mu):

@@ -114,21 +114,22 @@ def test_paths_deep_degree(capsys):
 
 def test_paths_huge_degree(capsys):
     # no path from v1 has 10^20 colour-1 edges: the enumeration must stop
-    # once no word is left instead of counting to 10^20
+    # once no word is left instead of counting to 10^20, also when it keeps
+    # every level up to the bound (--leq)
     def too_slow(signum, frame):
         raise TimeoutError("paths did not stop")
 
+    argv = ["--graph", L2, "paths", "--from", "v1", "--degree", "100000000000000000000,0"]
     old = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(10)
     try:
-        code, out = run(
-            capsys, "--graph", L2, "paths", "--from", "v1",
-            "--degree", "100000000000000000000,0",
-        )
+        exact = run(capsys, *argv)
+        leq = run(capsys, *argv, "--leq")
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
-    assert code == 0 and out == ""
+    assert exact == (0, "")
+    assert leq == (0, "e1\ne3\n")
 
 
 def test_paths_negative_degree(capsys):

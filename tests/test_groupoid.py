@@ -4,17 +4,19 @@ Every set-level identity is gated pointwise against the explicit finite
 groupoid of an acyclic graph.
 """
 
+import itertools
 import random
 
 import pytest
 
-from kpx import errors
+from kpx import errors, presets
 from kpx import groupoid as gpd
 from kpx.algebra import SpanForm, grade, is_zero, multiply
 from kpx.elements import parse_cell, parse_element
 from kpx.rings import QQ, ZZ
 
 from conftest import (
+    ACYCLIC_BUILDERS,
     cell_points,
     convolve_oracle,
     func_points,
@@ -258,6 +260,24 @@ def test_make_element_validates(lambda2):
     assert el.m == (1, 0)
     with pytest.raises(errors.DegreeOutOfRange):
         gpd.make_element(x, (0, 1), y)
+    # the closed form accepts exactly the enumerated groupoid
+    for build in ACYCLIC_BUILDERS.values():
+        g = build()
+        points = set(gpd.enumerate_groupoid(g))
+        paths = bnd.enumerate_boundary(g)
+        for x, y in itertools.product(paths, repeat=2):
+            for m in itertools.product(range(-2, 3), repeat=g.k):
+                want = gpd.GroupoidElement(x=x, m=m, y=y)
+                if want in points:
+                    assert gpd.make_element(x, m, y) == want
+                else:
+                    with pytest.raises(errors.DegreeOutOfRange):
+                        gpd.make_element(x, m, y)
+    # a lasso has no source vertex
+    loop = presets.single_loop()
+    cycle = bnd.lasso(loop.vertex("v"), loop.parse_path("e"))
+    with pytest.raises(errors.DegreeOutOfRange):
+        gpd.make_element(cycle, (0,), cycle)
 
 
 def test_dim_over_field(lambda2, omega13, omega211, loop):

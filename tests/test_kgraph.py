@@ -12,7 +12,15 @@ from kpx import errors, presets
 from kpx.degrees import below, join, le, sub, zero
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 
-from conftest import exhaustive_oracle, exhaustive_oracle_bool, mce_oracle
+from conftest import (
+    ACYCLIC_BUILDERS,
+    DOWNSET_GENERATORS,
+    downset_graph,
+    exhaustive_oracle,
+    exhaustive_oracle_bool,
+    mce_oracle,
+    paths_oracle,
+)
 
 
 # ------------------------------------------------------------- validation
@@ -199,12 +207,54 @@ def test_paths_from_lambda2(lambda2):
 
 
 def test_paths_from_matches_all_paths(acyclic_graph):
-    # all_paths grows paths by compose, so it is independent of paths_from
+    # paths_oracle grows paths by compose, so it is independent of the
+    # enumerator behind paths_from and all_paths
     g = acyclic_graph
     for v in g.vertices:
+        everything = paths_oracle(g, v, (len(g.vertices),) * g.k)
+        assert [p for p in g.all_paths() if p.range == v] == everything
         for n in below(g.max_path_degree()):
-            want = [p for p in g.all_paths() if p.range == v and p.degree == n]
+            want = [p for p in everything if p.degree == n]
             assert g.paths_from(v, n) == want, (v, n)
+
+
+ORACLE_GRAPHS = {
+    **ACYCLIC_BUILDERS,
+    **{name: (lambda gens=gens: downset_graph(gens))
+       for name, gens in DOWNSET_GENERATORS.items()},
+    "loop": presets.single_loop,
+    "cloops": lambda: presets.commuting_loops(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_enumerators_match_oracle(name):
+    # The box reaches one level past the longest path in every colour of an
+    # acyclic graph (no path has as many edges as the graph has vertices),
+    # and a few levels into a cyclic one.
+    g = ORACLE_GRAPHS[name]()
+    if g.is_acyclic():
+        whole = {v: paths_oracle(g, v, (len(g.vertices),) * g.k) for v in g.vertices}
+        top = zero(g.k)
+        for p in itertools.chain(*whole.values()):
+            top = join(top, p.degree)
+        box = tuple(c + 1 for c in top)
+        assert g.all_paths() == sorted(itertools.chain(*whole.values()),
+                                       key=lambda p: p.sort_key())
+    else:
+        box = (3, 2)[:g.k]
+    for v in g.vertices:
+        pool = [(p, p.degree) for p in paths_oracle(g, v, box)]
+        for n in below(box):
+            upto = [(p, d) for p, d in pool if le(d, n)]
+            assert g.paths_from(v, n) == [p for p, d in upto if d == n], (v, n)
+            assert g.paths_upto(v, n) == [p for p, _ in upto], (v, n)
+            # no colour-i edge at s(lam) wherever d(lam)_i < n_i
+            assert g.paths_leq(v, n) == [
+                p for p, d in upto
+                if not any(d[i] < n[i] and g.out_edges(p.source, i + 1)
+                           for i in range(g.k))
+            ], (v, n)
 
 
 def test_paths_from_counts_commuting_loops(cloops):
@@ -222,6 +272,13 @@ def test_paths_from_rejects_bad_degrees(lambda2, loop):
         lambda2.paths_from("v1", (1, -1))
     with pytest.raises(errors.DegreeOutOfRange):
         lambda2.paths_from("v1", (0, 0, 1))
+    # the box enumerators validate the bound the same way
+    with pytest.raises(errors.DegreeOutOfRange):
+        lambda2.paths_upto("v1", (1, -1))
+    with pytest.raises(errors.DegreeOutOfRange):
+        lambda2.paths_leq("v1", (1, -1))
+    with pytest.raises(errors.DegreeOutOfRange):
+        loop.paths_leq("v", (-1,))
 
 
 def test_omega_path_counts(omega13, omega211):
