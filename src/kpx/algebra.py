@@ -1,9 +1,11 @@
 """Exact arithmetic in the Kumjian-Pask algebra of a finite rank-k graph.
 
 Elements are kept in span form: finite R-linear combinations of products
-s_lam * s_mu^* indexed by path pairs with a common source.  Words in the
-generators are reduced to span form with the defining relations; products
-of span forms are computed with the minimal-common-extension rule.
+s_lam * s_mu^* indexed by path pairs with a common source.  One product
+rule, s_mu^* s_nu = sum of s_alpha s_beta^* over the minimal common
+extensions (alpha, beta) of mu and nu, multiplies span forms
+(:func:`multiply`); a word in the generators is multiplied out factor by
+factor with that same rule (:func:`reduce`).
 """
 
 from dataclasses import dataclass
@@ -45,13 +47,17 @@ class SpanForm:
         self.ring = ring
         self._terms = {}
         if terms:
-            for key, coeff in terms.items() if isinstance(terms, dict) else terms:
+            for key, coeff in terms.items():
                 self._add_term(key, coeff)
 
     def _add_term(self, key, coeff):
         lam, mu = key
         if lam.source != mu.source:
             raise NotComposable(f"pair ({lam!r}, {mu!r}) has mismatched sources")
+        self._accumulate(key, coeff)
+
+    def _accumulate(self, key, coeff):
+        """Add coeff to the term at key, whose pair is known to share a source."""
         cur = self._terms.get(key, self.ring.zero)
         new = cur + coeff
         if new == self.ring.zero:
@@ -77,7 +83,7 @@ class SpanForm:
     def __add__(self, other):
         out = SpanForm(self.ring, self._terms)
         for key, coeff in other._terms.items():
-            out._add_term(key, coeff)
+            out._accumulate(key, coeff)
         return out
 
     def __neg__(self):
@@ -130,82 +136,32 @@ def vertex_unit(ring, g, v):
 
 
 def reduce(ring, weighted_words):
-    """Rewrite a linear combination of generator words into span form.
+    """Multiply out a linear combination of generator words into span form.
 
-    Each word is a non-empty list of PathSym/GhostSym factors.  The rules:
-    adjacent path symbols compose (or annihilate), adjacent ghost symbols
-    compose contravariantly, and a ghost followed by a path symbol expands
-    through minimal common extensions.
+    Each word is a non-empty list of PathSym/GhostSym factors.  A factor is
+    the one-term span form s_lam = s_lam s_s(lam)^* or s_mu^* = s_s(mu) s_mu^*,
+    and a word is the left-to-right product of its factors under the one
+    product rule of :func:`multiply`.
     """
     out = SpanForm(ring)
-    stack = [(coeff, list(word)) for coeff, word in weighted_words]
-    while stack:
-        coeff, word = stack.pop()
+    for coeff, word in weighted_words:
         if coeff == ring.zero:
             continue
         if not word:
             raise NotComposable("empty generator word")
-        g = word[0].path.graph
-        # ghosts of vertices are plain vertex idempotents
-        word = [
-            PathSym(f.path) if isinstance(f, GhostSym) and f.path.is_vertex() else f
-            for f in word
-        ]
-        rewritten = False
-        for i in range(len(word) - 1):
-            a, b = word[i], word[i + 1]
-            if isinstance(a, PathSym) and isinstance(b, PathSym):
-                if a.path.source != b.path.range:
-                    rewritten = True  # orthogonal: the whole word is zero
-                    word = None
-                    break
-                word[i : i + 2] = [PathSym(g.compose(a.path, b.path))]
-                stack.append((coeff, word))
-                rewritten = True
+        product = None
+        for f in word:
+            p = f.path
+            v = p.graph.vertex(p.source)
+            key = (p, v) if isinstance(f, PathSym) else (v, p)
+            if product is None:
+                product = SpanForm(ring, {key: coeff})
+            else:
+                product = multiply(product, SpanForm(ring, {key: ring.one}))
+            if not product._terms:
                 break
-            if isinstance(a, GhostSym) and isinstance(b, GhostSym):
-                if b.path.source != a.path.range:
-                    rewritten = True
-                    word = None
-                    break
-                word[i : i + 2] = [GhostSym(g.compose(b.path, a.path))]
-                stack.append((coeff, word))
-                rewritten = True
-                break
-            if isinstance(a, GhostSym) and isinstance(b, PathSym):
-                pairs = g.minimal_common_extensions(a.path, b.path)
-                for rho, tau in pairs:
-                    expansion = []
-                    if not rho.is_vertex():
-                        expansion.append(PathSym(rho))
-                    if not tau.is_vertex():
-                        expansion.append(GhostSym(tau))
-                    if not expansion:
-                        expansion = [PathSym(g.vertex(a.path.source))]
-                    stack.append((coeff, word[:i] + expansion + word[i + 2 :]))
-                rewritten = True
-                word = None
-                break
-        if rewritten:
-            continue
-        # now: zero or more path symbols followed by ghost symbols;
-        # after fusion the word is one of s_lam, g_mu, or s_lam g_mu
-        if word is None:
-            continue
-        paths = [f for f in word if isinstance(f, PathSym)]
-        ghosts = [f for f in word if isinstance(f, GhostSym)]
-        assert len(paths) <= 1 and len(ghosts) <= 1
-        if paths and ghosts:
-            lam, mu = paths[0].path, ghosts[0].path
-            if lam.source != mu.source:
-                continue  # orthogonal vertex idempotents in the middle
-        elif paths:
-            lam = paths[0].path
-            mu = g.vertex(lam.source)
-        else:
-            mu = ghosts[0].path
-            lam = g.vertex(mu.source)
-        out._add_term((lam, mu), coeff)
+        for key, c in product._terms.items():
+            out._accumulate(key, c)
     return out
 
 
@@ -217,7 +173,8 @@ def multiply(a, b):
         g = lam.graph
         for (rho, tau), s in b._terms.items():
             for m1, r1 in g.minimal_common_extensions(mu, rho):
-                out._add_term((g.compose(lam, m1), g.compose(tau, r1)), r * s)
+                # lam.m1 and tau.r1 both end at s(m1) = s(r1)
+                out._accumulate((g.compose(lam, m1), g.compose(tau, r1)), r * s)
     return out
 
 
@@ -226,7 +183,7 @@ def grade(a):
     parts = {}
     for (lam, mu), coeff in a._terms.items():
         key = degrees.diff(lam.degree, mu.degree)
-        parts.setdefault(key, SpanForm(a.ring))._add_term((lam, mu), coeff)
+        parts.setdefault(key, SpanForm(a.ring))._accumulate((lam, mu), coeff)
     return parts
 
 

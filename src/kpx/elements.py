@@ -47,8 +47,14 @@ class _Parser:
         m = _INT.match(self.text, self.pos)
         if not m:
             raise ParseError("expected an integer", column=self.pos)
+        try:
+            value = int(m.group())
+        except ValueError:  # longer than the interpreter converts
+            raise ParseError(
+                f"integer of {len(m.group())} digits is too long", column=self.pos
+            ) from None
         self.pos = m.end()
-        return int(m.group())
+        return value
 
     def parse(self):
         words = []

@@ -144,6 +144,8 @@ class KGraph:
         for e in spec.edges:
             if e.id in eids or e.id in vset:
                 raise InvalidSpec(f"duplicate id {e.id!r}")
+            if "." in e.id:  # path labels join edge ids with '.'
+                raise InvalidSpec(f"edge id {e.id!r} contains '.'")
             if not 1 <= e.color <= spec.k:
                 raise InvalidSpec(f"edge {e.id!r} has color {e.color} outside 1..{spec.k}")
             if e.range not in vset:
@@ -419,9 +421,13 @@ class KGraph:
         out = self._mce.get(key)
         if out is not None:
             return out
-        top = degrees.join(lam.degree, mu.degree)
+        if lam.edges:
+            top = degrees.join(lam.degree, mu.degree)
+            candidates = self.paths_from(lam.source, degrees.sub(top, lam.degree))
+        else:  # from a vertex the only candidate extension is mu itself
+            candidates = (mu,)
         out = set()
-        for rho in self.paths_from(lam.source, degrees.sub(top, lam.degree)):
+        for rho in candidates:
             ext = self.compose(lam, rho)
             head, tau = self.factor(ext, mu.degree)
             if head == mu:

@@ -12,6 +12,8 @@ import pytest
 
 from kpx import boundary as bnd
 from kpx import presets
+from kpx.algebra import GhostSym, PathSym, SpanForm
+from kpx.errors import NotComposable
 from kpx.degrees import join, le, sub, zero
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 
@@ -124,6 +126,41 @@ def downset(request):
     return downset_graph(DOWNSET_GENERATORS[request.param])
 
 
+def two_squares_graph():
+    """A 2-graph where e and f have two minimal common extensions: e.f1 =
+    f.e1 and e.f2 = f.e2.  Every other graph here has at most one, so this
+    is the one whose products split a term in two."""
+    spec = KGraphSpec(
+        k=2,
+        vertices=("v", "u1", "u2", "w1", "w2"),
+        edges=(
+            Edge("e", 1, "v", "u1"),
+            Edge("f", 2, "v", "u2"),
+            Edge("e1", 1, "u2", "w1"),
+            Edge("e2", 1, "u2", "w2"),
+            Edge("f1", 2, "u1", "w1"),
+            Edge("f2", 2, "u1", "w2"),
+        ),
+        squares=(
+            Square(first=("e", "f1"), second=("f", "e1")),
+            Square(first=("e", "f2"), second=("f", "e2")),
+        ),
+    )
+    return KGraph.validate(spec)
+
+
+# every graph the oracle gates run on: the acyclic fixtures, the down-set
+# graphs, a graph with two minimal common extensions, and two cyclic graphs
+ORACLE_GRAPHS = {
+    **ACYCLIC_BUILDERS,
+    **{name: (lambda gens=gens: downset_graph(gens))
+       for name, gens in DOWNSET_GENERATORS.items()},
+    "twosquares": two_squares_graph,
+    "loop": presets.single_loop,
+    "cloops": lambda: presets.commuting_loops(3),
+}
+
+
 # ---------------------------------------------------------------- oracles
 
 
@@ -142,6 +179,84 @@ def paths_oracle(g, v, n):
         for eid in g.out_edges(lam.source):
             queue.append(g.compose(lam, g.path([eid])))
     return sorted(found, key=lambda p: p.sort_key())
+
+
+def reduce_oracle(ring, weighted_words):
+    """Generator words to span form by a stack machine of rewrites, which
+    shares no code with the library's product rule: adjacent path symbols
+    compose (or annihilate), adjacent ghost symbols compose contravariantly,
+    and a ghost followed by a path symbol expands through minimal common
+    extensions."""
+    out = SpanForm(ring)
+    stack = [(coeff, list(word)) for coeff, word in weighted_words]
+    while stack:
+        coeff, word = stack.pop()
+        if coeff == ring.zero:
+            continue
+        if not word:
+            raise NotComposable("empty generator word")
+        g = word[0].path.graph
+        # ghosts of vertices are plain vertex idempotents
+        word = [
+            PathSym(f.path) if isinstance(f, GhostSym) and f.path.is_vertex() else f
+            for f in word
+        ]
+        rewritten = False
+        for i in range(len(word) - 1):
+            a, b = word[i], word[i + 1]
+            if isinstance(a, PathSym) and isinstance(b, PathSym):
+                if a.path.source != b.path.range:
+                    rewritten = True  # orthogonal: the whole word is zero
+                    word = None
+                    break
+                word[i : i + 2] = [PathSym(g.compose(a.path, b.path))]
+                stack.append((coeff, word))
+                rewritten = True
+                break
+            if isinstance(a, GhostSym) and isinstance(b, GhostSym):
+                if b.path.source != a.path.range:
+                    rewritten = True
+                    word = None
+                    break
+                word[i : i + 2] = [GhostSym(g.compose(b.path, a.path))]
+                stack.append((coeff, word))
+                rewritten = True
+                break
+            if isinstance(a, GhostSym) and isinstance(b, PathSym):
+                pairs = g.minimal_common_extensions(a.path, b.path)
+                for rho, tau in pairs:
+                    expansion = []
+                    if not rho.is_vertex():
+                        expansion.append(PathSym(rho))
+                    if not tau.is_vertex():
+                        expansion.append(GhostSym(tau))
+                    if not expansion:
+                        expansion = [PathSym(g.vertex(a.path.source))]
+                    stack.append((coeff, word[:i] + expansion + word[i + 2 :]))
+                rewritten = True
+                word = None
+                break
+        if rewritten:
+            continue
+        # now: zero or more path symbols followed by ghost symbols;
+        # after fusion the word is one of s_lam, g_mu, or s_lam g_mu
+        if word is None:
+            continue
+        paths = [f for f in word if isinstance(f, PathSym)]
+        ghosts = [f for f in word if isinstance(f, GhostSym)]
+        assert len(paths) <= 1 and len(ghosts) <= 1
+        if paths and ghosts:
+            lam, mu = paths[0].path, ghosts[0].path
+            if lam.source != mu.source:
+                continue  # orthogonal vertex idempotents in the middle
+        elif paths:
+            lam = paths[0].path
+            mu = g.vertex(lam.source)
+        else:
+            mu = ghosts[0].path
+            lam = g.vertex(mu.source)
+        out._add_term((lam, mu), coeff)
+    return out
 
 
 def mce_oracle(g, lam, mu):
@@ -235,8 +350,6 @@ def eval_span_on_boundary(g, a, basis=None):
 
 def random_span(g, ring, rng, npaths=None, nterms=3, maxdeg=None):
     """Random span-form element with source-matched pairs."""
-    from kpx.algebra import SpanForm
-
     if npaths is None:
         npaths = list(g.all_paths())
     by_source = {}

@@ -1,12 +1,13 @@
-"""Span forms: rewriting, multiplication, grading, matrix units, zero tests."""
+"""Span forms: generator words, multiplication, grading, matrix units, zero tests."""
 
 import random
+import signal
 
 import pytest
 
 from kpx import algebra as alg
 from kpx import boundary as bnd
-from kpx import errors
+from kpx import errors, presets
 from kpx.algebra import (
     GhostSym,
     PathSym,
@@ -28,14 +29,14 @@ from kpx.algebra import (
 from kpx.elements import parse_element
 from kpx.rings import QQ, ZZ, IntegersMod
 
-from conftest import eval_span_on_boundary, random_span
+from conftest import ORACLE_GRAPHS, eval_span_on_boundary, random_span, reduce_oracle
 
 
 def P(g, s):
     return g.parse_path(s)
 
 
-# ------------------------------------------------------------- rewriting
+# ------------------------------------------------------- generator words
 
 
 def test_reduce_path_composition(lambda2):
@@ -69,6 +70,76 @@ def test_reduce_ghost_recovers_identity_on_range(lambda2):
 def test_parse_square_relation_is_zero(lambda2):
     a = parse_element(lambda2, QQ, "s(e1.f1) - s(f2.e2)")
     assert a.is_structurally_zero()
+
+
+def random_words(g, ring, rng, pool):
+    """One to three weighted words of one to five factors.  Most factors are
+    drawn to fit the vertex the word has reached, so that many words survive
+    the product; the rest come from the whole pool."""
+    by_range, by_source = {}, {}
+    for p in pool:
+        by_range.setdefault(p.range, []).append(p)
+        by_source.setdefault(p.source, []).append(p)
+    words = []
+    for _ in range(rng.randint(1, 3)):
+        word, at = [], None
+        for _ in range(rng.randint(1, 5)):
+            ghost = rng.random() < 0.5
+            fits = (by_source if ghost else by_range).get(at)
+            p = rng.choice(fits if fits and rng.random() < 0.8 else pool)
+            word.append(GhostSym(p) if ghost else PathSym(p))
+            at = p.range if ghost else p.source
+        words.append((ring.from_int(rng.randint(-3, 3)), word))
+    return words
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_reduce_matches_oracle(name, ring):
+    # the product fold and the rewriting oracle give the same terms, not
+    # only the same element of the algebra
+    g = ORACLE_GRAPHS[name]()
+    if g.is_acyclic():
+        pool = g.all_paths()
+    else:
+        pool = [p for v in g.vertices for p in g.paths_upto(v, (3, 1)[:g.k])]
+    rng = random.Random(f"reduce {name} {ring}")
+    nonzero = 0
+    for _ in range(40):
+        words = random_words(g, ring, rng, pool)
+        a = reduce(ring, words)
+        assert a._terms == reduce_oracle(ring, words)._terms, words
+        nonzero += not a.is_structurally_zero()
+    assert nonzero >= 10
+    # every ghost-path pair: the step where a term splits in two
+    for mu in pool:
+        for nu in pool:
+            if mu.range == nu.range:
+                words = [(ring.one, [GhostSym(mu), PathSym(nu)])]
+                assert reduce(ring, words)._terms == reduce_oracle(ring, words)._terms
+    assert reduce(ring, [(ring.zero, [])])._terms == {}
+    assert reduce_oracle(ring, [(ring.zero, [])])._terms == {}
+    for engine in (reduce, reduce_oracle):
+        with pytest.raises(errors.NotComposable):
+            engine(ring, [(ring.one, [])])
+
+
+def test_reduce_vertex_then_deep_path():
+    # the product s(f1)*s(f2^12) takes the minimal common extensions of the
+    # vertex s(f1) and f2^12: the only one is f2^12 itself, so none of the
+    # 4^12 paths of that degree may be listed
+    def too_slow(signum, frame):
+        raise TimeoutError("reduce did not shortcut the vertex")
+
+    g = presets.commuting_loops(4)
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        a = parse_element(g, QQ, "s(f1)*s(" + ".".join(["f2"] * 12) + ")")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert a == generator(QQ, g.path(["f1"] + ["f2"] * 12), g.vertex("v"))
 
 
 # --------------------------------------------------------- ring structure

@@ -54,6 +54,9 @@ def test_validate_bad_file(tmp_path, capsys):
         b'{"id": "e", "color": 1, "range": "v", "source": "v"}, '
         b'{"id": "f", "color": 2, "range": "v", "source": "v"}], '
         b'"squares": [{"first": ["e", "f", "x"], "second": ["f", "e"]}]}',
+        # path labels join edge ids with '.', so an id may not contain one
+        b'{"k": 1, "vertices": ["u", "v"], "edges": '
+        b'[{"id": "a.b", "color": 1, "range": "u", "source": "v"}]}',
     ]
     for doc in documents:
         bad = tmp_path / "bad.json"
@@ -174,6 +177,14 @@ def test_eval_and_grade(capsys):
     code, out = run(capsys, "--graph", L2, "eval", "s(e1) + s(v1)", "--grade", "--json")
     data = json.loads(out)
     assert set(data["grades"]) == {"0,0", "1,0"}
+
+
+def test_eval_huge_coefficient(capsys):
+    # an integer too long for int() is an input error, not an internal one
+    code = main(["--graph", L2, "eval", "1" + "0" * 5000 + "*s(v1)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "internal error" not in err
 
 
 def test_zero_exit_codes(capsys):

@@ -13,9 +13,7 @@ from kpx.degrees import below, join, le, sub, zero
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 
 from conftest import (
-    ACYCLIC_BUILDERS,
-    DOWNSET_GENERATORS,
-    downset_graph,
+    ORACLE_GRAPHS,
     exhaustive_oracle,
     exhaustive_oracle_bool,
     mce_oracle,
@@ -217,14 +215,6 @@ def test_paths_from_matches_all_paths(acyclic_graph):
             want = [p for p in everything if p.degree == n]
             assert g.paths_from(v, n) == want, (v, n)
 
-
-ORACLE_GRAPHS = {
-    **ACYCLIC_BUILDERS,
-    **{name: (lambda gens=gens: downset_graph(gens))
-       for name, gens in DOWNSET_GENERATORS.items()},
-    "loop": presets.single_loop,
-    "cloops": lambda: presets.commuting_loops(3),
-}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
