@@ -245,7 +245,7 @@ def theta(ring, g, lam, mu, pi):
                     generator(ring, g.vertex(mu.source), mu))
 
 
-def expand_core_in_theta(a, pi=None):
+def expand_core_in_theta(a):
     """Express a degree-zero element as a combination of matrix units.
 
     Returns (pi, coefficients) where coefficients maps eligible pairs to
@@ -256,8 +256,7 @@ def expand_core_in_theta(a, pi=None):
     for (lam, mu) in a._terms:
         if lam.degree != mu.degree:
             raise NotCore(f"term ({lam!r}, {mu!r}) has non-zero degree")
-    if pi is None:
-        pi = pi_closure(g, a.index_paths()) if not a.is_structurally_zero() else frozenset()
+    pi = pi_closure(g, a.index_paths()) if not a.is_structurally_zero() else frozenset()
     coeffs = {}
     for (lam, mu), r in a._terms.items():
         if lam not in pi or mu not in pi:

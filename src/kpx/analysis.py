@@ -154,15 +154,15 @@ def check_cofinal(g):
     boundary witness is searched inside deterministic regions, and failing
     both the verdict is unknown.
     """
+    reach = {v: g.reachable(v) for v in g.vertices}
     if g.is_acyclic():
         bnd = boundary.enumerate_boundary(g)
         for v in g.vertices:
-            reach = g.reachable(v)
             for x in bnd:
-                if x.head.source not in reach:
+                if x.head.source not in reach[v]:
                     return CofinalityVerdict(status="not_cofinal", vertex=v, path=x)
         return CofinalityVerdict(status="cofinal", note="exact boundary sweep")
-    if all(g.reachable(v) == set(g.vertices) for v in g.vertices):
+    if all(reach[v] == set(g.vertices) for v in g.vertices):
         return CofinalityVerdict(status="cofinal", note="all-pairs reachability")
     for w in g.vertices:
         if not _deterministic_from(g, w):
@@ -173,7 +173,7 @@ def check_cofinal(g):
         head = g.path(prefix_edges) if prefix_edges else g.vertex(w)
         x = boundary.lasso(head, g.path(cycle_edges))
         for v in g.vertices:
-            if x.head.source not in g.reachable(v):
+            if x.head.source not in reach[v]:
                 return CofinalityVerdict(status="not_cofinal", vertex=v, path=x)
     return CofinalityVerdict(
         status="unknown", note="reachability incomplete and no witness found"

@@ -3,11 +3,16 @@
 Exit codes: 0 success / property holds, 1 property is false, 2 input
 error or internal error (reported on stderr, never as a traceback), 3 a
 three-valued verdict came back unknown.
+
+The argument parser is built once per process, at import; every
+:func:`main` call parses with it into a fresh namespace of defaults.
 """
 
 import argparse
 import json
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 from . import algebra, analysis, boundary, elements, groupoid, io
 from .errors import KpxError
@@ -40,17 +45,18 @@ def _load(args):
     raise KpxError("no graph given: use --graph FILE or --omega M")
 
 
-def _emit(args, payload, text_lines):
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _coeff_text(c):
+    """Every digit of a coefficient: str() refuses an int past the process's
+    digit limit, Decimal() converts any int exactly."""
+    if not isinstance(c, (int, Fraction)):
+        return str(c)
+    num = Decimal(c.numerator)
+    return str(num) if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
 
 
 def _span_terms(a):
     return [
-        {"lam": lam.label(), "mu": mu.label(), "coeff": str(c)}
+        {"lam": lam.label(), "mu": mu.label(), "coeff": _coeff_text(c)}
         for (lam, mu), c in a.items()
     ]
 
@@ -58,7 +64,9 @@ def _span_terms(a):
 def _span_text(a):
     if a.is_structurally_zero():
         return "0"
-    return " + ".join(f"{c}*s({l.label()})*g({m.label()})" for (l, m), c in a.items())
+    return " + ".join(
+        f"{_coeff_text(c)}*s({l.label()})*g({m.label()})" for (l, m), c in a.items()
+    )
 
 
 def cmd_validate(args):
@@ -70,11 +78,10 @@ def cmd_validate(args):
         "edges": len(g.edge_ids()),
         "squares": len(g.squares),
     }
-    _emit(args, payload, [
+    return EXIT_OK, payload, [
         f"ok: rank {g.k}, {len(g.vertices)} vertices, "
         f"{len(g.edge_ids())} edges, {len(g.squares)} squares"
-    ])
-    return EXIT_OK
+    ]
 
 
 def cmd_info(args):
@@ -90,8 +97,7 @@ def cmd_info(args):
              f"vertices: {' '.join(sorted(g.vertices))}",
              f"edges: {' '.join(g.edge_ids())}"]
     lines += [f"{name}: {value}" for name, value in sorted(preds.items())]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
 def cmd_paths(args):
@@ -102,8 +108,7 @@ def cmd_paths(args):
     else:
         out = g.paths_from(args.from_vertex, deg)
     labels = [p.label() for p in out]
-    _emit(args, {"paths": labels}, labels)
-    return EXIT_OK
+    return EXIT_OK, {"paths": labels}, labels
 
 
 def cmd_mce(args):
@@ -121,8 +126,7 @@ def cmd_mce(args):
     }
     lines = [f"mce: {' '.join(exts) if exts else '(none)'}"]
     lines += [f"pair: rho={r.label()} tau={t.label()}" for r, t in pairs]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
 def cmd_exhaustive(args):
@@ -135,8 +139,7 @@ def cmd_exhaustive(args):
     if not ok:
         payload["witness"] = witness.label()
         lines.append(f"witness: {witness.label()}")
-    _emit(args, payload, lines)
-    return EXIT_OK if ok else EXIT_FALSE
+    return (EXIT_OK if ok else EXIT_FALSE), payload, lines
 
 
 def cmd_boundary(args):
@@ -149,8 +152,7 @@ def cmd_boundary(args):
         paths = boundary.enumerate_boundary(g)
         payload = {"boundary": [x.label() for x in paths]}
         lines = [x.label() for x in paths]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
 def cmd_eval(args):
@@ -167,8 +169,7 @@ def cmd_eval(args):
         }
         for key, part in sorted(parts.items()):
             lines.append(f"degree {','.join(map(str, key))}: {_span_text(part)}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
 def cmd_zero(args):
@@ -176,8 +177,7 @@ def cmd_zero(args):
     ring = parse_ring(args.ring)
     a = elements.parse_element(g, ring, args.expr)
     ok = algebra.is_zero(a)
-    _emit(args, {"zero": ok}, [f"zero: {str(ok).lower()}"])
-    return EXIT_OK if ok else EXIT_FALSE
+    return (EXIT_OK if ok else EXIT_FALSE), {"zero": ok}, [f"zero: {str(ok).lower()}"]
 
 
 def cmd_equal(args):
@@ -186,8 +186,7 @@ def cmd_equal(args):
     a = elements.parse_element(g, ring, args.expr1)
     b = elements.parse_element(g, ring, args.expr2)
     ok = algebra.equals(a, b)
-    _emit(args, {"equal": ok}, [f"equal: {str(ok).lower()}"])
-    return EXIT_OK if ok else EXIT_FALSE
+    return (EXIT_OK if ok else EXIT_FALSE), {"equal": ok}, [f"equal: {str(ok).lower()}"]
 
 
 def cmd_refine(args):
@@ -195,8 +194,7 @@ def cmd_refine(args):
     cells = [elements.parse_cell(g, text) for text in args.cells]
     refined = groupoid.disjointify([c for c in cells if c is not None])
     labels = [c.label() for c in refined]
-    _emit(args, {"cells": labels}, labels if labels else ["(empty)"])
-    return EXIT_OK
+    return EXIT_OK, {"cells": labels}, labels if labels else ["(empty)"]
 
 
 def cmd_analyze(args):
@@ -245,16 +243,15 @@ def cmd_analyze(args):
     if rep.dimension is not None:
         payload["dimension"] = rep.dimension
         lines.append(f"dimension: {rep.dimension}")
-    _emit(args, payload, lines)
-    return EXIT_UNKNOWN if rep.basically_simple == "unknown" else EXIT_OK
+    code = EXIT_UNKNOWN if rep.basically_simple == "unknown" else EXIT_OK
+    return code, payload, lines
 
 
 def cmd_dim(args):
     g = _load(args)
     ring = parse_ring(args.ring)
     dim = groupoid.dim_over_field(g, ring)
-    _emit(args, {"dimension": dim}, [str(dim)])
-    return EXIT_OK
+    return EXIT_OK, {"dimension": dim}, [str(dim)]
 
 
 def build_parser():
@@ -325,6 +322,8 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
 _HANDLERS = {
     "validate": cmd_validate,
     "info": cmd_info,
@@ -342,17 +341,17 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for key, val in (("graph", None), ("omega", None), ("json", False), ("ring", "q")):
-        if not hasattr(args, key):
-            setattr(args, key, val)
+    defaults = argparse.Namespace(graph=None, omega=None, json=False, ring="q")
+    args = _PARSER.parse_args(argv, defaults)
     try:
-        return _HANDLERS[args.command](args)
-    except KpxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+        code, payload, lines = _HANDLERS[args.command](args)
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return code
+    except (KpxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a fault in kpx itself, not in the input

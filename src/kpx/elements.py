@@ -14,7 +14,7 @@ parentheses a path literal is a vertex id or dot-joined edge ids.
 
 import re
 
-from . import algebra
+from . import algebra, groupoid
 from .errors import KpxError, ParseError
 
 _INT = re.compile(r"\d+")
@@ -118,8 +118,6 @@ def parse_element(g, ring, text):
 def parse_cell(g, text):
     """Parse a cell literal: ``LAM*MU`` or ``LAM*MU\\NU1;NU2`` (semicolon-
     separated avoid paths, since edge ids may contain commas)."""
-    from . import groupoid
-
     body, _, avoid_text = text.partition("\\")
     lam_text, sep, mu_text = body.partition("*")
     if not sep:

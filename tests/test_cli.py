@@ -1,5 +1,6 @@
 """Command line interface: commands, exit codes, JSON mode, file loading."""
 
+import argparse
 import json
 import signal
 
@@ -187,6 +188,24 @@ def test_eval_huge_coefficient(capsys):
     assert "internal error" not in err
 
 
+def test_eval_prints_coefficients_past_the_digit_limit(capsys):
+    # each literal is accepted, but their sum has more digits than str(int) allows
+    nines = "9" * 4300
+    expr = f"{nines}*s(v1) + {nines}*s(v1)"
+    total = "1" + "9" * 4299 + "8"
+    code, out = run(capsys, "--graph", L2, "eval", expr)
+    assert code == 0 and out == f"{total}*s(v1)*g(v1)\n"
+    code, out = run(capsys, "--graph", L2, "eval", expr, "--grade")
+    assert code == 0
+    assert out == f"{total}*s(v1)*g(v1)\ndegree 0,0: {total}*s(v1)*g(v1)\n"
+    code, out = run(capsys, "--graph", L2, "--json", "eval", expr, "--grade")
+    data = json.loads(out)
+    assert code == 0 and data["terms"][0]["coeff"] == total
+    assert data["grades"]["0,0"][0]["coeff"] == total
+    code, out = run(capsys, "--graph", L2, "eval", f"{nines}/7*s(v1) + {nines}/7*s(v1)")
+    assert code == 0 and out == f"{total}/7*s(v1)*g(v1)\n"
+
+
 def test_zero_exit_codes(capsys):
     assert run(capsys, "--graph", L2, "zero", "s(e1.f1) - s(f2.e2)")[0] == 0
     assert run(capsys, "--graph", L2, "zero", "s(v1)")[0] == 1
@@ -238,6 +257,39 @@ def test_omega_flag(capsys):
     code, out = run(capsys, "--omega", "1,1", "dim", "--json")
     assert json.loads(out)["dimension"] == 16
     assert run(capsys, "--omega", "1,1,1", "validate")[0] == 0
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # --json given once does not stick to the parser
+    json.loads(run(capsys, "--graph", L2, "--json", "info")[1])
+    assert run(capsys, "--graph", L2, "info")[1].startswith("rank: 2\n")
+    # a flag after the subcommand acts as before it, and the later one wins
+    assert (run(capsys, "--graph", L2, "boundary", "--json")
+            == run(capsys, "--graph", L2, "--json", "boundary"))
+    code, _ = run(capsys, "--graph", L2, "--ring", "z", "eval", "2/3*s(v1)", "--ring", "q")
+    assert code == 0
+    # a ring given once falls back to the default on the next call
+    assert run(capsys, "--graph", L2, "--ring", "z", "dim")[0] == 2
+    assert run(capsys, "--graph", L2, "dim") == (0, "20\n")
+    # a usage error reads the same every time
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--graph", L2, "paths", "--from", "v1"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "--degree" in errors[0]
+    # and no call builds a parser of its own
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "--graph", L2, "validate")[0] == 0
+    assert built == []
 
 
 def test_output_is_deterministic(capsys):
