@@ -54,12 +54,13 @@ class SpanForm:
         lam, mu = key
         if lam.source != mu.source:
             raise NotComposable(f"pair ({lam!r}, {mu!r}) has mismatched sources")
-        self._accumulate(key, coeff)
+        self._accumulate(key, self.ring.zero + coeff)
 
     def _accumulate(self, key, coeff):
-        """Add coeff to the term at key, whose pair is known to share a source."""
-        cur = self._terms.get(key, self.ring.zero)
-        new = cur + coeff
+        """Add the ring value coeff to the term at key, whose pair is known
+        to share a source."""
+        cur = self._terms.get(key)
+        new = coeff if cur is None else cur + coeff
         if new == self.ring.zero:
             self._terms.pop(key, None)
         else:

@@ -5,7 +5,9 @@ Z(lam * mu \\ G): pairs of boundary paths through lam and mu with matching
 tails, minus those extending lam by a member of G.  Functions into a ring
 are finite combinations of cell indicators kept in refined (disjoint)
 form, which makes the zero test exact; multiplication of algebra elements
-transports through this model.
+transports through this model.  One routine cuts a cell by another into
+intersection and difference; refinement runs it only within a bucket of
+cells sharing shift degree, r(lam) and r(mu), as cells of two are disjoint.
 """
 
 from dataclasses import dataclass
@@ -109,67 +111,48 @@ def _common_directions(c1, c2):
     return sorted(first & second, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
 
 
-def cell_intersect(c1, c2):
-    """The intersection of two cells as a list of disjoint cells."""
-    if c1.shift_degree != c2.shift_degree:
-        return []
+def _cut(c1, c2):
+    """(c1 & c2, c1 - c2) as lists of disjoint cells.  The part of c1 through
+    a common direction (gamma, gamma') lies in c2 but for its pieces through
+    ext(gamma', c2.avoid), peeled off into the difference (ext(gamma, c1.avoid)
+    is already excluded).  A common direction forces equal shift degrees
+    (lam1.gamma = lam2.gamma', mu1.gamma = mu2.gamma'), so any pair works."""
     g = c1.graph
-    out = []
-    for gamma, gamma2 in _common_directions(c1, c2):
-        piece = make_cell(
-            g.compose(c1.lam, gamma),
-            g.compose(c2.mu, gamma2),
-            g.ext(gamma, c1.avoid) | g.ext(gamma2, c2.avoid),
-        )
-        if piece is not None:
-            out.append(piece)
-    return out
-
-
-def _subtract_same_base(cell, extra_avoid):
-    """Pieces of the cell hitting some direction in extra_avoid.
-
-    The complement Z(base \\ avoid+extra_avoid) is discarded by the caller.
-    """
-    pieces = []
-    cur = cell
-    for nu in sorted(extra_avoid, key=Path.sort_key):
-        if cur is None:
-            break
-        if nu.is_vertex():
-            # the trivial direction covers the whole remaining cell
-            pieces.append(cur)
-            cur = None
-            break
-        if any(cur.graph.has_prefix(nu, o) for o in cur.avoid):
-            continue  # already excluded
-        avoiding, through = cell_split(cur, nu)
-        if through is not None:
-            pieces.append(through)
-        cur = avoiding
-    return pieces
-
-
-def cell_subtract(c1, c2):
-    """The difference c1 minus c2 as a list of disjoint cells."""
-    if c1.shift_degree != c2.shift_degree:
-        return [c1]
-    g = c1.graph
-    out = []
+    inter, diff = [], []
     rem = c1
     for gamma, gamma2 in _common_directions(c1, c2):
         if rem is None:
             break
-        inter_avoid = g.ext(gamma, c1.avoid) | g.ext(gamma2, c2.avoid)
         if gamma.is_vertex():
-            through, rem = rem, None
+            cur, rem = rem, None
         else:
-            rem, through = cell_split(rem, gamma)
-        if through is not None:
-            out.extend(_subtract_same_base(through, inter_avoid))
+            rem, cur = cell_split(rem, gamma)
+        for nu in sorted(g.ext(gamma2, c2.avoid), key=Path.sort_key):
+            if cur is None:
+                break
+            if nu.is_vertex():
+                # the trivial direction covers the whole remaining part
+                diff.append(cur)
+                cur = None
+            elif not any(g.has_prefix(nu, o) for o in cur.avoid):
+                cur, through = cell_split(cur, nu)
+                if through is not None:
+                    diff.append(through)
+        if cur is not None:
+            inter.append(cur)
     if rem is not None:
-        out.append(rem)
-    return out
+        diff.append(rem)
+    return inter, diff
+
+
+def cell_intersect(c1, c2):
+    """The intersection of two cells as a list of disjoint cells."""
+    return _cut(c1, c2)[0]
+
+
+def cell_subtract(c1, c2):
+    """The difference c1 minus c2 as a list of disjoint cells."""
+    return _cut(c1, c2)[1]
 
 
 def disjointify(cells):
@@ -203,24 +186,23 @@ class SteinbergFunction:
 
 
 def func_from_terms(ring, weighted_cells):
-    """Canonicalize a combination of cell indicators into disjoint form."""
-    entries = []  # disjoint (coeff, cell) pairs
+    """Canonicalize a combination of cell indicators into disjoint form.  Cells
+    differing in shift degree, r(lam) or r(mu) are disjoint, so each such
+    bucket is refined on its own."""
+    buckets = {}  # (shift degree, r(lam), r(mu)) -> disjoint (coeff, cell) pairs
     for coeff, cell in weighted_cells:
         if cell is None or coeff == ring.zero:
             continue
-        new_entries = []
-        rem = [cell]
-        for s, a in entries:
-            for piece in cell_intersect(a, cell):
-                total = s + coeff
-                if total != ring.zero:
-                    new_entries.append((total, piece))
-            for piece in cell_subtract(a, cell):
-                new_entries.append((s, piece))
-            rem = [q for p in rem for q in cell_subtract(p, a)]
-        for piece in rem:
-            new_entries.append((coeff, piece))
-        entries = new_entries
+        key = (cell.shift_degree, cell.lam.range, cell.mu.range)
+        entries, rem = [], [cell]
+        for s, a in buckets.get(key, ()):
+            inter, diff = _cut(a, cell)
+            if s + coeff != ring.zero:
+                entries += [(s + coeff, piece) for piece in inter]
+            entries += [(s, piece) for piece in diff]
+            rem = [q for p in rem for q in _cut(p, a)[1]]
+        buckets[key] = entries + [(coeff, piece) for piece in rem]
+    entries = [t for bucket in buckets.values() for t in bucket]
     entries.sort(key=lambda t: t[1].sort_key())
     return SteinbergFunction(ring=ring, terms=tuple(entries))
 

@@ -121,6 +121,8 @@ class IntegersMod(Ring):
     def __init__(self, n):
         if n < 2:
             raise CoefficientNotInRing(f"modulus must be >= 2, got {n}")
+        if n >= _MODULUS_BOUND:
+            raise CoefficientNotInRing(f"modulus must be < {_MODULUS_BOUND}, got {n}")
         self.n = n
         self.name = f"Z/{n}"
         self.is_field = _is_prime(n)
@@ -135,14 +137,24 @@ class IntegersMod(Ring):
         return self.from_int(num * pow(den, -1, self.n))
 
 
+# Miller-Rabin to these bases is exact below _MODULUS_BOUND, itself a strong
+# pseudoprime to all of them (Sorenson-Webster 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MODULUS_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
+    """Deterministic Miller-Rabin; exact for n < _MODULUS_BOUND."""
+    if n < 2 or any(n % p == 0 for p in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n = d 2^s + 1 passes base a iff a^d = 1 or a^(d 2^r) = -1 for some r < s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        p += 1
     return True
 
 

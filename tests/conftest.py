@@ -150,12 +150,16 @@ def two_squares_graph():
 
 
 # every graph the oracle gates run on: the acyclic fixtures, the down-set
-# graphs, a graph with two minimal common extensions, and two cyclic graphs
-ORACLE_GRAPHS = {
+# graphs and a graph with two minimal common extensions, all acyclic, and
+# two cyclic graphs
+ACYCLIC_ORACLE_GRAPHS = {
     **ACYCLIC_BUILDERS,
     **{name: (lambda gens=gens: downset_graph(gens))
        for name, gens in DOWNSET_GENERATORS.items()},
     "twosquares": two_squares_graph,
+}
+ORACLE_GRAPHS = {
+    **ACYCLIC_ORACLE_GRAPHS,
     "loop": presets.single_loop,
     "cloops": lambda: presets.commuting_loops(3),
 }

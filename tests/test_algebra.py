@@ -27,7 +27,7 @@ from kpx.algebra import (
     vertex_unit,
 )
 from kpx.elements import parse_element
-from kpx.rings import QQ, ZZ, IntegersMod
+from kpx.rings import QQ, ZZ, IntegersMod, ModInt
 
 from conftest import ORACLE_GRAPHS, eval_span_on_boundary, random_span, reduce_oracle
 
@@ -177,6 +177,17 @@ def test_vertex_units_are_orthogonal_idempotents(lambda2):
         for w in lambda2.vertices:
             if w != v:
                 assert multiply(pv, vertex_unit(QQ, lambda2, w)).is_structurally_zero()
+
+
+def test_span_form_normalises_coefficients(lambda2):
+    # a caller's int is turned into a ring value once, and stored as such
+    z6 = IntegersMod(6)
+    v = lambda2.vertex("v1")
+    a = SpanForm(z6, {(v, v): 7})
+    b = SpanForm(z6, {(v, v): ModInt(6, 1)})
+    assert a == b
+    assert str(a.coefficient(v, v)) == str(b.coefficient(v, v)) == "1"
+    assert SpanForm(z6, {(v, v): 6}).is_structurally_zero()
 
 
 def test_grade(lambda2):

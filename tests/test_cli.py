@@ -224,6 +224,24 @@ def test_ring_flag(capsys):
     assert run(capsys, "--graph", L2, "--ring", "zmod:2", "zero", "s(v1) + s(v1)")[0] == 0
 
 
+def test_ring_large_prime_modulus(capsys):
+    # primality of the modulus is decided by Miller-Rabin, not by trial
+    # division up to its square root
+    def too_slow(signum, frame):
+        raise TimeoutError("the modulus was not classified in time")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        got = run(capsys, "--omega", "1", "--ring", "zmod:1000000000000000003", "dim")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert got == (0, "4\n")
+    bound = "zmod:3317044064679887385961981"
+    assert run(capsys, "--omega", "1", "--ring", bound, "dim")[0] == 2
+
+
 def test_refine(capsys):
     code, out = run(capsys, "--graph", L2, "refine", "e1*e1", "f2*f2")
     assert code == 0

@@ -17,12 +17,14 @@ from kpx.rings import QQ, ZZ
 
 from conftest import (
     ACYCLIC_BUILDERS,
+    ACYCLIC_ORACLE_GRAPHS,
     cell_points,
     convolve_oracle,
     func_points,
     groupoid_points,
     random_cell,
     random_span,
+    two_squares_graph,
 )
 
 
@@ -60,21 +62,27 @@ def test_cell_membership_frozen(lambda2):
     assert labels == {("e3", (0, 0), "e3")}
 
 
-def test_cell_split_pointwise(lambda2, omega211):
+# the random pointwise cell checks run on every acyclic oracle graph,
+# twosquares among them: there a pair of cells can meet along two directions
+ACYCLIC_ORACLE_NAMES = list(ACYCLIC_ORACLE_GRAPHS)
+
+
+@pytest.mark.parametrize("name", ACYCLIC_ORACLE_NAMES)
+def test_cell_split_pointwise(name):
+    g = ACYCLIC_ORACLE_GRAPHS[name]()
     rng = random.Random(41)
-    for g in (lambda2, omega211):
-        pts = groupoid_points(g)
-        for _ in range(150):
-            c = random_cell(g, rng)
-            exts = [p for p in g.paths_at(c.lam.source) if not p.is_vertex()]
-            if not exts:
-                continue
-            gamma = rng.choice(exts)
-            avoiding, through = gpd.cell_split(c, gamma)
-            left = cell_points(avoiding, pts) if avoiding else set()
-            right = cell_points(through, pts) if through else set()
-            assert left | right == cell_points(c, pts)
-            assert not (left & right)
+    pts = groupoid_points(g)
+    for _ in range(150):
+        c = random_cell(g, rng)
+        exts = [p for p in g.paths_at(c.lam.source) if not p.is_vertex()]
+        if not exts:
+            continue
+        gamma = rng.choice(exts)
+        avoiding, through = gpd.cell_split(c, gamma)
+        left = cell_points(avoiding, pts) if avoiding else set()
+        right = cell_points(through, pts) if through else set()
+        assert left | right == cell_points(c, pts)
+        assert not (left & right)
 
 
 def test_cell_split_frozen(lambda2):
@@ -88,34 +96,62 @@ def test_cell_split_frozen(lambda2):
     assert a2 is None and t2.label() == "e1.f1*e1.f1"
 
 
-def test_cell_intersect_pointwise(lambda2, omega211):
+def assert_partition(pieces, want, pts):
+    """The pieces are pairwise disjoint and cover exactly the set want."""
+    union = set()
+    for p in pieces:
+        s = cell_points(p, pts)
+        assert not (union & s), "pieces must be disjoint"
+        union |= s
+    assert union == want
+
+
+@pytest.mark.parametrize("name", ACYCLIC_ORACLE_NAMES)
+def test_cell_intersect_pointwise(name):
+    g = ACYCLIC_ORACLE_GRAPHS[name]()
     rng = random.Random(43)
-    for g in (lambda2, omega211):
-        pts = groupoid_points(g)
-        for _ in range(200):
-            c1, c2 = random_cell(g, rng), random_cell(g, rng)
-            pieces = gpd.cell_intersect(c1, c2)
-            union = set()
-            for p in pieces:
-                s = cell_points(p, pts)
-                assert not (union & s), "pieces must be disjoint"
-                union |= s
-            assert union == cell_points(c1, pts) & cell_points(c2, pts)
+    pts = groupoid_points(g)
+    for _ in range(200):
+        c1, c2 = random_cell(g, rng), random_cell(g, rng)
+        want = cell_points(c1, pts) & cell_points(c2, pts)
+        assert_partition(gpd.cell_intersect(c1, c2), want, pts)
 
 
-def test_cell_subtract_pointwise(lambda2, omega211):
+@pytest.mark.parametrize("name", ACYCLIC_ORACLE_NAMES)
+def test_cell_subtract_pointwise(name):
+    g = ACYCLIC_ORACLE_GRAPHS[name]()
     rng = random.Random(47)
-    for g in (lambda2, omega211):
-        pts = groupoid_points(g)
-        for _ in range(200):
-            c1, c2 = random_cell(g, rng), random_cell(g, rng)
-            pieces = gpd.cell_subtract(c1, c2)
-            union = set()
-            for p in pieces:
-                s = cell_points(p, pts)
-                assert not (union & s)
-                union |= s
-            assert union == cell_points(c1, pts) - cell_points(c2, pts)
+    pts = groupoid_points(g)
+    for _ in range(200):
+        c1, c2 = random_cell(g, rng), random_cell(g, rng)
+        want = cell_points(c1, pts) - cell_points(c2, pts)
+        assert_partition(gpd.cell_subtract(c1, c2), want, pts)
+
+
+def test_cell_refinement_all_pairs_two_directions():
+    # on twosquares a pair of cells can meet along two common directions,
+    # so every cell Z(lam*mu\G) with |G| <= 1 is cut by every other
+    g = two_squares_graph()
+    pts = groupoid_points(g)
+    cells = []
+    for lam in g.all_paths():
+        exts = [p for p in g.paths_at(lam.source) if not p.is_vertex()]
+        for mu in g.all_paths():
+            if mu.source == lam.source:
+                cells += [gpd.make_cell(lam, mu, G) for G in [()] + [[p] for p in exts]]
+    cells = [c for c in cells if c is not None]
+    points = {c: cell_points(c, pts) for c in cells}
+    for c1, c2 in itertools.product(cells, repeat=2):
+        assert_partition(gpd.cell_intersect(c1, c2), points[c1] & points[c2], pts)
+        assert_partition(gpd.cell_subtract(c1, c2), points[c1] - points[c2], pts)
+
+
+def test_cell_intersect_two_directions_frozen():
+    # e.f1 = f.e1 and e.f2 = f.e2: the cylinders of e and f meet in two cells
+    g = two_squares_graph()
+    e, f = P(g, "e"), P(g, "f")
+    pieces = gpd.cell_intersect(gpd.make_cell(e, e), gpd.make_cell(f, f))
+    assert [p.label() for p in pieces] == ["e.f1*e.f1", "e.f2*e.f2"]
 
 
 def test_disjointify_pointwise(lambda2):
@@ -198,6 +234,26 @@ def test_func_algebra_ops(lambda2):
 
 
 # ----------------------------------------------------- algebra transport
+
+
+def test_pi_t_refines_each_bucket_alone(lambda2, monkeypatch):
+    compared = []
+    real = gpd._common_directions
+
+    def counting(c1, c2):
+        compared.append((c1, c2))
+        return real(c1, c2)
+
+    monkeypatch.setattr(gpd, "_common_directions", counting)
+    # two cells of one bucket are compared ...
+    gpd.pi_t(parse_element(lambda2, QQ, "s(e1)*g(e1) + s(f2)*g(f2)"))
+    assert compared
+    compared.clear()
+    # ... but Z(v1*v1), Z(v2*v2) and Z(v3*v3) differ in r(lam), so none is
+    # ever compared with another
+    f = gpd.pi_t(parse_element(lambda2, QQ, "s(v1)*g(v1) + s(v2)*g(v2) + s(v3)*g(v3)"))
+    assert [cell.label() for _, cell in f.terms] == ["v1*v1", "v2*v2", "v3*v3"]
+    assert compared == []
 
 
 def test_pi_t_roundtrip(lambda2, omega211):

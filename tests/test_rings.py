@@ -1,6 +1,7 @@
 """Coefficient rings and the element/cell text grammar."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from kpx import errors
 from kpx.elements import parse_cell, parse_element
-from kpx.rings import QQ, ZZ, IntegersMod, parse_ring
+from kpx.rings import QQ, ZZ, IntegersMod, _is_prime, parse_ring
 
 
 def test_integers():
@@ -47,6 +48,26 @@ def test_modint_ring_laws(n, a, b):
     assert x + (-x) == r.zero
     assert x * r.one == x
     assert (x + y) * x == x * x + y * x
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % p for p in range(2, isqrt(n) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(10 ** 5))
+    assert _is_prime(1000000000000000003)
+
+
+def test_modulus_bound():
+    # Miller-Rabin to the prime bases up to 41 is exact only below this
+    # composite, which every one of those bases passes as a strong probable prime
+    bound = 3317044064679887385961981
+    assert _is_prime(bound) and pow(43, bound - 1, bound) != 1  # yet composite
+    assert IntegersMod(bound - 1).n == bound - 1
+    with pytest.raises(errors.CoefficientNotInRing):
+        IntegersMod(bound)
+    with pytest.raises(errors.CoefficientNotInRing):
+        parse_ring(f"zmod:{bound}")
 
 
 def test_parse_ring():
