@@ -307,23 +307,32 @@ class KGraph:
         return Path(self, lam.range, tuple(word))
 
     def factor(self, lam, m):
-        """Split lam into its unique prefix of degree m and the rest.
+        """Split lam into its unique prefix of degree m and the rest."""
+        if not degrees.le(m, lam.degree):
+            raise DegreeOutOfRange(f"{m} exceeds degree {lam.degree}")
+        return self._split(lam.range, lam.edges, m)
+
+    def _split(self, v, word, m):
+        """The prefix of degree m and the rest of the path that the
+        composable edge word spells from v, both in normal form.
 
         The j-th color-c edge (counting from 0) gets the key
         (j >= m[c-1], c): sorting by it moves the first m[c-1] edges of each
-        color c to the front, and both halves come out color-sorted.
+        color c to the front, and both halves come out color-sorted.  The
+        word need not be in normal form: a square only swaps edges of two
+        different colors, so the edges of one color keep their order and
+        their keys stay sorted, and by unique factorization the halves do
+        not depend on the word that spells the path.
         """
-        if not degrees.le(m, lam.degree):
-            raise DegreeOutOfRange(f"{m} exceeds degree {lam.degree}")
         seen = [0] * self.k
         keys = []
-        for eid in lam.edges:
+        for eid in word:
             c = self._edges[eid].color
             keys.append((seen[c - 1] >= m[c - 1], c))
             seen[c - 1] += 1
-        word = self._sort_word(lam.edges, keys)
+        word = self._sort_word(word, keys)
         cut = sum(m)
-        prefix = Path(self, lam.range, tuple(word[:cut]))
+        prefix = Path(self, v, tuple(word[:cut]))
         return prefix, Path(self, prefix.source, tuple(word[cut:]))
 
     def segment(self, lam, m, n):
@@ -412,6 +421,10 @@ class KGraph:
     def minimal_common_extensions(self, lam, mu):
         """All pairs (rho, tau) with lam*rho = mu*tau of degree d(lam) v d(mu).
 
+        The equation is symmetric, so the search extends the side with the
+        shorter gap to d(lam) v d(mu), the longer path, by every path of
+        that gap and keeps the extensions whose prefix is the other path.
+        _split cuts each unsorted word in one keyed sort (see why there).
         Memoized per graph for paths with one range: the result is an
         immutable frozenset.
         """
@@ -421,17 +434,14 @@ class KGraph:
         out = self._mce.get(key)
         if out is not None:
             return out
-        if lam.edges:
-            top = degrees.join(lam.degree, mu.degree)
-            candidates = self.paths_from(lam.source, degrees.sub(top, lam.degree))
-        else:  # from a vertex the only candidate extension is mu itself
-            candidates = (mu,)
+        flip = len(mu.edges) > len(lam.edges)
+        short, other = (mu, lam) if flip else (lam, mu)
+        d, m = short.degree, other.degree
         out = set()
-        for rho in candidates:
-            ext = self.compose(lam, rho)
-            head, tau = self.factor(ext, mu.degree)
-            if head == mu:
-                out.add((rho, tau))
+        for rho in self.paths_from(short.source, degrees.sub(degrees.join(d, m), d)):
+            head, tau = self._split(short.range, short.edges + rho.edges, m)
+            if head == other:
+                out.add((tau, rho) if flip else (rho, tau))
         out = self._mce[key] = frozenset(out)
         return out
 
@@ -465,6 +475,7 @@ class KGraph:
         cyclic graphs.  Successors are visited in out_edges order, so the
         witness returned is the lexicographically first of the shortest ones.
         """
+        root = self.vertex(v)
         E = frozenset(E)
         for mu in E:
             if mu.range != v:
@@ -480,11 +491,11 @@ class KGraph:
                 while parent[state] is not None:
                     state, eid = parent[state]
                     word.append(eid)
-                return self.path(word[::-1]) if word else self.vertex(v)
+                return self.path(word[::-1]) if word else root
             if any(p.is_vertex() for p in S):
                 continue  # dead: the vertex meets everything
             for eid in self.out_edges(w):
-                a = self.path([eid])
+                a = Path(self, w, (eid,))  # one edge is in normal form
                 nxt = (a.source, self.ext(a, S))
                 if nxt not in parent:
                     parent[nxt] = (state, eid)

@@ -5,6 +5,7 @@ work from raw definitions (enumerate all paths, check all cases) so the
 fast implementations can be gated against them.
 """
 
+import functools
 import itertools
 import random
 
@@ -149,9 +150,20 @@ def two_squares_graph():
     return KGraph.validate(spec)
 
 
+def rank3_loops_graph():
+    """One vertex with a color-1 loop e, two color-2 loops f1, f2 and a
+    color-3 loop g, where any two loops of different colors commute: a
+    cyclic rank-3 graph."""
+    edges = (Edge("e", 1, "v", "v"), Edge("f1", 2, "v", "v"),
+             Edge("f2", 2, "v", "v"), Edge("g", 3, "v", "v"))
+    squares = tuple(Square(first=(a.id, b.id), second=(b.id, a.id))
+                    for a in edges for b in edges if a.color < b.color)
+    return KGraph.validate(KGraphSpec(k=3, vertices=("v",), edges=edges, squares=squares))
+
+
 # every graph the oracle gates run on: the acyclic fixtures, the down-set
 # graphs and a graph with two minimal common extensions, all acyclic, and
-# two cyclic graphs
+# three cyclic graphs
 ACYCLIC_ORACLE_GRAPHS = {
     **ACYCLIC_BUILDERS,
     **{name: (lambda gens=gens: downset_graph(gens))
@@ -162,6 +174,7 @@ ORACLE_GRAPHS = {
     **ACYCLIC_ORACLE_GRAPHS,
     "loop": presets.single_loop,
     "cloops": lambda: presets.commuting_loops(3),
+    "cloops3": rank3_loops_graph,
 }
 
 
@@ -263,33 +276,37 @@ def reduce_oracle(ring, weighted_words):
     return out
 
 
+@functools.cache
 def mce_oracle(g, lam, mu):
-    """Minimal common extensions straight from the definition: search every
-    path of degree d(lam) v d(mu) from r(lam) and test both prefixes."""
+    """Minimal common extensions straight from the definition: the paths of
+    degree d(lam) v d(mu) that extend both lam and mu, where the paths that
+    extend p are p composed with each path of the remaining degree that
+    paths_oracle finds.  Cached, as boundary_oracle asks it again and again;
+    the key holds the graph itself, as paths of two graphs can be equal."""
     if lam.range != mu.range:
-        return set()
+        return frozenset()
     d = join(lam.degree, mu.degree)
-    out = set()
-    for tau in g.paths_from(lam.range, d):
-        if g.has_prefix(tau, lam) and g.has_prefix(tau, mu):
-            out.add(tau)
-    return out
+
+    def extensions(p):
+        gap = sub(d, p.degree)
+        return {g.compose(p, rho) for rho in paths_oracle(g, p.source, gap)
+                if rho.degree == gap}
+
+    return frozenset(extensions(lam) & extensions(mu))
 
 
 def exhaustive_oracle(g, v, paths):
     """Definition of exhaustive: every path from v has a common extension
-    with some member.  Exact on acyclic graphs (finite path set)."""
+    with some member.  Returns the first path that has none, or None.
+    Exact on acyclic graphs (finite path set)."""
     for lam in sorted(g.paths_at(v), key=lambda p: p.sort_key()):
-        if not any(g.minimal_common_extensions(lam, mu) for mu in paths):
+        if not any(mce_oracle(g, lam, mu) for mu in paths):
             return lam
     return None
 
 
 def exhaustive_oracle_bool(g, v, paths):
-    return all(
-        any(g.minimal_common_extensions(lam, mu) for mu in paths)
-        for lam in g.paths_at(v)
-    )
+    return exhaustive_oracle(g, v, paths) is None
 
 
 def boundary_oracle(g, lam):

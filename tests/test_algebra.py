@@ -102,7 +102,7 @@ def test_reduce_matches_oracle(name, ring):
     if g.is_acyclic():
         pool = g.all_paths()
     else:
-        pool = [p for v in g.vertices for p in g.paths_upto(v, (3, 1)[:g.k])]
+        pool = [p for v in g.vertices for p in g.paths_upto(v, (3, 1, 1)[:g.k])]
     rng = random.Random(f"reduce {name} {ring}")
     nonzero = 0
     for _ in range(40):

@@ -6,7 +6,7 @@ import signal
 
 import pytest
 
-from kpx import cli, io
+from kpx import cli, io, presets
 from kpx.cli import main
 
 FIX = "tests/fixtures"
@@ -161,6 +161,56 @@ def test_exhaustive_exit_codes(capsys):
     assert code == 0 and "true" in out
     code, out = run(capsys, "--graph", L2, "exhaustive", "--vertex", "v1", "f2")
     assert code == 1 and "witness: e3" in out
+
+
+def test_exhaustive_unknown_vertex(capsys):
+    # the vertex is checked before the paths are matched against it
+    code = main(["--graph", L2, "exhaustive", "--vertex", "zz", "e1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown vertex id 'zz'\n"
+
+
+F1_12 = ".".join(["f1"] * 12)
+
+
+@pytest.fixture
+def cloops4(tmp_path):
+    path = tmp_path / "cloops4.json"
+    path.write_text(json.dumps(io.graph_to_dict(presets.commuting_loops(4))))
+    return str(path)
+
+
+def run_in_time(capsys, *argv):
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{argv} did not finish in time")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_mce_extends_the_longer_path(capsys, cloops4):
+    # e and f1^12 meet at degree (1, 12): extending f1^12 by the one path e
+    # finds the pair, where extending e would try all 4^12 colour-2 words;
+    # in either argument order
+    code, out = run_in_time(capsys, "--graph", cloops4, "mce", "e", F1_12)
+    assert code == 0
+    assert out == f"mce: e.{F1_12}\npair: rho={F1_12} tau=e\n"
+    code, out = run_in_time(capsys, "--graph", cloops4, "mce", F1_12, "e")
+    assert code == 0
+    assert out == f"mce: e.{F1_12}\npair: rho=e tau={F1_12}\n"
+
+
+def test_exhaustive_long_path_in_time(capsys, cloops4):
+    # f2 has no common extension with f1^12: the search must see that
+    # without listing the 4^11 extensions of f2 to degree (0, 12)
+    code, out = run_in_time(capsys, "--graph", cloops4, "exhaustive", "--vertex", "v", F1_12)
+    assert code == 1
+    assert out == "exhaustive: false\nwitness: f2\n"
 
 
 def test_boundary(capsys):

@@ -232,7 +232,7 @@ def test_enumerators_match_oracle(name):
         assert g.all_paths() == sorted(itertools.chain(*whole.values()),
                                        key=lambda p: p.sort_key())
     else:
-        box = (3, 2)[:g.k]
+        box = (3, 2, 1)[:g.k]
     for v in g.vertices:
         pool = [(p, p.degree) for p in paths_oracle(g, v, box)]
         for n in below(box):
@@ -328,6 +328,52 @@ def test_mce_against_oracle(acyclic_graph):
                 assert set(g.mce(lam, mu)) == mce_oracle(g, lam, mu)
                 for rho, tau in g.minimal_common_extensions(lam, mu):
                     assert g.compose(lam, rho) == g.compose(mu, tau)
+
+
+def _oracle_pool(g, box):
+    """Every path of an acyclic graph, or those of degree <= box in a
+    cyclic one."""
+    if g.is_acyclic():
+        return g.all_paths()
+    return [p for v in g.vertices for p in g.paths_upto(v, box[:g.k])]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_mce_both_orders_against_oracle(name):
+    # Each pair in both argument orders: where the lengths differ, one
+    # order extends lam and the other extends mu, so both sides of the
+    # shorter-gap rule run against the oracle.
+    g = ORACLE_GRAPHS[name]()
+    pool = _oracle_pool(g, (2, 2, 1))
+    both_sides = 0
+    for lam in pool:
+        for mu in pool:
+            pairs = g.minimal_common_extensions(lam, mu)
+            assert set(g.mce(lam, mu)) == mce_oracle(g, lam, mu), (lam, mu)
+            assert g.minimal_common_extensions(mu, lam) == {(t, r) for r, t in pairs}
+            d = join(lam.degree, mu.degree)
+            for rho, tau in pairs:
+                ext = g.compose(lam, rho)
+                assert ext == g.compose(mu, tau) and ext.degree == d
+            both_sides += bool(pairs) and len(lam.edges) != len(mu.edges)
+    assert both_sides or not g.edge_ids()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_split_of_unsorted_word_is_factor(name):
+    # one keyed sort of the word lam.edges + rho.edges, which is not in
+    # normal form, gives the factors of the composite lam*rho
+    g = ORACLE_GRAPHS[name]()
+    pool = _oracle_pool(g, (2, 1, 1))
+    for lam in pool:
+        for rho in pool:
+            if rho.range != lam.source:
+                continue
+            whole = g.compose(lam, rho)
+            for m in below(whole.degree):
+                head, tail = g._split(lam.range, lam.edges + rho.edges, m)
+                assert (head, tail) == g.factor(whole, m), (lam, rho, m)
+                assert head.degree == m and g.compose(head, tail) == whole
 
 
 def _two_loop_square_graph(flip):
