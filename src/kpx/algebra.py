@@ -170,9 +170,13 @@ def multiply(a, b):
     """The product of two span forms via minimal common extensions."""
     ring = a.ring
     out = SpanForm(ring)
+    # mu and rho have no common extension unless r(mu) = r(rho)
+    by_range = {}
+    for (rho, tau), s in b._terms.items():
+        by_range.setdefault(rho.range, []).append((rho, tau, s))
     for (lam, mu), r in a._terms.items():
         g = lam.graph
-        for (rho, tau), s in b._terms.items():
+        for rho, tau, s in by_range.get(mu.range, ()):
             for m1, r1 in g.minimal_common_extensions(mu, rho):
                 # lam.m1 and tau.r1 both end at s(m1) = s(r1)
                 out._accumulate((g.compose(lam, m1), g.compose(tau, r1)), r * s)

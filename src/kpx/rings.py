@@ -1,7 +1,9 @@
 """Exact coefficient rings: integers, rationals, and integers mod n.
 
 Elements are plain Python values (int, Fraction, or ModInt); the ring
-objects provide construction, parsing, and metadata.
+objects provide construction, parsing, and metadata.  A rational is an
+int when it is integral and a Fraction otherwise: the two compare and hash
+alike, and int arithmetic is much cheaper.
 """
 
 from dataclasses import dataclass
@@ -105,16 +107,20 @@ class IntegerRing(Ring):
 
 
 class RationalField(Ring):
+    """QQ: its values are int when integral and Fraction otherwise; nothing
+    is a float."""
+
     name = "Q"
     is_field = True
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def from_fraction(self, num, den):
         if den == 0:
             raise CoefficientNotInRing("zero denominator")
-        return Fraction(num, den)
+        q = Fraction(num, den)
+        return q.numerator if q.denominator == 1 else q
 
 
 class IntegersMod(Ring):

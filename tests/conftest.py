@@ -5,9 +5,11 @@ work from raw definitions (enumerate all paths, check all cases) so the
 fast implementations can be gated against them.
 """
 
+import contextlib
 import functools
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -178,6 +180,27 @@ ORACLE_GRAPHS = {
 }
 
 
+class Hung(BaseException):
+    """A guarded call ran out of time.  Not an Exception, so no catch-all in
+    the code under test (such as the CLI's internal-error handler) can turn a
+    hang into an ordinary failure."""
+
+
+@contextlib.contextmanager
+def within(seconds, what):
+    """Raise Hung if the body runs longer than seconds (SIGALRM, main thread)."""
+    def too_slow(signum, frame):
+        raise Hung(f"{what} did not finish within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 # ---------------------------------------------------------------- oracles
 
 
@@ -274,6 +297,30 @@ def reduce_oracle(ring, weighted_words):
             lam = g.vertex(mu.source)
         out._add_term((lam, mu), coeff)
     return out
+
+
+def multiply_oracle(a, b):
+    """The product of two span forms by a double loop over every pair of
+    terms, whatever their ranges: s_lam s_mu^* . s_rho s_tau^* is the sum of
+    s_(lam m) s_(tau r)^* over the common extensions mu m = rho r that
+    mce_oracle finds, with m and r read off by composing."""
+    out = SpanForm(a.ring)
+    for (lam, mu), r in a._terms.items():
+        g = lam.graph
+        for (rho, tau), s in b._terms.items():
+            for p in mce_oracle(g, mu, rho):
+                out._add_term((g.compose(lam, _tail(g, p, mu)),
+                               g.compose(tau, _tail(g, p, rho))), r * s)
+    return out
+
+
+@functools.cache
+def _tail(g, p, head):
+    """The one path q with head.q = p."""
+    gap = sub(p.degree, head.degree)
+    (q,) = [q for q in paths_oracle(g, head.source, gap)
+            if q.degree == gap and g.compose(head, q) == p]
+    return q
 
 
 @functools.cache

@@ -1,7 +1,6 @@
 """Span forms: generator words, multiplication, grading, matrix units, zero tests."""
 
 import random
-import signal
 
 import pytest
 
@@ -29,7 +28,14 @@ from kpx.algebra import (
 from kpx.elements import parse_element
 from kpx.rings import QQ, ZZ, IntegersMod, ModInt
 
-from conftest import ORACLE_GRAPHS, eval_span_on_boundary, random_span, reduce_oracle
+from conftest import (
+    ORACLE_GRAPHS,
+    eval_span_on_boundary,
+    multiply_oracle,
+    random_span,
+    reduce_oracle,
+    within,
+)
 
 
 def P(g, s):
@@ -93,16 +99,21 @@ def random_words(g, ring, rng, pool):
     return words
 
 
+def oracle_pool(g):
+    """Every path of an acyclic graph; on a cyclic one, the paths up to a
+    small degree."""
+    if g.is_acyclic():
+        return g.all_paths()
+    return [p for v in g.vertices for p in g.paths_upto(v, (3, 1, 1)[:g.k])]
+
+
 @pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
 def test_reduce_matches_oracle(name, ring):
     # the product fold and the rewriting oracle give the same terms, not
     # only the same element of the algebra
     g = ORACLE_GRAPHS[name]()
-    if g.is_acyclic():
-        pool = g.all_paths()
-    else:
-        pool = [p for v in g.vertices for p in g.paths_upto(v, (3, 1, 1)[:g.k])]
+    pool = oracle_pool(g)
     rng = random.Random(f"reduce {name} {ring}")
     nonzero = 0
     for _ in range(40):
@@ -124,21 +135,58 @@ def test_reduce_matches_oracle(name, ring):
             engine(ring, [(ring.one, [])])
 
 
+# denominators each ring inverts: over QQ the spans mix int and Fraction values
+DENOMINATORS = {"Q": (1, 2, 3), "Z": (1,), "Z/6": (1, 5)}
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_multiply_matches_oracle(name, ring):
+    # multiply pairs a term of a only with the terms of b whose first leg has
+    # the same range; the oracle pairs every term with every term
+    g = ORACLE_GRAPHS[name]()
+    pool = oracle_pool(g)
+    by_source = {}
+    for p in pool:
+        by_source.setdefault(p.source, []).append(p)
+    rng = random.Random(f"multiply {name} {ring}")
+
+    def span():
+        out = SpanForm(ring)
+        for _ in range(4):
+            lam = rng.choice(pool)
+            mu = rng.choice(by_source[lam.source])
+            c = ring.from_fraction(rng.randint(-3, 3), rng.choice(DENOMINATORS[ring.name]))
+            out = out + SpanForm(ring, {(lam, mu): c})
+        return out
+
+    ranges, crossed, nonzero = set(), 0, 0
+    for _ in range(30):
+        a, b = span(), span()
+        ab = multiply(a, b)
+        assert ab._terms == multiply_oracle(a, b)._terms, (a, b)
+        nonzero += not ab.is_structurally_zero()
+        for (lam, mu), r in a._terms.items():
+            for (rho, tau), s in b._terms.items():
+                ranges.add(rho.range)
+                if mu.range != rho.range:
+                    # the pairs the range index skips contribute nothing
+                    crossed += 1
+                    assert g.minimal_common_extensions(mu, rho) == frozenset()
+                    one = multiply(SpanForm(ring, {(lam, mu): r}), SpanForm(ring, {(rho, tau): s}))
+                    assert one.is_structurally_zero()
+    assert nonzero >= 10
+    if len(g.vertices) > 1:
+        assert len(ranges) > 1 and crossed > 0
+
+
 def test_reduce_vertex_then_deep_path():
     # the product s(f1)*s(f2^12) takes the minimal common extensions of the
     # vertex s(f1) and f2^12: the only one is f2^12 itself, so none of the
     # 4^12 paths of that degree may be listed
-    def too_slow(signum, frame):
-        raise TimeoutError("reduce did not shortcut the vertex")
-
     g = presets.commuting_loops(4)
-    old = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
-    try:
+    with within(10, "reduce"):
         a = parse_element(g, QQ, "s(f1)*s(" + ".".join(["f2"] * 12) + ")")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     assert a == generator(QQ, g.path(["f1"] + ["f2"] * 12), g.vertex("v"))
 
 

@@ -2,12 +2,13 @@
 
 import argparse
 import json
-import signal
 
 import pytest
 
 from kpx import cli, io, presets
 from kpx.cli import main
+
+from conftest import within
 
 FIX = "tests/fixtures"
 L2 = f"{FIX}/lambda2.json"
@@ -120,18 +121,10 @@ def test_paths_huge_degree(capsys):
     # no path from v1 has 10^20 colour-1 edges: the enumeration must stop
     # once no word is left instead of counting to 10^20, also when it keeps
     # every level up to the bound (--leq)
-    def too_slow(signum, frame):
-        raise TimeoutError("paths did not stop")
-
     argv = ["--graph", L2, "paths", "--from", "v1", "--degree", "100000000000000000000,0"]
-    old = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
-    try:
+    with within(10, "paths"):
         exact = run(capsys, *argv)
         leq = run(capsys, *argv, "--leq")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     assert exact == (0, "")
     assert leq == (0, "e1\ne3\n")
 
@@ -181,16 +174,8 @@ def cloops4(tmp_path):
 
 
 def run_in_time(capsys, *argv):
-    def too_slow(signum, frame):
-        raise TimeoutError(f"{argv} did not finish in time")
-
-    old = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
-    try:
+    with within(10, argv):
         return run(capsys, *argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def test_mce_extends_the_longer_path(capsys, cloops4):
@@ -277,19 +262,83 @@ def test_ring_flag(capsys):
 def test_ring_large_prime_modulus(capsys):
     # primality of the modulus is decided by Miller-Rabin, not by trial
     # division up to its square root
-    def too_slow(signum, frame):
-        raise TimeoutError("the modulus was not classified in time")
-
-    old = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
-    try:
+    with within(10, "classifying the modulus"):
         got = run(capsys, "--omega", "1", "--ring", "zmod:1000000000000000003", "dim")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     assert got == (0, "4\n")
     bound = "zmod:3317044064679887385961981"
     assert run(capsys, "--omega", "1", "--ring", bound, "dim")[0] == 2
+
+
+# stdout of eval, eval --grade and --json eval for each (expression, ring),
+# pinned from when every rational was a Fraction; None where a coefficient
+# is not in the ring, which is exit 2 with nothing on stdout
+EVAL_PINNED = {
+    ("2/2*s(v1)", "q"): (
+        "1*s(v1)*g(v1)\n",
+        "1*s(v1)*g(v1)\ndegree 0,0: 1*s(v1)*g(v1)\n",
+        '{\n  "ring": "Q",\n  "terms": [\n    {\n      "coeff": "1",\n'
+        '      "lam": "v1",\n      "mu": "v1"\n    }\n  ]\n}\n',
+    ),
+    ("2/2*s(v1)", "z"): (
+        "1*s(v1)*g(v1)\n",
+        "1*s(v1)*g(v1)\ndegree 0,0: 1*s(v1)*g(v1)\n",
+        '{\n  "ring": "Z",\n  "terms": [\n    {\n      "coeff": "1",\n'
+        '      "lam": "v1",\n      "mu": "v1"\n    }\n  ]\n}\n',
+    ),
+    ("2/2*s(v1)", "zmod:6"): None,
+    ("2/2*s(v1)", "zmod:7"): (
+        "1*s(v1)*g(v1)\n",
+        "1*s(v1)*g(v1)\ndegree 0,0: 1*s(v1)*g(v1)\n",
+        '{\n  "ring": "Z/7",\n  "terms": [\n    {\n      "coeff": "1",\n'
+        '      "lam": "v1",\n      "mu": "v1"\n    }\n  ]\n}\n',
+    ),
+    ("-4/6*s(e1)*g(e1) + 3*s(v1)", "q"): (
+        "3*s(v1)*g(v1) + -2/3*s(e1)*g(e1)\n",
+        "3*s(v1)*g(v1) + -2/3*s(e1)*g(e1)\n"
+        "degree 0,0: 3*s(v1)*g(v1) + -2/3*s(e1)*g(e1)\n",
+        '{\n  "ring": "Q",\n  "terms": [\n    {\n      "coeff": "3",\n'
+        '      "lam": "v1",\n      "mu": "v1"\n    },\n    {\n      "coeff": "-2/3",\n'
+        '      "lam": "e1",\n      "mu": "e1"\n    }\n  ]\n}\n',
+    ),
+    ("-4/6*s(e1)*g(e1) + 3*s(v1)", "z"): None,
+    ("-4/6*s(e1)*g(e1) + 3*s(v1)", "zmod:6"): None,
+    ("-4/6*s(e1)*g(e1) + 3*s(v1)", "zmod:7"): (
+        "3*s(v1)*g(v1) + 4*s(e1)*g(e1)\n",
+        "3*s(v1)*g(v1) + 4*s(e1)*g(e1)\ndegree 0,0: 3*s(v1)*g(v1) + 4*s(e1)*g(e1)\n",
+        '{\n  "ring": "Z/7",\n  "terms": [\n    {\n      "coeff": "3",\n'
+        '      "lam": "v1",\n      "mu": "v1"\n    },\n    {\n      "coeff": "4",\n'
+        '      "lam": "e1",\n      "mu": "e1"\n    }\n  ]\n}\n',
+    ),
+    ("1/2*s(v1) + 1/2*s(v1)", "q"): (
+        "1*s(v1)*g(v1)\n",
+        "1*s(v1)*g(v1)\ndegree 0,0: 1*s(v1)*g(v1)\n",
+        '{\n  "ring": "Q",\n  "terms": [\n    {\n      "coeff": "1",\n'
+        '      "lam": "v1",\n      "mu": "v1"\n    }\n  ]\n}\n',
+    ),
+    ("1/2*s(v1) + 1/2*s(v1)", "z"): None,
+    ("1/2*s(v1) + 1/2*s(v1)", "zmod:6"): None,
+    ("1/2*s(v1) + 1/2*s(v1)", "zmod:7"): (
+        "1*s(v1)*g(v1)\n",
+        "1*s(v1)*g(v1)\ndegree 0,0: 1*s(v1)*g(v1)\n",
+        '{\n  "ring": "Z/7",\n  "terms": [\n    {\n      "coeff": "1",\n'
+        '      "lam": "v1",\n      "mu": "v1"\n    }\n  ]\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize(("expr", "ring"), list(EVAL_PINNED))
+def test_eval_output_pinned(capsys, expr, ring):
+    want = EVAL_PINNED[(expr, ring)]
+    base = ["--graph", L2, "--ring", ring]
+    got = [
+        run(capsys, *base, "eval", expr),
+        run(capsys, *base, "eval", expr, "--grade"),
+        run(capsys, *base, "--json", "eval", expr),
+    ]
+    if want is None:
+        assert got == [(2, "")] * 3
+    else:
+        assert got == [(0, text) for text in want]
 
 
 def test_refine(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kpx import errors
+from kpx.algebra import SpanForm
 from kpx.elements import parse_cell, parse_element
 from kpx.rings import QQ, ZZ, IntegersMod, _is_prime, parse_ring
 
@@ -25,6 +26,27 @@ def test_rationals():
     assert QQ.is_field
     with pytest.raises(errors.CoefficientNotInRing):
         QQ.from_fraction(1, 0)
+
+
+def test_rationals_are_int_when_integral():
+    # an integral rational is a plain int, anything else stays a Fraction
+    assert type(QQ.from_int(3)) is int
+    assert type(QQ.zero) is int and QQ.zero == 0
+    assert type(QQ.one) is int and QQ.one == 1
+    assert QQ.from_fraction(4, 2) == 2 and type(QQ.from_fraction(4, 2)) is int
+    assert type(QQ.from_fraction(-6, -3)) is int
+    q = QQ.from_fraction(2, 3)
+    assert q == Fraction(2, 3) and type(q) is Fraction
+    assert QQ.from_fraction(4, -6) == Fraction(-2, 3)
+
+
+def test_rational_span_forms_ignore_the_value_type(lambda2):
+    # int and Fraction compare and hash alike, so spans of either are equal
+    v = lambda2.vertex("v1")
+    assert SpanForm(QQ, {(v, v): Fraction(4, 2)}) == SpanForm(QQ, {(v, v): 2})
+    assert SpanForm(QQ, {(v, v): Fraction(1, 2)}) != SpanForm(QQ, {(v, v): 1})
+    a = parse_element(lambda2, QQ, "1/2*s(v1) + 1/2*s(v1)")
+    assert len(a) == 1 and a.coefficient(v, v) == 1
 
 
 def test_integers_mod():
