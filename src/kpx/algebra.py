@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import degrees
 from .errors import (
+    CoefficientNotInRing,
     IndexEscapesPi,
     NotComposable,
     NotCore,
@@ -54,6 +55,9 @@ class SpanForm:
         lam, mu = key
         if lam.source != mu.source:
             raise NotComposable(f"pair ({lam!r}, {mu!r}) has mismatched sources")
+        # the exact type: isinstance would let a bool in as an int
+        if type(coeff) not in self.ring.value_types:
+            raise CoefficientNotInRing(f"{coeff!r} is not a value of {self.ring}")
         self._accumulate(key, self.ring.zero + coeff)
 
     def _accumulate(self, key, coeff):

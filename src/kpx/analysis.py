@@ -232,7 +232,10 @@ def report(g, ring=QQ):
     aper = check_aperiodic(g)
     cof = check_cofinal(g)
     basic = _meet(_ANSWER[aper.status], _ANSWER[cof.status])
-    simple = basic if ring.is_field else ("no" if basic != "unknown" else "unknown")
+    # by the paper's simplicity theorem KP_R(Lambda) is simple only when R
+    # is a field, so over any other ring the answer is "no" even where
+    # basic simplicity is unknown
+    simple = basic if ring.is_field else "no"
     dim = None
     if g.is_acyclic() and ring.is_field:
         dim = groupoid.dim_over_field(g, ring)

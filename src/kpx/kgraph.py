@@ -115,6 +115,7 @@ class KGraph:
         self._all_paths_cache = None
         self._acyclic = None
         self._mce = {}  # (lam, mu) -> minimal_common_extensions(lam, mu)
+        self._move_table = {}  # (mu, colour) -> _moves(mu, colour)
         self._boundary = None  # filled by boundary.enumerate_boundary
 
     @property
@@ -183,28 +184,36 @@ class KGraph:
             seen_first[sq.first] = sq
             seen_second[sq.second] = sq
 
-        # every composable bicolored pair must occur on exactly one square side
-        for a, b in itertools.product(eids.values(), repeat=2):
-            if a.color == b.color or a.source != b.range:
-                continue
-            pair = (a.id, b.id)
-            table = seen_first if a.color < b.color else seen_second
-            if pair not in table:
-                raise NotBijective(f"edge pair {pair} is not covered by any square")
+        # every composable bicolored pair must occur on exactly one square
+        # side; the edges at each vertex keep spec order, so the first pair
+        # reported is the first in spec order
+        at = {}  # vertex -> the edges with that range, in spec order
+        for e in eids.values():
+            at.setdefault(e.range, []).append(e)
+        for a in eids.values():
+            for b in at.get(a.source, ()):
+                if a.color == b.color:
+                    continue
+                pair = (a.id, b.id)
+                table = seen_first if a.color < b.color else seen_second
+                if pair not in table:
+                    raise NotBijective(f"edge pair {pair} is not covered by any square")
 
         graph = cls(spec)
         if spec.k >= 3:
-            graph._check_cubes()
+            graph._check_cubes(at)
         return graph
 
-    def _check_cubes(self):
-        """Tricolored words must normalize identically along both swap orders."""
+    def _check_cubes(self, at):
+        """Tricolored words must normalize identically along both swap
+        orders.  at maps each vertex to the edges with that range, in spec
+        order."""
         for x in self._edges.values():
-            for y in self._edges.values():
-                if y.range != x.source or y.color >= x.color:
+            for y in at.get(x.source, ()):
+                if y.color >= x.color:
                     continue
-                for z in self._edges.values():
-                    if z.range != y.source or z.color >= y.color:
+                for z in at.get(y.source, ()):
+                    if z.color >= y.color:
                         continue
                     w = [x.id, y.id, z.id]
                     a = self._normalize_word(w)
@@ -469,11 +478,15 @@ class KGraph:
         of E, or None if E is exhaustive at v.
 
         Works by a breadth-first search over states (vertex, obligation
-        set): a witness through a first edge a must avoid every path in the
-        minimal-extension transfer of the obligations along a.  Degrees of
-        obligations never increase, so the state space is finite even on
-        cyclic graphs.  Successors are visited in out_edges order, so the
-        witness returned is the lexicographically first of the shortest ones.
+        set).  A witness through a first edge a must avoid Ext(a; S), the
+        paths rho with a*rho = mu*tau for an obligation mu in S.  That is
+        the union over mu of Ext(a; {mu}), and the move table of (mu, c)
+        holds Ext(a; {mu}) for every colour-c edge a at r(mu) (see _moves),
+        so each successor is a few dict lookups and one union, with no MCE
+        search.  Degrees of obligations never increase, so the state space
+        is finite even on cyclic graphs.  Successors are visited in
+        out_edges order, so the witness returned is the lexicographically
+        first of the shortest ones.
         """
         root = self.vertex(v)
         E = frozenset(E)
@@ -494,13 +507,52 @@ class KGraph:
                 return self.path(word[::-1]) if word else root
             if any(p.is_vertex() for p in S):
                 continue  # dead: the vertex meets everything
-            for eid in self.out_edges(w):
-                a = Path(self, w, (eid,))  # one edge is in normal form
-                nxt = (a.source, self.ext(a, S))
-                if nxt not in parent:
-                    parent[nxt] = (state, eid)
-                    queue.append(nxt)
+            for c in range(1, self.k + 1):
+                eids = self._out[(w, c)]
+                if not eids:
+                    continue
+                moves = [self._moves(mu, c) for mu in S]
+                for eid in eids:
+                    nxt = (self._edges[eid].source,
+                           frozenset().union(*[m.get(eid, ()) for m in moves]))
+                    if nxt not in parent:
+                        parent[nxt] = (state, eid)
+                        queue.append(nxt)
         return None
+
+    def _moves(self, mu, c):
+        """The move table of (mu, c): a dict from each colour-c edge a at
+        r(mu) with Ext(a; {mu}) non-empty to that frozenset of paths rho.
+        Memoized per graph, like minimal_common_extensions.
+
+        As d(a) = e_c, the common extensions a*rho = mu*tau have degree
+        d(mu) when mu has a colour-c edge and d(mu) + e_c when it has none.
+        In the first case tau is a vertex and a*rho = mu, so a is the first
+        colour-c edge of mu and rho the rest.  In the second tau is a
+        colour-c edge f at s(mu), and a and rho are the first colour-c edge
+        of mu*f and the rest.  By unique factorization each f gives one pair
+        and every pair comes from one f, so one cut of mu, or one cut of mu*f
+        per f, gives Ext(a; {mu}) for all the colour-c edges a at once.  A
+        cut is one _sort_word that moves the chosen colour-c edge to the
+        front: every edge it passes has another colour, and the rest keeps
+        the colour order of the word, so it is in normal form.
+        """
+        key = (mu, c)
+        out = self._move_table.get(key)
+        if out is not None:
+            return out
+        edges, word = self._edges, mu.edges
+        first = next((i for i, eid in enumerate(word) if edges[eid].color == c), None)
+        if first is None:
+            cuts = [(word + (f,), len(word)) for f in self._out[(mu.source, c)]]
+        else:
+            cuts = [(word, first)]
+        out = {}
+        for w, j in cuts:  # move w[j] to the front
+            a, *rest = self._sort_word(w, [i != j for i in range(len(w))])
+            out.setdefault(a, []).append(Path(self, edges[a].source, tuple(rest)))
+        out = self._move_table[key] = {eid: frozenset(rhos) for eid, rhos in out.items()}
+        return out
 
     def is_exhaustive(self, v, E):
         """True iff every path at v has a common extension with a member of E."""

@@ -68,6 +68,7 @@ class ModInt:
 class Ring:
     name = "?"
     is_field = False
+    value_types = ()  # the exact types of the values a caller may pass in
 
     def __init__(self):
         # built once: every value is immutable, so callers can share them
@@ -94,6 +95,7 @@ class Ring:
 
 class IntegerRing(Ring):
     name = "Z"
+    value_types = (int,)
 
     def from_int(self, n):
         return int(n)
@@ -112,6 +114,7 @@ class RationalField(Ring):
 
     name = "Q"
     is_field = True
+    value_types = (int, Fraction)
 
     def from_int(self, n):
         return int(n)
@@ -124,6 +127,8 @@ class RationalField(Ring):
 
 
 class IntegersMod(Ring):
+    value_types = (int, ModInt)  # an int is read mod n
+
     def __init__(self, n):
         if n < 2:
             raise CoefficientNotInRing(f"modulus must be >= 2, got {n}")

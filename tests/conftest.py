@@ -5,6 +5,7 @@ work from raw definitions (enumerate all paths, check all cases) so the
 fast implementations can be gated against them.
 """
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -354,6 +355,36 @@ def exhaustive_oracle(g, v, paths):
 
 def exhaustive_oracle_bool(g, v, paths):
     return exhaustive_oracle(g, v, paths) is None
+
+
+def witness_oracle(g, v, E):
+    """The exhaustiveness search before move tables: a breadth-first search
+    over (vertex, obligation set) states whose successor along each edge a,
+    in out_edges order, is Ext(a; S) from g.ext, one minimal-common-extension
+    query per (edge, obligation).  Returns the lexicographically first of
+    the shortest witnesses, or None.  Unlike exhaustive_oracle it is exact
+    on cyclic graphs too."""
+    start = (v, frozenset(E))
+    parent = {start: None}  # state -> (previous state, edge id)
+    queue = collections.deque([start])
+    while queue:
+        state = queue.popleft()
+        w, S = state
+        if not S:
+            word = []
+            while parent[state] is not None:
+                state, eid = parent[state]
+                word.append(eid)
+            return g.path(word[::-1]) if word else g.vertex(v)
+        if any(p.is_vertex() for p in S):
+            continue
+        for eid in g.out_edges(w):
+            a = g.path([eid])
+            nxt = (a.source, g.ext(a, S))
+            if nxt not in parent:
+                parent[nxt] = (state, eid)
+                queue.append(nxt)
+    return None
 
 
 def boundary_oracle(g, lam):

@@ -139,3 +139,11 @@ def test_report_unknown_exit_state(cloops):
     r = ana.report(cloops, QQ)
     assert r.basically_simple == "unknown"
     assert r.simple == "unknown"
+
+
+def test_report_never_simple_over_a_non_field(cloops):
+    # KP_R is simple only over a field, even where basic simplicity is unknown
+    for ring in (ZZ, IntegersMod(6)):
+        r = ana.report(cloops, ring)
+        assert r.basically_simple == "unknown"
+        assert r.simple == "no"

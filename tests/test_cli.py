@@ -198,6 +198,16 @@ def test_exhaustive_long_path_in_time(capsys, cloops4):
     assert out == "exhaustive: false\nwitness: f2\n"
 
 
+def test_exhaustive_all_but_one_square_in_time(capsys, cloops4):
+    # every path of degree (2, 2) at v but e.e.f2.f3: f2.f3 extends only to
+    # the missing one, and no shorter path avoids the other fifteen
+    paths = [p.label() for p in presets.commuting_loops(4).paths_from("v", (2, 2))]
+    paths.remove("e.e.f2.f3")
+    code, out = run_in_time(capsys, "--graph", cloops4, "exhaustive", "--vertex", "v", *paths)
+    assert code == 1
+    assert out == "exhaustive: false\nwitness: f2.f3\n"
+
+
 def test_boundary(capsys):
     code, out = run(capsys, "--graph", L2, "boundary")
     assert code == 0
@@ -359,6 +369,16 @@ def test_analyze_exit_codes(capsys, tmp_path):
     path = tmp_path / "cloops.json"
     path.write_text(json.dumps(io.graph_to_dict(cl)))
     assert run(capsys, "--graph", str(path), "analyze")[0] == 3
+
+
+def test_analyze_over_a_non_field(capsys, tmp_path):
+    # simple is "no" over Z whatever the search decides, and the exit code
+    # still follows basic simplicity, which is unknown here
+    path = tmp_path / "cloops2.json"
+    path.write_text(json.dumps(io.graph_to_dict(presets.commuting_loops(2))))
+    code, out = run(capsys, "--graph", str(path), "--ring", "z", "analyze")
+    assert code == 3
+    assert "basically simple: unknown\nsimple: no\n" in out
 
 
 def test_dim(capsys):

@@ -14,10 +14,12 @@ from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 
 from conftest import (
     ORACLE_GRAPHS,
+    _tail,
     exhaustive_oracle,
     exhaustive_oracle_bool,
     mce_oracle,
     paths_oracle,
+    witness_oracle,
 )
 
 
@@ -125,8 +127,21 @@ def test_cube_inconsistent_rejected():
               Square(("b1", "c2"), ("c2", "b2")), Square(("b2", "c1"), ("c2", "b1"))]
 
     KGraph.validate(build(ab + ac + bc_good))  # sanity: consistent variant passes
-    with pytest.raises(errors.CubeInconsistent):
+    with pytest.raises(errors.CubeInconsistent) as exc:
         KGraph.validate(build(ab + ac + bc_bad))
+    # the first failing word in spec order, as an all-triples sweep finds it
+    assert str(exc.value) == ("word ['c1', 'b1', 'a1'] normalizes to both "
+                              "['a1', 'b2', 'c2'] and ['a1', 'b1', 'c2']")
+
+
+def test_uncovered_pair_message(omega3111):
+    # dropping the first square leaves both of its sides uncovered; the
+    # pair reported is the first in spec order (edges sorted by id)
+    spec = omega3111.spec
+    with pytest.raises(errors.NotBijective) as exc:
+        KGraph.validate(KGraphSpec(spec.k, spec.vertices, spec.edges, spec.squares[1:]))
+    assert str(exc.value) == (
+        "edge pair ('0,0,0>0,1,0', '0,1,0>1,1,0') is not covered by any square")
 
 
 # --------------------------------------------------------- path arithmetic
@@ -489,6 +504,34 @@ def test_exhaustive_cyclic(cloops, loop):
     squares = [cloops.parse_path(s) for s in ("f1.f1", "f2.f2", "f3.f3")]
     assert cloops.exhaustiveness_witness("v", squares).label() == "f1.f2"
     assert loop.is_exhaustive("v", [loop.parse_path("e")]) is True
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_witness_matches_search_by_ext(name):
+    # the move-table search against the search by ext, on cyclic graphs
+    # too, where exhaustive_oracle is not exact: the same witness, or None
+    g = ORACLE_GRAPHS[name]()
+    for v in g.vertices:
+        pool = g.paths_upto(v, (1,) * g.k)
+        for size in range(4):
+            for combo in itertools.combinations(pool, size):
+                assert g.exhaustiveness_witness(v, combo) == witness_oracle(g, v, combo), combo
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_move_table_matches_oracle(name):
+    # the move table of (mu, c) holds Ext(a; {mu}) for each colour-c edge a
+    # at r(mu): the rho with a*rho a minimal common extension of a and mu
+    g = ORACLE_GRAPHS[name]()
+    for mu in _oracle_pool(g, (2, 2, 1)):
+        for c in range(1, g.k + 1):
+            table = g._moves(mu, c)
+            edges = g.out_edges(mu.range, c)
+            assert set(table) <= set(edges), (mu, c)
+            for eid in edges:
+                a = g.path([eid])
+                want = {_tail(g, p, a) for p in mce_oracle(g, a, mu)}
+                assert table.get(eid, frozenset()) == want, (mu, eid)
 
 
 def test_finite_exhaustive_sets(lambda2):

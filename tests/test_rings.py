@@ -100,6 +100,20 @@ def test_parse_ring():
         parse_ring("gf:8")
 
 
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+@pytest.mark.parametrize("value", [0.5, 2.0, True, Fraction(1, 2), Fraction(4, 2)],
+                         ids=["float", "integral-float", "bool", "half", "fraction-two"])
+def test_span_form_rejects_values_outside_the_ring(lambda2, ring, value):
+    # only ints and the ring's own values go in: a float, a bool, or a
+    # Fraction over a ring without fractions is CoefficientNotInRing
+    v = lambda2.vertex("v1")
+    if ring is QQ and isinstance(value, Fraction):
+        assert SpanForm(ring, {(v, v): value}).coefficient(v, v) == value
+        return
+    with pytest.raises(errors.CoefficientNotInRing):
+        SpanForm(ring, {(v, v): value})
+
+
 # ------------------------------------------------------------- grammar
 
 
