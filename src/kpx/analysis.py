@@ -149,19 +149,22 @@ def check_cofinal(g):
     A boundary path x meets reachable(v) exactly when that set holds its
     tail vertex x.head.source (the source of a finite x, the cycle base of a
     lasso), since every vertex x visits reaches it.  Exact on acyclic graphs,
-    where the boundary is enumerated once.  On cyclic graphs, all-pairs
+    where the tails are the sinks (vertices that receive no edge), each a
+    boundary path that sorts before the longer ones: the witness is the
+    first sink a vertex cannot reach.  On cyclic graphs, all-pairs
     reachability is a certificate for cofinality; otherwise a periodic
     boundary witness is searched inside deterministic regions, and failing
     both the verdict is unknown.
     """
     reach = {v: g.reachable(v) for v in g.vertices}
     if g.is_acyclic():
-        bnd = boundary.enumerate_boundary(g)
+        sinks = sorted(w for w in g.vertices if not g.out_edges(w))
         for v in g.vertices:
-            for x in bnd:
-                if x.head.source not in reach[v]:
-                    return CofinalityVerdict(status="not_cofinal", vertex=v, path=x)
-        return CofinalityVerdict(status="cofinal", note="exact boundary sweep")
+            for w in sinks:
+                if w not in reach[v]:
+                    return CofinalityVerdict(status="not_cofinal", vertex=v,
+                                             path=boundary.finite(g.vertex(w)))
+        return CofinalityVerdict(status="cofinal", note="every vertex reaches every sink")
     if all(reach[v] == set(g.vertices) for v in g.vertices):
         return CofinalityVerdict(status="cofinal", note="all-pairs reachability")
     for w in g.vertices:

@@ -201,15 +201,10 @@ def is_boundary_finite(lam):
 
 
 def enumerate_boundary(g):
-    """All boundary paths of an acyclic graph, sorted.
-
-    The graph keeps the set after the first call; each call returns a new
-    list.
-    """
-    if g._boundary is None:
-        out = [finite(lam) for lam in g.all_paths() if is_boundary_finite(lam)]
-        g._boundary = tuple(sorted(out, key=BoundaryPath.sort_key))
-    return list(g._boundary)
+    """All boundary paths of an acyclic graph, sorted: the finite paths the
+    graph caches, filtered.  A finite boundary path sorts like its path, so
+    the cached order is already boundary order."""
+    return [finite(lam) for lam in g.all_paths() if is_boundary_finite(lam)]
 
 
 def boundary_at(g, v):

@@ -91,139 +91,126 @@ class Path:
 
 
 class KGraph:
-    """A validated finite rank-k graph."""
+    """A validated finite rank-k graph.
+
+    The constructor checks the specification while it builds the edge
+    table, the square tables and the edge index, so each is built once and
+    no unvalidated graph exists.  The graph owns every derived cache.
+    """
 
     def __init__(self, spec):
-        self.k = spec.k
+        if spec.k < 1:
+            raise InvalidSpec(f"rank must be >= 1, got {spec.k}")
+        self.k = k = spec.k
         self.vertices = tuple(spec.vertices)
-        self._edges = {e.id: e for e in spec.edges}
+        vset = set()
+        for v in self.vertices:
+            if v in vset:
+                raise InvalidSpec(f"duplicate vertex id {v!r}")
+            vset.add(v)
+        self._edges = edges = {}
+        at = {v: [] for v in self.vertices}  # vertex -> the edges with that range, in spec order
+        for e in spec.edges:
+            if e.id in edges or e.id in vset:
+                raise InvalidSpec(f"duplicate id {e.id!r}")
+            if "." in e.id:  # path labels join edge ids with '.'
+                raise InvalidSpec(f"edge id {e.id!r} contains '.'")
+            if not 1 <= e.color <= k:
+                raise InvalidSpec(f"edge {e.id!r} has color {e.color} outside 1..{k}")
+            if e.range not in vset:
+                raise MissingEndpoint(f"edge {e.id!r} has unknown range {e.range!r}")
+            if e.source not in vset:
+                raise MissingEndpoint(f"edge {e.id!r} has unknown source {e.source!r}")
+            edges[e.id] = e
+            at[e.range].append(e)
+
         self.squares = tuple(spec.squares)
         # swap tables between the two orientations of a bicolored word
         self._to_colormajor = {}    # (hi, lo) word -> (lo, hi) word
         self._from_colormajor = {}  # (lo, hi) word -> (hi, lo) word
         for sq in self.squares:
+            e, f = self._square_side(sq.first, True, sq)
+            f2, e2 = self._square_side(sq.second, False, sq)
+            if {e.color, f.color} != {f2.color, e2.color}:
+                raise BadSquare(f"square {sq} mixes color pairs")
+            if e.range != f2.range or f.source != e2.source:
+                raise BadSquare(f"square {sq} endpoints do not match")
+            if sq.first in self._from_colormajor:
+                raise NotBijective(f"edge pair {sq.first} appears in two squares")
+            if sq.second in self._to_colormajor:
+                raise NotBijective(f"edge pair {sq.second} appears in two squares")
             self._from_colormajor[sq.first] = sq.second
             self._to_colormajor[sq.second] = sq.first
-        self._out = {}  # (vertex, color) -> sorted edge ids with that range
-        for v in self.vertices:
-            for c in range(1, self.k + 1):
-                self._out[(v, c)] = []
-        for eid in sorted(self._edges):
-            e = self._edges[eid]
-            self._out[(e.range, e.color)].append(eid)
+
+        # every composable bicolored pair must occur on exactly one square
+        # side; the edges at each vertex keep spec order, so the first pair
+        # reported is the first in spec order
+        for a in edges.values():
+            for b in at[a.source]:
+                if a.color == b.color:
+                    continue
+                pair = (a.id, b.id)
+                table = self._from_colormajor if a.color < b.color else self._to_colormajor
+                if pair not in table:
+                    raise NotBijective(f"edge pair {pair} is not covered by any square")
+        if k >= 3:
+            self._check_cubes(at)
+
+        # (vertex, color) -> sorted edge ids with that range
+        self._out = {(v, c): sorted(e.id for e in at[v] if e.color == c)
+                     for v in self.vertices for c in range(1, k + 1)}
         # derived caches, which live as long as the graph
         self._all_paths_cache = None
         self._acyclic = None
         self._mce = {}  # (lam, mu) -> minimal_common_extensions(lam, mu)
         self._move_table = {}  # (mu, colour) -> _moves(mu, colour)
-        self._boundary = None  # filled by boundary.enumerate_boundary
 
     @property
     def spec(self):
-        """The specification this graph was built from."""
-        return KGraphSpec(
-            self.k,
-            self.vertices,
-            tuple(self._edges[eid] for eid in sorted(self._edges)),
-            self.squares,
-        )
+        """The specification this graph was built from, edges sorted by id."""
+        edges = tuple(self._edges[eid] for eid in sorted(self._edges))
+        return KGraphSpec(self.k, self.vertices, edges, self.squares)
 
     # ------------------------------------------------------------------
     # construction and validation
 
     @classmethod
     def validate(cls, spec):
-        """Check a specification and return the graph, raising diagnostics."""
-        if spec.k < 1:
-            raise InvalidSpec(f"rank must be >= 1, got {spec.k}")
-        vset = set()
-        for v in spec.vertices:
-            if v in vset:
-                raise InvalidSpec(f"duplicate vertex id {v!r}")
-            vset.add(v)
-        eids = {}
-        for e in spec.edges:
-            if e.id in eids or e.id in vset:
-                raise InvalidSpec(f"duplicate id {e.id!r}")
-            if "." in e.id:  # path labels join edge ids with '.'
-                raise InvalidSpec(f"edge id {e.id!r} contains '.'")
-            if not 1 <= e.color <= spec.k:
-                raise InvalidSpec(f"edge {e.id!r} has color {e.color} outside 1..{spec.k}")
-            if e.range not in vset:
-                raise MissingEndpoint(f"edge {e.id!r} has unknown range {e.range!r}")
-            if e.source not in vset:
-                raise MissingEndpoint(f"edge {e.id!r} has unknown source {e.source!r}")
-            eids[e.id] = e
+        """Check a specification and return the graph, raising diagnostics.
 
-        def check_pair(pair, increasing, sq):
-            a, b = pair
-            if a not in eids or b not in eids:
-                raise BadSquare(f"square {sq} refers to unknown edge")
-            ea, eb = eids[a], eids[b]
-            if ea.source != eb.range:
-                raise BadSquare(f"square side {pair} is not composable")
-            if increasing and not ea.color < eb.color:
-                raise BadSquare(f"square side {pair} must list the lower color first")
-            if not increasing and not ea.color > eb.color:
-                raise BadSquare(f"square side {pair} must list the higher color first")
-            return ea, eb
+        The same as ``KGraph(spec)``: the constructor validates."""
+        return cls(spec)
 
-        seen_first = {}
-        seen_second = {}
-        for sq in spec.squares:
-            e, f = check_pair(sq.first, True, sq)
-            f2, e2 = check_pair(sq.second, False, sq)
-            if {e.color, f.color} != {f2.color, e2.color}:
-                raise BadSquare(f"square {sq} mixes color pairs")
-            if e.range != f2.range or f.source != e2.source:
-                raise BadSquare(f"square {sq} endpoints do not match")
-            if sq.first in seen_first:
-                raise NotBijective(f"edge pair {sq.first} appears in two squares")
-            if sq.second in seen_second:
-                raise NotBijective(f"edge pair {sq.second} appears in two squares")
-            seen_first[sq.first] = sq
-            seen_second[sq.second] = sq
-
-        # every composable bicolored pair must occur on exactly one square
-        # side; the edges at each vertex keep spec order, so the first pair
-        # reported is the first in spec order
-        at = {}  # vertex -> the edges with that range, in spec order
-        for e in eids.values():
-            at.setdefault(e.range, []).append(e)
-        for a in eids.values():
-            for b in at.get(a.source, ()):
-                if a.color == b.color:
-                    continue
-                pair = (a.id, b.id)
-                table = seen_first if a.color < b.color else seen_second
-                if pair not in table:
-                    raise NotBijective(f"edge pair {pair} is not covered by any square")
-
-        graph = cls(spec)
-        if spec.k >= 3:
-            graph._check_cubes(at)
-        return graph
+    def _square_side(self, pair, increasing, sq):
+        """The two edges of one side of square sq, checked: known,
+        composable, and listing the lower color first iff increasing."""
+        a, b = pair
+        if a not in self._edges or b not in self._edges:
+            raise BadSquare(f"square {sq} refers to unknown edge")
+        ea, eb = self._edges[a], self._edges[b]
+        if ea.source != eb.range:
+            raise BadSquare(f"square side {pair} is not composable")
+        if not (ea.color < eb.color if increasing else ea.color > eb.color):
+            order = "lower" if increasing else "higher"
+            raise BadSquare(f"square side {pair} must list the {order} color first")
+        return ea, eb
 
     def _check_cubes(self, at):
         """Tricolored words must normalize identically along both swap
         orders.  at maps each vertex to the edges with that range, in spec
         order."""
         for x in self._edges.values():
-            for y in at.get(x.source, ()):
+            for y in at[x.source]:
                 if y.color >= x.color:
                     continue
-                for z in at.get(y.source, ()):
+                for z in at[y.source]:
                     if z.color >= y.color:
                         continue
                     w = [x.id, y.id, z.id]
                     a = self._normalize_word(w)
-                    b = self._normalize_word(
-                        [x.id, *self._to_colormajor[(y.id, z.id)]]
-                    )
+                    b = self._normalize_word([x.id, *self._to_colormajor[(y.id, z.id)]])
                     if a != b:
-                        raise CubeInconsistent(
-                            f"word {w} normalizes to both {a} and {b}"
-                        )
+                        raise CubeInconsistent(f"word {w} normalizes to both {a} and {b}")
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -238,12 +225,8 @@ class KGraph:
         return sorted(self._edges)
 
     def out_edges(self, v, color=None):
-        if color is not None:
-            return list(self._out[(v, color)])
-        out = []
-        for c in range(1, self.k + 1):
-            out.extend(self._out[(v, c)])
-        return out
+        colors = range(1, self.k + 1) if color is None else (color,)
+        return [eid for c in colors for eid in self._out[(v, c)]]
 
     def vertex(self, v):
         if v not in self.vertices:
@@ -605,11 +588,7 @@ class KGraph:
 
     def has_sources(self):
         """True iff some vertex receives no edge of some color."""
-        return any(
-            not self._out[(v, c)]
-            for v in self.vertices
-            for c in range(1, self.k + 1)
-        )
+        return not all(self._out.values())
 
     def is_locally_convex(self):
         for v in self.vertices:
@@ -653,37 +632,29 @@ class KGraph:
 
 def omega_graph(m):
     """The rank-k lattice segment graph: vertices are tuples p <= m, with one
-    color-i edge from p to p + e_i whenever that stays below m."""
+    color-i edge from p to p + e_i whenever that stays below m, and a square
+    for every unit square of the segment."""
     k = len(m)
+    points = list(degrees.below(m))
+    name = {p: ",".join(map(str, p)) for p in points}
 
-    def name(p):
-        return ",".join(str(c) for c in p)
+    def step(p, i):
+        """p + e_(i+1), or None outside the segment."""
+        return p[:i] + (p[i] + 1,) + p[i + 1:] if p[i] < m[i] else None
 
-    verts = [tuple(p) for p in degrees.below(m)]
-    edges = []
-    for p in verts:
-        for i in range(1, k + 1):
-            q = degrees.add(p, degrees.unit(k, i))
-            if degrees.le(q, m):
-                edges.append(
-                    Edge(id=f"{name(p)}>{name(q)}", color=i, range=name(p), source=name(q))
-                )
-    eid = {(e.range, e.source): e.id for e in edges}
-    squares = []
-    for p in verts:
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                pi = degrees.add(p, degrees.unit(k, i))
-                pj = degrees.add(p, degrees.unit(k, j))
-                pij = degrees.add(pi, degrees.unit(k, j))
-                if not degrees.le(pij, m):
-                    continue
-                squares.append(
-                    Square(
-                        first=(eid[(name(p), name(pi))], eid[(name(pi), name(pij))]),
-                        second=(eid[(name(p), name(pj))], eid[(name(pj), name(pij))]),
-                    )
-                )
-    spec = KGraphSpec(k=k, vertices=tuple(name(p) for p in verts),
-                      edges=tuple(edges), squares=tuple(squares))
-    return KGraph.validate(spec)
+    edges, eid = [], {}  # eid[(p, i)] is the color-(i+1) edge with range p
+    for p in points:
+        for i in range(k):
+            q = step(p, i)
+            if q is not None:
+                eid[(p, i)] = f"{name[p]}>{name[q]}"
+                edges.append(Edge(eid[(p, i)], i + 1, name[p], name[q]))
+    squares = [
+        Square(first=(eid[(p, i)], eid[(step(p, i), j)]),
+               second=(eid[(p, j)], eid[(step(p, j), i)]))
+        for p in points
+        for i in range(k)
+        for j in range(i + 1, k)
+        if (p, i) in eid and (p, j) in eid
+    ]
+    return KGraph.validate(KGraphSpec(k, tuple(name.values()), tuple(edges), tuple(squares)))

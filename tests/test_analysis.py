@@ -8,8 +8,10 @@ from kpx import groupoid as gpd
 from kpx import presets
 from kpx.algebra import is_zero
 from kpx.degrees import below, zero
-from kpx.kgraph import Edge, KGraph, KGraphSpec, omega_graph
+from kpx.kgraph import Edge, KGraph, KGraphSpec, Path, omega_graph
 from kpx.rings import QQ, ZZ, IntegersMod
+
+from conftest import ACYCLIC_ORACLE_GRAPHS, boundary_oracle
 
 
 def test_acyclic_graphs_are_aperiodic(acyclic_graph):
@@ -71,6 +73,34 @@ def test_cofinality_cyclic_counterexample():
     assert v.vertex == "b" and v.path.label() == "a(p)^oo"
 
 
+# the oracle graphs with a boundary path that some vertex cannot reach
+NOT_COFINAL = {"ds100_011", "ds20_01", "ds31_12", "lambda2", "twodots", "twosquares"}
+
+
+@pytest.mark.parametrize("name", sorted(ACYCLIC_ORACLE_GRAPHS))
+def test_cofinal_matches_boundary_sweep(name):
+    # v reaches a boundary path x iff v Lambda x(n) is non-empty for some n;
+    # the witness is the first (v, x) that fails, x in boundary sort order
+    g = ACYCLIC_ORACLE_GRAPHS[name]()
+    boundary = sorted((lam for lam in g.all_paths() if boundary_oracle(g, lam)),
+                      key=Path.sort_key)
+
+    def reaches(v, lam):
+        seen = {g.vertex_at(lam, n) for n in below(lam.degree)}
+        return any(p.source in seen for p in g.paths_at(v))
+
+    want = next(((v, lam.label()) for v in g.vertices for lam in boundary
+                 if not reaches(v, lam)), None)
+    got = ana.check_cofinal(g)
+    assert (want is not None) == (name in NOT_COFINAL)
+    if want is None:
+        assert (got.status, got.vertex, got.path) == ("cofinal", None, None)
+    else:
+        assert (got.status, got.vertex, got.path.label()) == ("not_cofinal", *want)
+    if name == "lambda2":
+        assert want == ("v2", "v5")
+
+
 def test_effective_minimal_match_direct_checks(acyclic_graph):
     g = acyclic_graph
     # effective: every groupoid element with equal legs has offset zero
@@ -112,8 +142,10 @@ def test_report_omega13(omega13):
     "build", [presets.lambda2, lambda: omega_graph((2, 2))], ids=["lambda2", "omega22"]
 )
 def test_report_enumerates_boundary_once(build, monkeypatch):
-    # check_cofinal and dim_over_field (through orbits) share the boundary
-    # the graph keeps, so each path is tested once
+    # check_cofinal needs only reachability, so only dim_over_field (through
+    # orbits) enumerates the boundary, and each path is tested once
+    g = build()
+    want = sum(len(o) ** 2 for o in bnd.orbits(g))
     calls = []
     real = bnd.is_boundary_finite
 
@@ -122,9 +154,8 @@ def test_report_enumerates_boundary_once(build, monkeypatch):
         return real(lam)
 
     monkeypatch.setattr(bnd, "is_boundary_finite", counted)
-    g = build()
     r = ana.report(g, QQ)
-    assert r.dimension == sum(len(o) ** 2 for o in bnd.orbits(g))
+    assert r.dimension == want
     assert len(calls) == len(g.all_paths())
 
 

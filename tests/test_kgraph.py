@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 from conftest import (
     ORACLE_GRAPHS,
     _tail,
+    downset_graph,
     exhaustive_oracle,
     exhaustive_oracle_bool,
     mce_oracle,
@@ -101,18 +103,14 @@ def test_cube_consistency_accepts_lattices(omega3111):
     KGraph.validate(omega3111.spec)
 
 
-def test_cube_inconsistent_rejected():
-    # one vertex, one loop per color in rank 3; choose squares so that the
-    # two normalizations of the tricolored word disagree.
+def cube_spec(consistent):
+    """One vertex, two loops per color in rank 3, with squares that make
+    the two normalizations of the tricolored words agree or not."""
     edges = tuple(
         Edge(eid, c, "v", "v")
         for c, ids in ((1, "a1 a2"), (2, "b1 b2"), (3, "c1 c2"))
         for eid in ids.split()
     )
-
-    def build(squares):
-        return KGraphSpec(3, ("v",), edges, tuple(squares))
-
     # pair colors (1,2): a_i b_j factorizations
     ab = [Square(("a1", "b1"), ("b2", "a2")), Square(("a2", "b2"), ("b1", "a1")),
           Square(("a1", "b2"), ("b1", "a2")), Square(("a2", "b1"), ("b2", "a1"))]
@@ -125,10 +123,13 @@ def test_cube_inconsistent_rejected():
     # 24 bijective pairings; 16 of them break the cube condition)
     bc_bad = [Square(("b1", "c1"), ("c1", "b1")), Square(("b2", "c2"), ("c1", "b2")),
               Square(("b1", "c2"), ("c2", "b2")), Square(("b2", "c1"), ("c2", "b1"))]
+    return KGraphSpec(3, ("v",), edges, tuple(ab + ac + (bc_good if consistent else bc_bad)))
 
-    KGraph.validate(build(ab + ac + bc_good))  # sanity: consistent variant passes
+
+def test_cube_inconsistent_rejected():
+    KGraph.validate(cube_spec(True))  # sanity: consistent variant passes
     with pytest.raises(errors.CubeInconsistent) as exc:
-        KGraph.validate(build(ab + ac + bc_bad))
+        KGraph.validate(cube_spec(False))
     # the first failing word in spec order, as an all-triples sweep finds it
     assert str(exc.value) == ("word ['c1', 'b1', 'a1'] normalizes to both "
                               "['a1', 'b2', 'c2'] and ['a1', 'b1', 'c2']")
@@ -142,6 +143,135 @@ def test_uncovered_pair_message(omega3111):
         KGraph.validate(KGraphSpec(spec.k, spec.vertices, spec.edges, spec.squares[1:]))
     assert str(exc.value) == (
         "edge pair ('0,0,0>0,1,0', '0,1,0>1,1,0') is not covered by any square")
+
+
+def spec_mutations(spec):
+    """(name, spec) for a fixed list of broken variants of spec."""
+    sq, e0, rest = spec.squares, spec.edges[0], spec.edges[1:]
+    yield "unchanged", spec
+    for i in range(len(sq)):
+        yield f"drop square {i}", replace(spec, squares=sq[:i] + sq[i + 1:])
+    yield "duplicate square 0", replace(spec, squares=sq + sq[:1])
+    yield "swap sides of square 0", replace(spec, squares=(Square(sq[0].second, sq[0].first),) + sq[1:])
+    yield "recolour edge 0", replace(spec, edges=(replace(e0, color=e0.color % spec.k + 1),) + rest)
+    yield "edge 0 from unknown vertex", replace(spec, edges=(replace(e0, source="nowhere"),) + rest)
+    yield "dot in edge 0 id", replace(spec, edges=(replace(e0, id=e0.id + ".x"),) + rest)
+    yield "repeat vertex 0", replace(spec, vertices=spec.vertices + spec.vertices[:1])
+
+
+MUTATION_SPECS = {
+    "lambda2": lambda: presets.lambda2().spec,
+    "omega311": lambda: omega_graph((3, 1, 1)).spec,
+    "cube_bad": lambda: cube_spec(False),
+}
+
+# the first error of each mutation, frozen from the checks as they stood
+# before validation moved into KGraph.__init__
+FIRST_ERRORS = {
+    "cube_bad": [
+        ("unchanged", "CubeInconsistent",
+         "word ['c1', 'b1', 'a1'] normalizes to both ['a1', 'b2', 'c2'] and ['a1', 'b1', 'c2']"),
+        ("drop square 0", "NotBijective", "edge pair ('a1', 'b1') is not covered by any square"),
+        ("drop square 1", "NotBijective", "edge pair ('a2', 'b2') is not covered by any square"),
+        ("drop square 2", "NotBijective", "edge pair ('a1', 'b2') is not covered by any square"),
+        ("drop square 3", "NotBijective", "edge pair ('a2', 'b1') is not covered by any square"),
+        ("drop square 4", "NotBijective", "edge pair ('a1', 'c1') is not covered by any square"),
+        ("drop square 5", "NotBijective", "edge pair ('a2', 'c2') is not covered by any square"),
+        ("drop square 6", "NotBijective", "edge pair ('a1', 'c2') is not covered by any square"),
+        ("drop square 7", "NotBijective", "edge pair ('a2', 'c1') is not covered by any square"),
+        ("drop square 8", "NotBijective", "edge pair ('b1', 'c1') is not covered by any square"),
+        ("drop square 9", "NotBijective", "edge pair ('b2', 'c2') is not covered by any square"),
+        ("drop square 10", "NotBijective", "edge pair ('b1', 'c2') is not covered by any square"),
+        ("drop square 11", "NotBijective", "edge pair ('b2', 'c1') is not covered by any square"),
+        ("duplicate square 0", "NotBijective", "edge pair ('a1', 'b1') appears in two squares"),
+        ("swap sides of square 0", "BadSquare",
+         "square side ('b2', 'a2') must list the lower color first"),
+        ("recolour edge 0", "BadSquare",
+         "square side ('a1', 'b1') must list the lower color first"),
+        ("edge 0 from unknown vertex", "MissingEndpoint",
+         "edge 'a1' has unknown source 'nowhere'"),
+        ("dot in edge 0 id", "InvalidSpec", "edge id 'a1.x' contains '.'"),
+        ("repeat vertex 0", "InvalidSpec", "duplicate vertex id 'v'"),
+    ],
+    "lambda2": [
+        ("unchanged", None, None),
+        ("drop square 0", "NotBijective", "edge pair ('e1', 'f1') is not covered by any square"),
+        ("duplicate square 0", "NotBijective", "edge pair ('e1', 'f1') appears in two squares"),
+        ("swap sides of square 0", "BadSquare",
+         "square side ('f2', 'e2') must list the lower color first"),
+        ("recolour edge 0", "BadSquare",
+         "square side ('e1', 'f1') must list the lower color first"),
+        ("edge 0 from unknown vertex", "MissingEndpoint",
+         "edge 'e1' has unknown source 'nowhere'"),
+        ("dot in edge 0 id", "InvalidSpec", "edge id 'e1.x' contains '.'"),
+        ("repeat vertex 0", "InvalidSpec", "duplicate vertex id 'v1'"),
+    ],
+    "omega311": [
+        ("unchanged", None, None),
+        ("drop square 0", "NotBijective",
+         "edge pair ('0,0,0>0,1,0', '0,1,0>1,1,0') is not covered by any square"),
+        ("drop square 1", "NotBijective",
+         "edge pair ('0,0,0>0,0,1', '0,0,1>1,0,1') is not covered by any square"),
+        ("drop square 2", "NotBijective",
+         "edge pair ('0,0,0>0,0,1', '0,0,1>0,1,1') is not covered by any square"),
+        ("drop square 3", "NotBijective",
+         "edge pair ('0,0,1>0,1,1', '0,1,1>1,1,1') is not covered by any square"),
+        ("drop square 4", "NotBijective",
+         "edge pair ('0,1,0>0,1,1', '0,1,1>1,1,1') is not covered by any square"),
+        ("drop square 5", "NotBijective",
+         "edge pair ('1,0,0>1,1,0', '1,1,0>2,1,0') is not covered by any square"),
+        ("drop square 6", "NotBijective",
+         "edge pair ('1,0,0>1,0,1', '1,0,1>2,0,1') is not covered by any square"),
+        ("drop square 7", "NotBijective",
+         "edge pair ('1,0,0>1,0,1', '1,0,1>1,1,1') is not covered by any square"),
+        ("drop square 8", "NotBijective",
+         "edge pair ('1,0,1>1,1,1', '1,1,1>2,1,1') is not covered by any square"),
+        ("drop square 9", "NotBijective",
+         "edge pair ('1,1,0>1,1,1', '1,1,1>2,1,1') is not covered by any square"),
+        ("drop square 10", "NotBijective",
+         "edge pair ('2,0,0>2,1,0', '2,1,0>3,1,0') is not covered by any square"),
+        ("drop square 11", "NotBijective",
+         "edge pair ('2,0,0>2,0,1', '2,0,1>3,0,1') is not covered by any square"),
+        ("drop square 12", "NotBijective",
+         "edge pair ('2,0,0>2,0,1', '2,0,1>2,1,1') is not covered by any square"),
+        ("drop square 13", "NotBijective",
+         "edge pair ('2,0,1>2,1,1', '2,1,1>3,1,1') is not covered by any square"),
+        ("drop square 14", "NotBijective",
+         "edge pair ('2,1,0>2,1,1', '2,1,1>3,1,1') is not covered by any square"),
+        ("drop square 15", "NotBijective",
+         "edge pair ('3,0,0>3,0,1', '3,0,1>3,1,1') is not covered by any square"),
+        ("duplicate square 0", "NotBijective",
+         "edge pair ('0,0,0>1,0,0', '1,0,0>1,1,0') appears in two squares"),
+        ("swap sides of square 0", "BadSquare",
+         "square side ('0,0,0>0,1,0', '0,1,0>1,1,0') must list the lower color first"),
+        ("recolour edge 0", "BadSquare",
+         "square side ('0,0,0>0,0,1', '0,0,1>1,0,1') must list the higher color first"),
+        ("edge 0 from unknown vertex", "MissingEndpoint",
+         "edge '0,0,0>0,0,1' has unknown source 'nowhere'"),
+        ("dot in edge 0 id", "InvalidSpec", "edge id '0,0,0>0,0,1.x' contains '.'"),
+        ("repeat vertex 0", "InvalidSpec", "duplicate vertex id '0,0,0'"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_SPECS))
+def test_first_validation_error(name):
+    got = []
+    for label, spec in spec_mutations(MUTATION_SPECS[name]()):
+        try:
+            KGraph.validate(spec)
+            got.append((label, None, None))
+        except errors.KpxError as exc:
+            got.append((label, type(exc).__name__, str(exc)))
+    assert got == FIRST_ERRORS[name]
+
+
+@pytest.mark.parametrize("m", [(0,), (4,), (2, 0, 1), (3, 3), (2, 2, 2), (1, 1, 1, 1)])
+def test_omega_graph_is_the_box_downset(m):
+    # the lattice segment is the down-set of the single point m
+    got, want = omega_graph(m), downset_graph((m,))
+    assert got.spec == want.spec
+    assert got.squares == want.squares
 
 
 # --------------------------------------------------------- path arithmetic

@@ -101,17 +101,23 @@ def test_parse_ring():
 
 
 @pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
-@pytest.mark.parametrize("value", [0.5, 2.0, True, Fraction(1, 2), Fraction(4, 2)],
-                         ids=["float", "integral-float", "bool", "half", "fraction-two"])
+@pytest.mark.parametrize(
+    "value", [0.5, 2.0, True, False, Fraction(1, 2), Fraction(4, 2)],
+    ids=["float", "integral-float", "bool", "bool-false", "half", "fraction-two"])
 def test_span_form_rejects_values_outside_the_ring(lambda2, ring, value):
-    # only ints and the ring's own values go in: a float, a bool, or a
-    # Fraction over a ring without fractions is CoefficientNotInRing
+    # only ints and the ring's own values go in, as a term or as a scale
+    # factor: a float, a bool, or a Fraction over a ring without fractions
+    # is CoefficientNotInRing
     v = lambda2.vertex("v1")
+    one = SpanForm(ring, {(v, v): 1})
     if ring is QQ and isinstance(value, Fraction):
         assert SpanForm(ring, {(v, v): value}).coefficient(v, v) == value
+        assert one.scale(value).coefficient(v, v) == value
         return
     with pytest.raises(errors.CoefficientNotInRing):
         SpanForm(ring, {(v, v): value})
+    with pytest.raises(errors.CoefficientNotInRing):
+        one.scale(value)
 
 
 # ------------------------------------------------------------- grammar
