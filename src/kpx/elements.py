@@ -39,19 +39,19 @@ class _Parser:
         self._skip()
         if not self.text.startswith(lit, self.pos):
             got = self.text[self.pos : self.pos + len(lit)] or "end of input"
-            raise ParseError(f"expected {lit!r}, got {got!r}", column=self.pos)
+            raise ParseError(f"expected {lit!r}, got {got!r}", column=self.pos + 1)
         self.pos += len(lit)
 
     def integer(self):
         self._skip()
         m = _INT.match(self.text, self.pos)
         if not m:
-            raise ParseError("expected an integer", column=self.pos)
+            raise ParseError("expected an integer", column=self.pos + 1)
         try:
             value = int(m.group())
         except ValueError:  # longer than the interpreter converts
             raise ParseError(
-                f"integer of {len(m.group())} digits is too long", column=self.pos
+                f"integer of {len(m.group())} digits is too long", column=self.pos + 1
             ) from None
         self.pos = m.end()
         return value
@@ -70,7 +70,7 @@ class _Parser:
         self._skip()
         if self.pos != len(self.text):
             raise ParseError(
-                f"trailing input {self.text[self.pos:]!r}", column=self.pos
+                f"trailing input {self.text[self.pos:]!r}", column=self.pos + 1
             )
         return algebra.reduce(self.ring, words)
 
@@ -93,20 +93,18 @@ class _Parser:
     def factor(self):
         kind = self.peek()
         if kind not in ("s", "g"):
-            raise ParseError(
-                f"expected a generator s(...) or g(...)", column=self.pos
-            )
+            raise ParseError("expected a generator s(...) or g(...)", column=self.pos + 1)
         self.expect(kind)
         self.expect("(")
         end = self.text.find(")", self.pos)
         if end < 0:
-            raise ParseError("unclosed generator parenthesis", column=self.pos)
-        literal = self.text[self.pos : end].strip()
-        self.pos = end + 1
+            raise ParseError("unclosed generator parenthesis", column=self.pos + 1)
+        start, self.pos = self.pos, end + 1
+        literal = self.text[start:end].strip()
         try:
             path = self.g.parse_path(literal)
         except KpxError as exc:
-            raise ParseError(f"bad path {literal!r}: {exc}") from exc
+            raise ParseError(f"bad path {literal!r}: {exc}", column=start + 1) from exc
         return algebra.PathSym(path) if kind == "s" else algebra.GhostSym(path)
 
 

@@ -69,6 +69,9 @@ class ParseError(KpxError):
     """A textual input (graph file or element expression) failed to parse."""
 
     def __init__(self, message, line=None, column=None):
+        if column is not None:  # 1-based; the message ends with the location
+            where = f"column {column}" if line is None else f"line {line}, column {column}"
+            message += f" ({where})"
         super().__init__(message)
         self.line = line
         self.column = column

@@ -8,54 +8,44 @@ Format::
       "edges": [{"id": "e1", "color": 1, "range": "v1", "source": "v2"}],
       "squares": [{"first": ["e1", "f1"], "second": ["f2", "e2"]}]
     }
+
+This module maps the document to a ``KGraphSpec`` and checks only its
+shape; the ``KGraph`` constructor checks the values, types included.
 """
 
+import dataclasses
 import json
 
 from .errors import ParseError
 from .kgraph import Edge, KGraph, KGraphSpec, Square
 
 
-def _typed(value, kind, what):
-    """value itself, if its JSON type is kind; no float or bool is an int."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ParseError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
-    return value
-
-
-def _pair(value, what):
-    if len(_typed(value, list, what)) != 2:
-        raise ParseError(f"{what} must list two edge ids, not {len(value)}")
-    return tuple(_typed(eid, str, what) for eid in value)
+def _list(value, what):
+    """value as a tuple, if it is a JSON list."""
+    if type(value) is not list:
+        raise ParseError(f"{what} must be a list, not {type(value).__name__}")
+    return tuple(value)
 
 
 def spec_from_dict(data):
-    """Build a specification from a parsed graph document, which must use
-    JSON integers for k and colors and JSON strings for every id."""
+    """Map a parsed graph document to a specification.
+
+    Only the document's shape is checked here: it must have every key, and
+    each container must be a JSON list (it becomes a tuple).  The values go
+    through unchanged; the ``KGraph`` constructor checks their types, the
+    same checks a specification built in Python goes through."""
     try:
-        k = _typed(data["k"], int, "k")
-        vertices = tuple(
-            _typed(v, str, "vertex id") for v in _typed(data["vertices"], list, "vertices")
-        )
-        edges = tuple(
-            Edge(
-                id=_typed(e["id"], str, "edge id"),
-                color=_typed(e["color"], int, "edge color"),
-                range=_typed(e["range"], str, "edge range"),
-                source=_typed(e["source"], str, "edge source"),
-            )
-            for e in _typed(data.get("edges", []), list, "edges")
-        )
-        squares = tuple(
-            Square(
-                first=_pair(sq["first"], "square side first"),
-                second=_pair(sq["second"], "square side second"),
-            )
-            for sq in _typed(data.get("squares", []), list, "squares")
+        return KGraphSpec(
+            k=data["k"],
+            vertices=_list(data["vertices"], "vertices"),
+            edges=tuple(Edge(e["id"], e["color"], e["range"], e["source"])
+                        for e in _list(data.get("edges", []), "edges")),
+            squares=tuple(Square(_list(sq["first"], "square side"),
+                                 _list(sq["second"], "square side"))
+                          for sq in _list(data.get("squares", []), "squares")),
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
-    return KGraphSpec(k=k, vertices=vertices, edges=edges, squares=squares)
 
 
 def load_graph(path):
@@ -71,23 +61,17 @@ def load_graph(path):
         raise ParseError(
             f"invalid graph file {path}: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+    except RecursionError:
+        raise ParseError(f"invalid graph file {path}: nested too deeply") from None
     return KGraph.validate(spec_from_dict(data))
 
 
 def graph_to_dict(g):
+    """The graph document of g, the inverse of spec_from_dict (edges sorted by id)."""
+    spec = g.spec
     return {
-        "k": g.k,
-        "vertices": list(g.vertices),
-        "edges": [
-            {
-                "id": e.id,
-                "color": e.color,
-                "range": e.range,
-                "source": e.source,
-            }
-            for e in (g.edge(eid) for eid in g.edge_ids())
-        ],
-        "squares": [
-            {"first": list(sq.first), "second": list(sq.second)} for sq in g.squares
-        ],
+        "k": spec.k,
+        "vertices": list(spec.vertices),
+        "edges": [dataclasses.asdict(e) for e in spec.edges],
+        "squares": [{"first": list(sq.first), "second": list(sq.second)} for sq in spec.squares],
     }

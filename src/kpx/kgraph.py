@@ -95,31 +95,39 @@ class KGraph:
 
     The constructor checks the specification while it builds the edge
     table, the square tables and the edge index, so each is built once and
-    no unvalidated graph exists.  The graph owns every derived cache.
+    no unvalidated graph exists.  It checks types too (``int`` rank and
+    colours, not ``bool``; ``str`` ids; two-id square sides), so a spec read
+    from a file and one built in Python pass the same gate.  The graph owns
+    every derived cache.
     """
 
     def __init__(self, spec):
-        if spec.k < 1:
-            raise InvalidSpec(f"rank must be >= 1, got {spec.k}")
         self.k = k = spec.k
+        if type(k) is not int or k < 1:
+            raise InvalidSpec(f"rank must be an int >= 1, got {k!r}")
         self.vertices = tuple(spec.vertices)
         vset = set()
         for v in self.vertices:
+            if type(v) is not str:
+                raise InvalidSpec(f"vertex id {v!r} is not a str")
             if v in vset:
                 raise InvalidSpec(f"duplicate vertex id {v!r}")
             vset.add(v)
+        self._vset = vset = frozenset(vset)
         self._edges = edges = {}
         at = {v: [] for v in self.vertices}  # vertex -> the edges with that range, in spec order
         for e in spec.edges:
+            if type(e.id) is not str:
+                raise InvalidSpec(f"edge id {e.id!r} is not a str")
             if e.id in edges or e.id in vset:
                 raise InvalidSpec(f"duplicate id {e.id!r}")
             if "." in e.id:  # path labels join edge ids with '.'
                 raise InvalidSpec(f"edge id {e.id!r} contains '.'")
-            if not 1 <= e.color <= k:
-                raise InvalidSpec(f"edge {e.id!r} has color {e.color} outside 1..{k}")
-            if e.range not in vset:
+            if type(e.color) is not int or not 1 <= e.color <= k:
+                raise InvalidSpec(f"edge {e.id!r} has color {e.color!r}, not an int in 1..{k}")
+            if type(e.range) is not str or e.range not in vset:
                 raise MissingEndpoint(f"edge {e.id!r} has unknown range {e.range!r}")
-            if e.source not in vset:
+            if type(e.source) is not str or e.source not in vset:
                 raise MissingEndpoint(f"edge {e.id!r} has unknown source {e.source!r}")
             edges[e.id] = e
             at[e.range].append(e)
@@ -184,6 +192,9 @@ class KGraph:
     def _square_side(self, pair, increasing, sq):
         """The two edges of one side of square sq, checked: known,
         composable, and listing the lower color first iff increasing."""
+        if not (type(pair) is tuple and len(pair) == 2
+                and type(pair[0]) is str and type(pair[1]) is str):
+            raise BadSquare(f"square side {pair!r} is not a pair of edge ids")
         a, b = pair
         if a not in self._edges or b not in self._edges:
             raise BadSquare(f"square {sq} refers to unknown edge")
@@ -229,7 +240,7 @@ class KGraph:
         return [eid for c in colors for eid in self._out[(v, c)]]
 
     def vertex(self, v):
-        if v not in self.vertices:
+        if type(v) is not str or v not in self._vset:  # ids are str, and a list is unhashable
             raise UnknownId(f"unknown vertex id {v!r}")
         return Path(self, v, ())
 
@@ -247,7 +258,7 @@ class KGraph:
 
     def parse_path(self, text):
         """Parse a path literal: a vertex id or dot-joined edge ids."""
-        if text in self.vertices:
+        if text in self._vset:
             return self.vertex(text)
         return self.path(text.split("."))
 
@@ -356,7 +367,7 @@ class KGraph:
         stops once no word extends, so a huge bound costs nothing where no
         path exists.  When lo == hi the words come out sorted.
         """
-        if v not in self.vertices:
+        if type(v) is not str or v not in self._vset:
             raise UnknownId(f"unknown vertex id {v!r}")
         if any(c < 0 for c in hi) or any(hi[self.k:]):
             raise DegreeOutOfRange(f"degree {hi} is not in N^{self.k}")

@@ -7,8 +7,9 @@ import pytest
 
 from kpx import cli, io, presets
 from kpx.cli import main
+from kpx.degrees import below
 
-from conftest import within
+from conftest import ORACLE_GRAPHS, within
 
 FIX = "tests/fixtures"
 L2 = f"{FIX}/lambda2.json"
@@ -59,12 +60,21 @@ def test_validate_bad_file(tmp_path, capsys):
         # path labels join edge ids with '.', so an id may not contain one
         b'{"k": 1, "vertices": ["u", "v"], "edges": '
         b'[{"id": "a.b", "color": 1, "range": "u", "source": "v"}]}',
+        # containers must be JSON lists and entries JSON objects
+        b'{"k": 2, "vertices": ["v"], "edges": {}}',
+        b'{"k": 2, "vertices": ["v"], "squares": [{"first": "ef", "second": ["f", "e"]}]}',
+        b'{"k": 1, "vertices": ["v"], "edges": ["e"]}',
+        b"[1]",
+        # nested deeper than the JSON decoder recurses
+        b"[" * 200_000,
     ]
     for doc in documents:
         bad = tmp_path / "bad.json"
         bad.write_bytes(doc)
-        code, _ = run(capsys, "--graph", str(bad), "validate")
+        code = main(["--graph", str(bad), "validate"])
+        err = capsys.readouterr().err
         assert code == 2, doc
+        assert err.startswith("error: ") and "internal error" not in err, (doc[:80], err)
 
 
 def test_internal_error_has_no_traceback(capsys, monkeypatch):
@@ -438,23 +448,37 @@ def test_output_is_deterministic(capsys):
     assert c == d
 
 
-def test_graph_round_trip(tmp_path, acyclic_graph):
-    data = io.graph_to_dict(acyclic_graph)
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_graph_round_trip(tmp_path, name):
+    # all_paths is acyclic-only, so compare the paths of each degree up to
+    # (1,)*k, which the cyclic graphs have too
+    g = ORACLE_GRAPHS[name]()
+    data = io.graph_to_dict(g)
     path = tmp_path / "g.json"
     path.write_text(json.dumps(data))
     g2 = io.load_graph(str(path))
     assert io.graph_to_dict(g2) == data
-    assert g2.vertices == acyclic_graph.vertices
-    assert sorted(p.label() for p in g2.all_paths()) == sorted(
-        p.label() for p in acyclic_graph.all_paths()
-    )
+    assert g2.vertices == g.vertices
+    for v in g.vertices:
+        for n in below((1,) * g.k):
+            assert g2.paths_from(v, n) == g.paths_from(v, n)
 
 
-def test_parse_error_has_location(tmp_path):
+def test_parse_error_has_location(tmp_path, capsys):
     from kpx import errors
 
+    # graph files report a line and a 1-based column, element expressions
+    # a 1-based column; both end the message kpx prints
     path = tmp_path / "bad.json"
     path.write_text('{\n  "k": ]\n}')
     with pytest.raises(errors.ParseError) as exc:
         io.load_graph(str(path))
     assert exc.value.line == 2
+    assert main(["--graph", str(path), "validate"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid graph file {path}: Expecting value (line 2, column 8)\n")
+    assert main(["--graph", L2, "eval", "s(e1) + + s(e3)"]) == 2
+    assert capsys.readouterr().err == (
+        "error: expected a generator s(...) or g(...) (column 9)\n")
+    assert main(["--graph", L2, "eval", "s(e1) + s(zz)"]) == 2
+    assert capsys.readouterr().err == "error: bad path 'zz': unknown edge id 'zz' (column 11)\n"

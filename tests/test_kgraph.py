@@ -266,6 +266,45 @@ def test_first_validation_error(name):
     assert got == FIRST_ERRORS[name]
 
 
+# two commuting loops at one vertex, valid as it stands
+LOOPS = KGraphSpec(2, ("v",), (Edge("e", 1, "v", "v"), Edge("f", 2, "v", "v")),
+                   (Square(("e", "f"), ("f", "e")),))
+E, F = LOOPS.edges
+
+
+BAD_TYPES = {
+    "float colour": replace(LOOPS, edges=(replace(E, color=1.0), F)),
+    "bool colour": replace(LOOPS, edges=(replace(E, color=True), F)),
+    "bool rank": replace(LOOPS, k=True),
+    "float rank": replace(LOOPS, k=2.0),
+    "int vertex id": replace(LOOPS, vertices=("v", 1)),
+    "list vertex id": replace(LOOPS, vertices=("v", ["w"])),
+    "None endpoint": replace(LOOPS, edges=(E, replace(F, range=None))),
+    "list edge id": replace(LOOPS, edges=(E, replace(F, id=["f"]))),
+    "three-id square side": replace(LOOPS, squares=(Square(("e", "f", "e"), ("f", "e")),)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BAD_TYPES))
+def test_spec_built_in_python_is_type_checked(label):
+    # the constructor is the one gate: a spec that never was JSON gets the
+    # same type checks as one read from a file
+    KGraph.validate(LOOPS)
+    with pytest.raises(errors.InvalidSpec):
+        KGraph(BAD_TYPES[label])
+
+
+def test_unknown_vertex(lambda2):
+    # vertex lookups go through a set; a value that is no vertex id, even an
+    # unhashable one, is still an unknown id
+    for v in ("zz", "e1", ["v1"]):
+        with pytest.raises(errors.UnknownId):
+            lambda2.vertex(v)
+        with pytest.raises(errors.UnknownId):
+            lambda2.paths_from(v, (0, 0))
+    assert lambda2.parse_path("v1") == lambda2.vertex("v1")
+
+
 @pytest.mark.parametrize("m", [(0,), (4,), (2, 0, 1), (3, 3), (2, 2, 2), (1, 1, 1, 1)])
 def test_omega_graph_is_the_box_downset(m):
     # the lattice segment is the down-set of the single point m
