@@ -158,7 +158,7 @@ def check_cofinal(g):
     """
     reach = {v: g.reachable(v) for v in g.vertices}
     if g.is_acyclic():
-        sinks = sorted(w for w in g.vertices if not g.out_edges(w))
+        sinks = g.sinks()
         for v in g.vertices:
             for w in sinks:
                 if w not in reach[v]:

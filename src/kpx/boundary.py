@@ -3,9 +3,10 @@
 A boundary path is a (possibly infinite) path that meets every finite
 exhaustive set based at every vertex it visits.  On acyclic graphs all
 boundary paths are finite, and a finite path is one iff its source vertex
-receives no edge, so they are enumerated exactly.  On cyclic graphs we
-support eventually-periodic witnesses ("lassos"): a finite head followed by
-a repeated cycle.
+receives no edge (is a sink), so they are enumerated exactly: the paths
+grow from each sink (``KGraph.paths_to``), and no other path is built.  On
+cyclic graphs we support eventually-periodic witnesses ("lassos"): a finite
+head followed by a repeated cycle.
 """
 
 from dataclasses import dataclass
@@ -201,10 +202,9 @@ def is_boundary_finite(lam):
 
 
 def enumerate_boundary(g):
-    """All boundary paths of an acyclic graph, sorted: the finite paths the
-    graph caches, filtered.  A finite boundary path sorts like its path, so
-    the cached order is already boundary order."""
-    return [finite(lam) for lam in g.all_paths() if is_boundary_finite(lam)]
+    """All boundary paths of an acyclic graph, sorted: the union of the
+    orbits.  A finite boundary path sorts like its path."""
+    return sorted((x for orbit in orbits(g) for x in orbit), key=BoundaryPath.sort_key)
 
 
 def boundary_at(g, v):
@@ -212,15 +212,17 @@ def boundary_at(g, v):
 
 
 def orbits(g):
-    """Shift-orbits of the boundary: x ~ y iff some shifts agree.
+    """Shift-orbits of the boundary of an acyclic graph, one per sink w in
+    sorted order, each sorted: x ~ y iff some shifts agree.
 
-    On an acyclic graph the full shift of a finite boundary path is its
-    source vertex, so orbits are exactly the source-vertex classes.
+    The full shift of a finite boundary path is its source vertex, so the
+    orbits are the source classes, and the orbit of w is every path with
+    source w (is_boundary_finite).  paths_to grows exactly these from w, in
+    normal form, each once.
     """
-    groups = {}
-    for x in enumerate_boundary(g):
-        groups.setdefault(x.source, []).append(x)
-    return [groups[v] for v in sorted(groups)]
+    if not g.is_acyclic():  # paths_to checks too, but a cyclic graph may have no sink
+        raise NotAcyclic("the path category of a cyclic graph is infinite")
+    return [[finite(lam) for lam in g.paths_to(w)] for w in g.sinks()]
 
 
 # ----------------------------------------------------------------------

@@ -115,16 +115,21 @@ def parse_element(g, ring, text):
 
 def parse_cell(g, text):
     """Parse a cell literal: ``LAM*MU`` or ``LAM*MU\\NU1;NU2`` (semicolon-
-    separated avoid paths, since edge ids may contain commas)."""
+    separated avoid paths, since edge ids may contain commas).  Errors carry
+    the 1-based column of the literal at fault, as in element expressions."""
     body, _, avoid_text = text.partition("\\")
     lam_text, sep, mu_text = body.partition("*")
     if not sep:
-        raise ParseError(f"cell literal {text!r} needs LAM*MU")
-    lam = g.parse_path(lam_text.strip())
-    mu = g.parse_path(mu_text.strip())
-    avoid = [
-        g.parse_path(part.strip())
-        for part in avoid_text.split(";")
-        if part.strip()
-    ]
+        raise ParseError(f"cell literal {text!r} needs LAM*MU", column=len(body) + 1)
+    paths, offset = [], 0  # every separator is one character
+    for i, part in enumerate([lam_text, mu_text, *avoid_text.split(";")]):
+        literal = part.strip()
+        if i < 2 or literal:  # empty avoid paths are skipped
+            try:
+                paths.append(g.parse_path(literal))
+            except KpxError as exc:
+                column = offset + len(part) - len(part.lstrip()) + 1
+                raise ParseError(f"bad path {literal!r}: {exc}", column=column) from exc
+        offset += len(part) + 1
+    lam, mu, *avoid = paths
     return groupoid.make_cell(lam, mu, avoid)

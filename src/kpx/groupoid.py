@@ -341,9 +341,13 @@ def eval_function(f, el):
 
 def dim_over_field(g, ring):
     """The dimension of the algebra over a field for an acyclic graph: the
-    number of groupoid elements, i.e. the sum of squared orbit sizes."""
+    number of groupoid elements, i.e. the sum of squared orbit sizes.
+
+    The orbit of a sink w holds one boundary path per path with source w
+    (boundary.orbits), so its size is count_paths_to(w), an exact count
+    that builds no path."""
     if not ring.is_field:
         raise NotField(f"{ring!r} is not a field")
     if not g.is_acyclic():
         raise NotAcyclic("dimension is finite only for acyclic graphs")
-    return sum(len(orbit) ** 2 for orbit in boundary.orbits(g))
+    return sum(g.count_paths_to(w) ** 2 for w in g.sinks())

@@ -5,8 +5,9 @@ collection of commuting squares pairing each bicolored edge path with its
 factorization in the opposite color order.  Paths are stored in a normal
 form where edge colors appear in non-decreasing order; the squares are the
 rewriting rules that transport any edge word into that normal form.  Path
-sets (exact degree, degree box, relative boundary, all paths) all come from
-one enumerator that grows normal-form words one color at a time.
+sets by range (exact degree, degree box, relative boundary, all paths) all
+come from one enumerator that grows normal-form words one color at a time;
+the paths with a given source grow from that source, one edge at a time.
 """
 
 import collections
@@ -164,12 +165,18 @@ class KGraph:
         if k >= 3:
             self._check_cubes(at)
 
-        # (vertex, color) -> sorted edge ids with that range
-        self._out = {(v, c): sorted(e.id for e in at[v] if e.color == c)
-                     for v in self.vertices for c in range(1, k + 1)}
+        # (vertex, color) -> sorted edge ids with that range, and with that
+        # source; one pass over the sorted ids keeps each list sorted
+        self._out = {(v, c): [] for v in self.vertices for c in range(1, k + 1)}
+        self._in = {key: [] for key in self._out}
+        for eid in sorted(edges):
+            e = edges[eid]
+            self._out[(e.range, e.color)].append(eid)
+            self._in[(e.source, e.color)].append(eid)
         # derived caches, which live as long as the graph
         self._all_paths_cache = None
         self._acyclic = None
+        self._counts = {}  # vertex u -> [N(u, 1), ..., N(u, k)] (see count_paths_to)
         self._mce = {}  # (lam, mu) -> minimal_common_extensions(lam, mu)
         self._move_table = {}  # (mu, colour) -> _moves(mu, colour)
 
@@ -418,6 +425,71 @@ class KGraph:
         """All paths with range v (acyclic graphs), sorted."""
         return [lam for lam in self.all_paths() if lam.range == v]
 
+    def paths_to(self, w):
+        """All paths with source w (acyclic graphs), sorted.
+
+        The words grow from the source end: a normal-form word whose first
+        edge has color c takes on its left only edges of color <= c whose
+        source is its range.  The result is again in normal form, so no
+        square is used, and each normal-form word with source w is built by
+        exactly one sequence of such steps (strip its edges from the left).
+        A path has exactly one normal-form word (unique factorization), so
+        each path comes out once.  The words of one length are sorted
+        within their level, and the levels come out shortest first.
+        """
+        self._require_acyclic(w)
+        edges, into = self._edges, self._in
+        level = [((), w, self.k)]  # (edge word, range, color of its first edge)
+        paths = []
+        while level:
+            level.sort()  # the words of a level differ, so this sorts by word
+            paths += [Path(self, v, word) for word, v, _ in level]
+            level = [((eid,) + word, edges[eid].range, c)
+                     for word, v, top in level
+                     for c in range(1, top + 1) for eid in into[(v, c)]]
+        return paths
+
+    def count_paths_to(self, w):
+        """The number of paths with source w (acyclic graphs), that is
+        len(paths_to(w)), computed without building a path.
+
+        Let N(u, c) count the normal-form words with source u whose colors
+        are all <= c.  Such a word is the vertex u, or ends in an edge e with
+        s(e) = u and color(e) <= c after a word with source r(e) whose
+        colors are all <= color(e) (the step paths_to takes), so
+
+            N(u, c) = 1 + sum over s(e) = u, color(e) <= c of N(r(e), color(e)),
+
+        and the count is N(w, k).  The rows N(u, 1..k) are filled in
+        depth-first with an explicit stack and kept with the graph.
+        """
+        self._require_acyclic(w)
+        rows, edges, into, k = self._counts, self._edges, self._in, self.k
+        stack = [w]
+        while stack:
+            u = stack[-1]
+            if u in rows:
+                stack.pop()
+                continue
+            todo = [edges[eid].range for c in range(1, k + 1) for eid in into[(u, c)]
+                    if edges[eid].range not in rows]
+            if todo:  # acyclic: these are all done when u is on top again
+                stack += todo
+                continue
+            stack.pop()
+            row, n = [], 1
+            for c in range(1, k + 1):
+                n += sum(rows[edges[eid].range][c - 1] for eid in into[(u, c)])
+                row.append(n)
+            rows[u] = row
+        return rows[w][-1]
+
+    def _require_acyclic(self, v):
+        """Check that v is a vertex and the graph has finitely many paths."""
+        self.vertex(v)
+        if not self.is_acyclic():
+            raise NotAcyclic("the path category of a cyclic graph is infinite")
+
     # ------------------------------------------------------------------
     # common extensions
 
@@ -596,6 +668,11 @@ class KGraph:
                     color[w] = 1
                     stack.append((w, iter(self.out_edges(w))))
         return False
+
+    def sinks(self):
+        """The vertices that receive no edge (no edge has them as range),
+        sorted: on an acyclic graph, the sources of the boundary paths."""
+        return sorted(v for v in self.vertices if not self.out_edges(v))
 
     def has_sources(self):
         """True iff some vertex receives no edge of some color."""

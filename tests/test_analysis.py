@@ -139,24 +139,24 @@ def test_report_omega13(omega13):
 
 
 @pytest.mark.parametrize(
-    "build", [presets.lambda2, lambda: omega_graph((2, 2))], ids=["lambda2", "omega22"]
+    "build, dim", [(presets.lambda2, 20), (lambda: omega_graph((2, 2)), 81)],
+    ids=["lambda2", "omega22"],
 )
-def test_report_enumerates_boundary_once(build, monkeypatch):
-    # check_cofinal needs only reachability, so only dim_over_field (through
-    # orbits) enumerates the boundary, and each path is tested once
+def test_report_never_calls_all_paths(build, dim, monkeypatch):
+    # the boundary grows from the sinks and dim counts, so no boundary work
+    # builds the whole path list, starting from a fresh graph
     g = build()
-    want = sum(len(o) ** 2 for o in bnd.orbits(g))
-    calls = []
-    real = bnd.is_boundary_finite
 
-    def counted(lam):
-        calls.append(lam)
-        return real(lam)
+    def refuse(self):
+        raise AssertionError("all_paths called")
 
-    monkeypatch.setattr(bnd, "is_boundary_finite", counted)
-    r = ana.report(g, QQ)
-    assert r.dimension == want
-    assert len(calls) == len(g.all_paths())
+    monkeypatch.setattr(KGraph, "all_paths", refuse)
+    assert ana.report(g, QQ).dimension == dim
+    assert gpd.dim_over_field(build(), QQ) == dim
+    orbits = bnd.orbits(build())
+    assert sum(len(o) ** 2 for o in orbits) == dim
+    assert bnd.enumerate_boundary(build()) == sorted(
+        (x for o in orbits for x in o), key=bnd.BoundaryPath.sort_key)
 
 
 def test_report_loop(loop):

@@ -1,14 +1,55 @@
 """Boundary paths: enumeration, canonical lassos, shift orbits, generators."""
 
+import functools
 import itertools
+import math
 
 import pytest
 
 from kpx import boundary as bnd
 from kpx import errors, presets
 from kpx.degrees import INF
+from kpx.groupoid import dim_over_field
+from kpx.kgraph import Path, omega_graph
+from kpx.rings import QQ
 
-from conftest import boundary_oracle
+from conftest import ACYCLIC_ORACLE_GRAPHS, boundary_oracle, paths_oracle
+
+# lattice segments, named by rank and corner, the first three among the
+# acyclic oracle graphs; the sweep of boundary_oracle takes seconds on
+# (1,1,1,1), so that segment and (2,1,1,1) are gated by the counts alone
+SEGMENTS = {"omega13": (3,), "omega211": (1, 1), "omega3111": (1, 1, 1), "omega14": (4,),
+            "omega222": (2, 2), "omega41101": (1, 1, 0, 1), "omega41111": (1, 1, 1, 1),
+            "omega42111": (2, 1, 1, 1)}
+SWEPT = {**ACYCLIC_ORACLE_GRAPHS,
+         **{name: (lambda m=SEGMENTS[name]: omega_graph(m))
+            for name in ("omega14", "omega222", "omega41101")}}
+COUNTED = {**SWEPT,
+           **{name: (lambda m=SEGMENTS[name]: omega_graph(m))
+              for name in ("omega41111", "omega42111")}}
+
+
+@functools.cache
+def every_path(name):
+    """The graph and all its paths, sorted, from the compose-based search."""
+    g = COUNTED[name]()
+    top = (len(g.vertices),) * g.k  # more edges than any path has
+    return g, sorted((p for v in g.vertices for p in paths_oracle(g, v, top)),
+                     key=Path.sort_key)
+
+
+@functools.cache
+def swept_boundary(name):
+    """The graph and the paths boundary_oracle accepts, sorted."""
+    g, paths = every_path(name)
+    return g, [p for p in paths if boundary_oracle(g, p)]
+
+
+def source_classes(paths):
+    classes = {}
+    for p in paths:
+        classes.setdefault(p.source, []).append(p)
+    return [classes[w] for w in sorted(classes)]
 
 
 def test_lambda2_boundary_frozen(lambda2):
@@ -40,6 +81,55 @@ def test_boundary_matches_definition_oracle_downsets(downset):
     want = {p for p in g.all_paths() if boundary_oracle(g, p)}
     got = {x.head for x in bnd.enumerate_boundary(g)}
     assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+def test_boundary_is_what_the_definition_accepts(name):
+    g, want = swept_boundary(name)
+    assert bnd.enumerate_boundary(g) == [bnd.finite(p) for p in want]
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+def test_orbits_are_the_source_classes(name):
+    g, want = swept_boundary(name)
+    assert bnd.orbits(g) == [[bnd.finite(p) for p in c] for c in source_classes(want)]
+    assert [c[0].source for c in source_classes(want)] == g.sinks()
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_paths_to_and_its_count(name):
+    # the count keeps its rows with the graph, so a fresh graph also counts
+    # the vertices in the other order
+    g, paths = every_path(name)
+    fresh = COUNTED[name]()
+    for w in g.vertices:
+        want = [p for p in paths if p.source == w]
+        assert g.paths_to(w) == want, w
+        assert g.count_paths_to(w) == len(want), w
+    assert [fresh.count_paths_to(w) for w in reversed(g.vertices)] == \
+        [len(g.paths_to(w)) for w in reversed(g.vertices)]
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_dim_is_sum_of_squared_source_classes(name):
+    g, paths = every_path(name)
+    classes = source_classes(p for p in paths if not g.out_edges(p.source))
+    if name in SWEPT:
+        assert classes == source_classes(swept_boundary(name)[1])
+    dim = dim_over_field(g, QQ)
+    assert dim == sum(len(c) ** 2 for c in classes)
+    if name in SEGMENTS:
+        assert dim == math.prod(m + 1 for m in SEGMENTS[name]) ** 2
+
+
+def test_cyclic_graphs_have_no_finite_path_sets(loop, cloops):
+    for g in (loop, cloops):  # neither has a sink
+        for run in (bnd.orbits, bnd.enumerate_boundary, lambda g: g.paths_to("v"),
+                    lambda g: g.count_paths_to("v")):
+            with pytest.raises(errors.NotAcyclic, match="^the path category of a cyclic"):
+                run(g)
+    with pytest.raises(errors.UnknownId):
+        presets.lambda2().paths_to("zz")
 
 
 def test_finite_membership_needs_acyclic(loop):

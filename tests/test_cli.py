@@ -367,6 +367,20 @@ def test_refine(capsys):
     assert out.split() == ["e1.f1*e1.f1"]
 
 
+def test_refine_parse_error_has_location(capsys):
+    # a cell literal reports the 1-based column of the path at fault, the
+    # way an element expression does, and wraps an unknown id
+    for cell, err in [
+        ("e1", "cell literal 'e1' needs LAM*MU (column 3)"),
+        ("e1*x2", "bad path 'x2': unknown edge id 'x2' (column 4)"),
+        (" zz * e1", "bad path 'zz': unknown edge id 'zz' (column 2)"),
+        ("e1*e1\\f1; zz", "bad path 'zz': unknown edge id 'zz' (column 11)"),
+        ("e1*e1\\e1.e3", "bad path 'e1.e3': edges e1 and e3 do not compose (column 7)"),
+    ]:
+        assert main(["--graph", L2, "refine", "e1*e1", cell]) == 2, cell
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_analyze_exit_codes(capsys, tmp_path):
     assert run(capsys, "--graph", L2, "analyze")[0] == 0
     code, out = run(capsys, "--graph", L2, "analyze", "--json")
@@ -396,6 +410,28 @@ def test_dim(capsys):
     assert code == 0 and json.loads(out)["dimension"] == 20
     assert run(capsys, "--graph", L2, "--ring", "z", "dim")[0] == 2
     assert run(capsys, "--graph", LOOP, "dim")[0] == 2
+
+
+def test_dim_counts_large_graphs(capsys, tmp_path):
+    # dim counts the paths with each sink as source instead of listing every
+    # path, and boundary lists only those paths
+    assert run_in_time(capsys, "--omega", "30,30", "dim") == (0, "923521\n")
+    assert run_in_time(capsys, "--omega", "8,8,8", "dim") == (0, "531441\n")
+    code, out = run_in_time(capsys, "--omega", "30,30", "boundary", "--orbits")
+    assert code == 0 and [len(line.split()) for line in out.splitlines()] == [961]
+    # a chain of 2,000 steps with two parallel edges each has 2^2001 - 1
+    # paths with its one sink as source
+    n = 2000
+    doc = {
+        "k": 1,
+        "vertices": [f"v{i}" for i in range(n + 1)],
+        "edges": [{"id": f"{x}{i}", "color": 1, "range": f"v{i}", "source": f"v{i + 1}"}
+                  for i in range(n) for x in "ab"],
+        "squares": [],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert run_in_time(capsys, "--graph", str(path), "dim") == (0, f"{(2 ** (n + 1) - 1) ** 2}\n")
 
 
 def test_omega_flag(capsys):
