@@ -96,9 +96,10 @@ def check_aperiodic(g):
     """
     if g.is_acyclic():
         return AperiodicityVerdict(status="aperiodic", note="acyclic graph")
+    peeled = set(g.peel_order())  # the vertices that reach no cycle
     unresolved = []
     for v in g.vertices:
-        if not g.reaches_cycle([v]):
+        if v in peeled:
             continue
         if not _deterministic_from(g, v):
             unresolved.append(v)
@@ -148,23 +149,28 @@ def check_cofinal(g):
 
     A boundary path x meets reachable(v) exactly when that set holds its
     tail vertex x.head.source (the source of a finite x, the cycle base of a
-    lasso), since every vertex x visits reaches it.  Exact on acyclic graphs,
-    where the tails are the sinks (vertices that receive no edge), each a
-    boundary path that sorts before the longer ones: the witness is the
-    first sink a vertex cannot reach.  On cyclic graphs, all-pairs
-    reachability is a certificate for cofinality; otherwise a periodic
-    boundary witness is searched inside deterministic regions, and failing
-    both the verdict is unknown.
+    lasso), since every vertex x visits reaches it.  On acyclic graphs the
+    tails are the sinks (vertices that receive no edge).  A sink reaches
+    only itself and every vertex reaches some sink, so the graph is cofinal
+    iff it has exactly one sink.  Otherwise the witness is the first vertex,
+    in vertex order, that misses a sink, with the first sink it misses (a
+    boundary path that sorts before the longer ones); the first sink in
+    vertex order misses the others, so the search stops there at the latest.
+    On cyclic graphs, all-pairs reachability is a certificate for
+    cofinality; otherwise a periodic boundary witness is searched inside
+    deterministic regions, and failing both the verdict is unknown.
     """
-    reach = {v: g.reachable(v) for v in g.vertices}
     if g.is_acyclic():
         sinks = g.sinks()
+        if len(sinks) <= 1:
+            return CofinalityVerdict(status="cofinal", note="every vertex reaches every sink")
         for v in g.vertices:
+            reach = g.reachable(v)
             for w in sinks:
-                if w not in reach[v]:
+                if w not in reach:
                     return CofinalityVerdict(status="not_cofinal", vertex=v,
                                              path=boundary.finite(g.vertex(w)))
-        return CofinalityVerdict(status="cofinal", note="every vertex reaches every sink")
+    reach = {v: g.reachable(v) for v in g.vertices}
     if all(reach[v] == set(g.vertices) for v in g.vertices):
         return CofinalityVerdict(status="cofinal", note="all-pairs reachability")
     for w in g.vertices:

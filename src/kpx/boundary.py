@@ -207,10 +207,6 @@ def enumerate_boundary(g):
     return sorted((x for orbit in orbits(g) for x in orbit), key=BoundaryPath.sort_key)
 
 
-def boundary_at(g, v):
-    return [x for x in enumerate_boundary(g) if x.range == v]
-
-
 def orbits(g):
     """Shift-orbits of the boundary of an acyclic graph, one per sink w in
     sorted order, each sorted: x ~ y iff some shifts agree.

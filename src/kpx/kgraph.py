@@ -175,7 +175,7 @@ class KGraph:
             self._in[(e.source, e.color)].append(eid)
         # derived caches, which live as long as the graph
         self._all_paths_cache = None
-        self._acyclic = None
+        self._peel = None  # see peel_order
         self._counts = {}  # vertex u -> [N(u, 1), ..., N(u, k)] (see count_paths_to)
         self._mce = {}  # (lam, mu) -> minimal_common_extensions(lam, mu)
         self._move_table = {}  # (mu, colour) -> _moves(mu, colour)
@@ -460,28 +460,20 @@ class KGraph:
 
             N(u, c) = 1 + sum over s(e) = u, color(e) <= c of N(r(e), color(e)),
 
-        and the count is N(w, k).  The rows N(u, 1..k) are filled in
-        depth-first with an explicit stack and kept with the graph.
+        and the count is N(w, k).  Each r(e) with s(e) = u reaches u, so one
+        walk along the reversed peel order fills every row N(u, 1..k); the
+        rows are kept with the graph.
         """
         self._require_acyclic(w)
-        rows, edges, into, k = self._counts, self._edges, self._in, self.k
-        stack = [w]
-        while stack:
-            u = stack[-1]
-            if u in rows:
-                stack.pop()
-                continue
-            todo = [edges[eid].range for c in range(1, k + 1) for eid in into[(u, c)]
-                    if edges[eid].range not in rows]
-            if todo:  # acyclic: these are all done when u is on top again
-                stack += todo
-                continue
-            stack.pop()
-            row, n = [], 1
-            for c in range(1, k + 1):
-                n += sum(rows[edges[eid].range][c - 1] for eid in into[(u, c)])
-                row.append(n)
-            rows[u] = row
+        rows = self._counts
+        if not rows:
+            edges, into = self._edges, self._in
+            for u in reversed(self.peel_order()):
+                row, n = [], 1
+                for c in range(1, self.k + 1):
+                    n += sum(rows[edges[eid].range][c - 1] for eid in into[(u, c)])
+                    row.append(n)
+                rows[u] = row
         return rows[w][-1]
 
     def _require_acyclic(self, v):
@@ -642,32 +634,28 @@ class KGraph:
     # predicates
 
     def is_acyclic(self):
-        if self._acyclic is None:
-            self._acyclic = not self.reaches_cycle(self.vertices)
-        return self._acyclic
+        return len(self.peel_order()) == len(self.vertices)
 
-    def reaches_cycle(self, roots):
-        """True iff some path from a vertex in roots runs into a cycle."""
-        color = {}  # absent new, 1 open, 2 done
-        for v0 in roots:
-            if v0 in color:
-                continue
-            stack = [(v0, iter(self.out_edges(v0)))]
-            color[v0] = 1
-            while stack:
-                v, it = stack[-1]
-                eid = next(it, None)
-                if eid is None:
-                    color[v] = 2
-                    stack.pop()
-                    continue
-                w = self.edge(eid).source
-                if color.get(w) == 1:
-                    return True
-                if w not in color:
-                    color[w] = 1
-                    stack.append((w, iter(self.out_edges(w))))
-        return False
+    def peel_order(self):
+        """The vertices that reach no cycle, each after every vertex it
+        reaches (built once).  Kahn's peeling over the edge index: a vertex
+        joins once the source of every edge it receives has joined, so one
+        that reaches a cycle never joins, and one that reaches none joins by
+        induction on the longest path it ranges."""
+        if self._peel is None:
+            edges, into = self._edges, self._in
+            # v -> the edges v receives whose source has not joined
+            waiting = {v: len(self.out_edges(v)) for v in self.vertices}
+            order = [v for v in self.vertices if not waiting[v]]
+            for u in order:  # the list grows as vertices join
+                for c in range(1, self.k + 1):
+                    for eid in into[(u, c)]:
+                        r = edges[eid].range
+                        waiting[r] -= 1
+                        if not waiting[r]:
+                            order.append(r)
+            self._peel = tuple(order)
+        return self._peel
 
     def sinks(self):
         """The vertices that receive no edge (no edge has them as range),
@@ -699,6 +687,7 @@ class KGraph:
 
     def reachable(self, v):
         """Vertices w with a path from range v to source w, including v."""
+        self.vertex(v)
         seen = {v}
         stack = [v]
         while stack:

@@ -181,6 +181,41 @@ ORACLE_GRAPHS = {
 }
 
 
+def one_graph(vertices, arrows):
+    """The 1-graph on vertices with an edge e<i> from range a to source b
+    for the i-th pair (a, b) of arrows: a reaches b."""
+    edges = tuple(Edge(f"e{i}", 1, a, b) for i, (a, b) in enumerate(arrows))
+    return KGraph(KGraphSpec(k=1, vertices=tuple(vertices), edges=edges, squares=()))
+
+
+def random_one_graph(seed):
+    """A seeded random 1-graph on 1 to 7 vertices listed in random order,
+    with up to 9 edges, parallel edges and loops allowed.  Odd seeds give
+    acyclic graphs (every edge runs from a lower to a higher name); even
+    seeds may have cycles."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(rng.randint(1, 7))]
+    arrows = []
+    for _ in range(rng.randint(0, 9)):
+        a, b = rng.choice(names), rng.choice(names)
+        if seed % 2:
+            if a == b:
+                continue
+            a, b = min(a, b), max(a, b)
+        arrows.append((a, b))
+    rng.shuffle(names)
+    return one_graph(names, arrows)
+
+
+# two disjoint loops, and a chain that runs into a loop with a sink s off
+# its first vertex
+CYCLE_GRAPHS = {
+    "twoloops": lambda: one_graph("ab", [("a", "a"), ("b", "b")]),
+    "chain_to_loop": lambda: one_graph("abcds", [("a", "b"), ("b", "c"), ("c", "d"),
+                                                 ("d", "d"), ("a", "s")]),
+}
+
+
 class Hung(BaseException):
     """A guarded call ran out of time.  Not an Exception, so no catch-all in
     the code under test (such as the CLI's internal-error handler) can turn a
@@ -220,6 +255,26 @@ def paths_oracle(g, v, n):
         for eid in g.out_edges(lam.source):
             queue.append(g.compose(lam, g.path([eid])))
     return sorted(found, key=lambda p: p.sort_key())
+
+
+def reach_oracle(g):
+    """Reachability from the definition: after[v] is the set of vertices v
+    reaches through at least one edge, a fixpoint over the raw edge list,
+    and v reaches a cycle iff some vertex of {v} | after[v] is in its own
+    set.  Returns (after, the set of vertices that reach a cycle)."""
+    after = {v: set() for v in g.vertices}
+    for e in g.spec.edges:
+        after[e.range].add(e.source)
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices:
+            more = set().union(*(after[w] for w in after[v]))
+            if not more <= after[v]:
+                after[v] |= more
+                changed = True
+    cyclic = {v for v in g.vertices if any(w in after[w] for w in after[v] | {v})}
+    return after, cyclic
 
 
 def reduce_oracle(ring, weighted_words):

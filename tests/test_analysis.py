@@ -11,7 +11,13 @@ from kpx.degrees import below, zero
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Path, omega_graph
 from kpx.rings import QQ, ZZ, IntegersMod
 
-from conftest import ACYCLIC_ORACLE_GRAPHS, boundary_oracle
+from conftest import (
+    ACYCLIC_ORACLE_GRAPHS,
+    boundary_oracle,
+    one_graph,
+    random_one_graph,
+    reach_oracle,
+)
 
 
 def test_acyclic_graphs_are_aperiodic(acyclic_graph):
@@ -71,6 +77,46 @@ def test_cofinality_cyclic_counterexample():
     v = ana.check_cofinal(KGraph.validate(spec))
     assert v.status == "not_cofinal"
     assert v.vertex == "b" and v.path.label() == "a(p)^oo"
+
+
+def _first_missed_sink(g):
+    """The acyclic witness rule by brute force: the first vertex, in vertex
+    order, that cannot reach some sink, with the first sink (sorted) it
+    misses; None if there is no such vertex."""
+    after, _ = reach_oracle(g)
+    sinks = sorted(v for v in g.vertices if not after[v])
+    return next(((v, w) for v in g.vertices for w in sinks
+                 if w not in after[v] | {v}), None)
+
+
+@pytest.mark.parametrize("vertices, arrows, want", [
+    # a chain that forks into two sinks listed last: every vertex before
+    # the sinks reaches both, so the first sink is the witness
+    ("abcst", [("a", "b"), ("b", "c"), ("c", "s"), ("c", "t")], ("s", "t")),
+    # the sinks listed last against their sorted order
+    ("abts", [("a", "b"), ("b", "t"), ("b", "s")], ("t", "s")),
+    # a vertex before the sinks misses one
+    ("abcst", [("a", "b"), ("a", "c"), ("b", "s"), ("c", "t")], ("b", "t")),
+    # three sinks, the first vertex reaching all of them
+    ("axyz", [("a", "x"), ("a", "y"), ("a", "z")], ("x", "y")),
+])
+def test_acyclic_cofinality_witness_on_many_sinks(vertices, arrows, want):
+    g = one_graph(vertices, arrows)
+    assert _first_missed_sink(g) == want
+    v = ana.check_cofinal(g)
+    assert (v.status, v.vertex, v.path.label()) == ("not_cofinal", *want)
+
+
+def test_acyclic_cofinality_on_random_graphs():
+    # odd seeds give acyclic graphs: cofinal iff one sink, and the witness
+    # follows the brute-force rule
+    for seed in range(1, 100, 2):
+        g = random_one_graph(seed)
+        want = _first_missed_sink(g)
+        v = ana.check_cofinal(g)
+        got = None if v.status == "cofinal" else (v.vertex, v.path.label())
+        assert got == want, seed
+        assert (want is None) == (len(g.sinks()) == 1), seed
 
 
 # the oracle graphs with a boundary path that some vertex cannot reach

@@ -434,6 +434,19 @@ def test_dim_counts_large_graphs(capsys, tmp_path):
     assert run_in_time(capsys, "--graph", str(path), "dim") == (0, f"{(2 ** (n + 1) - 1) ** 2}\n")
 
 
+def test_analyze_large_acyclic_graphs_in_time(capsys):
+    # acyclic cofinality is "exactly one sink", so analyze builds no
+    # reachability set per vertex
+    with within(2, "--omega 3000 analyze"):
+        got = run(capsys, "--omega", "3000", "analyze")
+    assert got == (0, "acyclic: True\nhas_sources: True\nlocally_convex: True\n"
+                      "row_finite: True\naperiodic: aperiodic\ncofinal: cofinal\n"
+                      "ring: Q (field: True)\nbasically simple: yes\nsimple: yes\n"
+                      "dimension: 9006001\n")
+    code, out = run_in_time(capsys, "--omega", "40,40", "analyze")
+    assert code == 0 and out.endswith("simple: yes\ndimension: 2825761\n")
+
+
 def test_omega_flag(capsys):
     code, out = run(capsys, "--omega", "3", "dim", "--json")
     assert json.loads(out)["dimension"] == 16

@@ -14,6 +14,7 @@ from kpx.degrees import below, join, le, sub, zero
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 
 from conftest import (
+    CYCLE_GRAPHS,
     ORACLE_GRAPHS,
     _tail,
     downset_graph,
@@ -21,6 +22,8 @@ from conftest import (
     exhaustive_oracle_bool,
     mce_oracle,
     paths_oracle,
+    random_one_graph,
+    reach_oracle,
     witness_oracle,
 )
 
@@ -305,6 +308,12 @@ def test_unknown_vertex(lambda2):
     assert lambda2.parse_path("v1") == lambda2.vertex("v1")
 
 
+def test_reachable_unknown_vertex(lambda2):
+    for v in ("zz", "e1", ["v1"]):
+        with pytest.raises(errors.UnknownId):
+            lambda2.reachable(v)
+
+
 @pytest.mark.parametrize("m", [(0,), (4,), (2, 0, 1), (3, 3), (2, 2, 2), (1, 1, 1, 1)])
 def test_omega_graph_is_the_box_downset(m):
     # the lattice segment is the down-set of the single point m
@@ -480,6 +489,32 @@ def test_all_paths_raises_on_cyclic(loop):
 def test_is_acyclic(lambda2, loop, cloops, omega13):
     assert lambda2.is_acyclic() and omega13.is_acyclic()
     assert not loop.is_acyclic() and not cloops.is_acyclic()
+
+
+def _check_peel_order(g):
+    """The peel order holds each vertex that reaches no cycle once, after
+    every vertex it reaches, and reachable agrees with the oracle."""
+    after, cyclic = reach_oracle(g)
+    order = g.peel_order()
+    assert len(set(order)) == len(order)
+    assert set(order) == set(g.vertices) - cyclic
+    place = {v: i for i, v in enumerate(order)}
+    for v in order:
+        assert all(place[w] < place[v] for w in after[v]), v
+    assert g.is_acyclic() == (not cyclic)
+    for v in g.vertices:
+        assert g.reachable(v) == after[v] | {v}, v
+
+
+@pytest.mark.parametrize("name", sorted({**ORACLE_GRAPHS, **CYCLE_GRAPHS}))
+def test_peel_order_against_oracle(name):
+    _check_peel_order({**ORACLE_GRAPHS, **CYCLE_GRAPHS}[name]())
+
+
+def test_peel_order_on_random_graphs():
+    # odd seeds are acyclic, even ones mostly cyclic (see random_one_graph)
+    for seed in range(100):
+        _check_peel_order(random_one_graph(seed))
 
 
 def test_predicates(lambda2, omega13, point):
