@@ -51,75 +51,67 @@ class SimplicityReport:
 # aperiodicity
 
 
-def _deterministic_from(g, v):
-    """True iff every vertex reachable from v has at most one out-edge per color."""
-    for w in g.reachable(v):
-        for c in range(1, g.k + 1):
-            if len(g.out_edges(w, c)) > 1:
-                return False
-    return True
+def _tangled(g):
+    """The vertices that reach a vertex receiving two edges of one colour."""
+    return g.reaching([w for w in g.vertices
+                       if any(len(g.out_edges(w, c)) > 1 for c in range(1, g.k + 1))])
 
 
 def _staircase(g, v):
-    """Walk the unique maximal path from v in a deterministic region.
+    """Walk from v along the first edge each vertex receives, lowest colour
+    first: in a deterministic region, the unique maximal path from v.
 
-    Returns ("finite", edges) at a dead end, or ("cycle", prefix, cycle) on
-    the first vertex repeat.
+    Returns (edges, None) at a dead end, or (prefix, cycle) on the first
+    vertex repeat.
     """
     seen = {v: 0}
     edges = []
-    cur = v
-    while True:
-        eid = None
-        for c in range(1, g.k + 1):
-            out = g.out_edges(cur, c)
-            if out:
-                eid = out[0]
-                break
-        if eid is None:
-            return ("finite", edges, None)
-        edges.append(eid)
-        cur = g.edge(eid).source
-        if cur in seen:
-            split = seen[cur]
-            return ("cycle", edges[:split], edges[split:])
-        seen[cur] = len(edges)
+    while out := g.out_edges(v):
+        edges.append(out[0])
+        v = g.edge(out[0]).source
+        if v in seen:
+            return edges[:seen[v]], edges[seen[v]:]
+        seen[v] = len(edges)
+    return edges, None
+
+
+def _lassos(g, tangled):
+    """Yield (v, mu, alpha), in vertex order, for each vertex v that reaches
+    a cycle, is not tangled, and whose staircase mu.alpha closes the cycle
+    alpha."""
+    peeled = set(g.peel_order())  # the vertices that reach no cycle
+    for v in g.vertices:
+        if v in peeled or v in tangled:
+            continue
+        prefix, cycle = _staircase(g, v)
+        if cycle is not None:
+            yield v, g.path(prefix) if prefix else g.vertex(v), g.path(cycle)
 
 
 def check_aperiodic(g):
     """Decide whether every vertex ranges an aperiodic boundary path.
 
-    Acyclic graphs are aperiodic outright.  On cyclic graphs, a vertex whose
-    reachable region is deterministic carries a single boundary path; if
-    that path closes a cycle, all of v's boundary is periodic and a kernel
-    witness in the style of the one-sided shift argument is produced.
+    Acyclic graphs are aperiodic outright.  On cyclic graphs, a vertex that
+    is not tangled carries a single boundary path, its staircase; if that
+    path closes a cycle, all of v's boundary is periodic and a kernel
+    witness in the style of the one-sided shift argument is produced.  The
+    tangled vertices, those that reach a vertex receiving two edges of one
+    colour, are one backward walk; those that reach a cycle stay unresolved.
     """
     if g.is_acyclic():
         return AperiodicityVerdict(status="aperiodic", note="acyclic graph")
-    peeled = set(g.peel_order())  # the vertices that reach no cycle
-    unresolved = []
-    for v in g.vertices:
-        if v in peeled:
-            continue
-        if not _deterministic_from(g, v):
-            unresolved.append(v)
-            continue
-        kind, prefix_edges, cycle_edges = _staircase(g, v)
-        if kind == "finite":
-            continue
-        mu = g.path(prefix_edges) if prefix_edges else g.vertex(v)
-        alpha = g.path(cycle_edges)
+    tangled = _tangled(g)
+    for v, mu, alpha in _lassos(g, tangled):
         nu = g.compose(mu, alpha)
-        m = mu.degree
-        n = nu.degree
         return AperiodicityVerdict(
             status="periodic",
             vertex=v,
-            m=m,
-            n=n,
+            m=mu.degree,
+            n=nu.degree,
             witness=(mu, nu, alpha),
             note="deterministic region closes a cycle",
         )
+    unresolved = tangled - set(g.peel_order())
     if unresolved:
         return AperiodicityVerdict(
             status="unknown",
@@ -156,9 +148,10 @@ def check_cofinal(g):
     in vertex order, that misses a sink, with the first sink it misses (a
     boundary path that sorts before the longer ones); the first sink in
     vertex order misses the others, so the search stops there at the latest.
-    On cyclic graphs, all-pairs reachability is a certificate for
-    cofinality; otherwise a periodic boundary witness is searched inside
-    deterministic regions, and failing both the verdict is unknown.
+    On cyclic graphs, strong connectivity certifies cofinality, in two walks:
+    the first vertex reaches every vertex and every vertex reaches it.
+    Otherwise a lasso witness is searched among the staircases of the
+    untangled vertices (see check_aperiodic); failing both, unknown.
     """
     if g.is_acyclic():
         sinks = g.sinks()
@@ -170,19 +163,14 @@ def check_cofinal(g):
                 if w not in reach:
                     return CofinalityVerdict(status="not_cofinal", vertex=v,
                                              path=boundary.finite(g.vertex(w)))
-    reach = {v: g.reachable(v) for v in g.vertices}
-    if all(reach[v] == set(g.vertices) for v in g.vertices):
+    v0 = g.vertices[0]
+    if len(g.reachable(v0)) == len(g.reaching([v0])) == len(g.vertices):
         return CofinalityVerdict(status="cofinal", note="all-pairs reachability")
-    for w in g.vertices:
-        if not _deterministic_from(g, w):
-            continue
-        kind, prefix_edges, cycle_edges = _staircase(g, w)
-        if kind != "cycle":
-            continue
-        head = g.path(prefix_edges) if prefix_edges else g.vertex(w)
-        x = boundary.lasso(head, g.path(cycle_edges))
+    for _, head, cycle in _lassos(g, _tangled(g)):
+        x = boundary.lasso(head, cycle)
+        reaching = g.reaching([x.head.source])
         for v in g.vertices:
-            if x.head.source not in reach[v]:
+            if v not in reaching:
                 return CofinalityVerdict(status="not_cofinal", vertex=v, path=x)
     return CofinalityVerdict(
         status="unknown", note="reachability incomplete and no witness found"

@@ -38,9 +38,9 @@ def _parse_degree(text, k=None):
 
 
 def _load(args):
-    if args.omega:
+    if args.omega is not None:
         return omega_graph(_parse_degree(args.omega))
-    if args.graph:
+    if args.graph is not None:
         return io.load_graph(args.graph)
     raise KpxError("no graph given: use --graph FILE or --omega M")
 

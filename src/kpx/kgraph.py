@@ -687,16 +687,27 @@ class KGraph:
 
     def reachable(self, v):
         """Vertices w with a path from range v to source w, including v."""
-        self.vertex(v)
-        seen = {v}
-        stack = [v]
+        return self._walk([v], forward=True)
+
+    def reaching(self, targets):
+        """Vertices u with a path from range u to source some target, or a target."""
+        return self._walk(targets, forward=False)
+
+    def _walk(self, start, forward):
+        """The vertices joined to a start vertex by a path, start included,
+        stepping from each edge's range to its source if forward, else back."""
+        seen = {self.vertex(v).range for v in start}  # the ids, each checked
+        index = self._out if forward else self._in
+        stack = list(seen)
         while stack:
             w = stack.pop()
-            for eid in self.out_edges(w):
-                u = self.edge(eid).source
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
+            for c in range(1, self.k + 1):
+                for eid in index[(w, c)]:
+                    e = self._edges[eid]
+                    u = e.source if forward else e.range
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
         return seen
 
     def max_path_degree(self):

@@ -16,6 +16,7 @@ import pytest
 
 from kpx import boundary as bnd
 from kpx import presets
+from kpx.analysis import AperiodicityVerdict, CofinalityVerdict
 from kpx.algebra import GhostSym, PathSym, SpanForm
 from kpx.errors import NotComposable
 from kpx.degrees import join, le, sub, zero
@@ -207,6 +208,26 @@ def random_one_graph(seed):
     return one_graph(names, arrows)
 
 
+def product_graph(a, b):
+    """The rank-2 product of the 1-graphs a and b: a vertex u*w per pair, a
+    colour-1 edge e*w for each edge e of a and vertex w of b, a colour-2
+    edge u*f for each vertex u of a and edge f of b, and a square for each
+    pair (e, f).  Edge ids of a and b must differ from their vertex ids."""
+    def e1(e, w):
+        return Edge(f"{e.id}*{w}", 1, f"{e.range}*{w}", f"{e.source}*{w}")
+
+    def e2(u, f):
+        return Edge(f"{u}*{f.id}", 2, f"{u}*{f.range}", f"{u}*{f.source}")
+
+    ea, eb = a.spec.edges, b.spec.edges
+    vertices = tuple(f"{u}*{w}" for u in a.vertices for w in b.vertices)
+    edges = [e1(e, w) for e in ea for w in b.vertices] + [e2(u, f) for f in eb for u in a.vertices]
+    squares = [Square(first=(e1(e, f.range).id, e2(e.source, f).id),
+                      second=(e2(e.range, f).id, e1(e, f.source).id))
+               for e in ea for f in eb]
+    return KGraph(KGraphSpec(k=2, vertices=vertices, edges=tuple(edges), squares=tuple(squares)))
+
+
 # two disjoint loops, and a chain that runs into a loop with a sink s off
 # its first vertex
 CYCLE_GRAPHS = {
@@ -275,6 +296,74 @@ def reach_oracle(g):
                 changed = True
     cyclic = {v for v in g.vertices if any(w in after[w] for w in after[v] | {v})}
     return after, cyclic
+
+
+def verdict_oracle(g):
+    """check_aperiodic and check_cofinal from reach_oracle and the raw edge
+    list.  A vertex is deterministic iff no vertex of {v} | after[v]
+    receives two edges of one colour; its staircase follows the first edge
+    by (colour, id) that each vertex receives.  A lasso is the staircase of
+    a deterministic vertex that reaches a cycle, when it closes one; the
+    first lasso in vertex order makes the graph periodic.  Cofinal means
+    every vertex reaches every vertex (cyclic) or every sink (acyclic);
+    otherwise the witness is the first vertex that misses a sink (acyclic)
+    or the tail of a lasso, tried in vertex order (cyclic)."""
+    after, cyclic = reach_oracle(g)
+    reach = {v: after[v] | {v} for v in g.vertices}
+    edges = sorted(g.spec.edges, key=lambda e: (e.color, e.id))
+    received = collections.Counter((e.range, e.color) for e in edges)
+    branching = {v for (v, _), n in received.items() if n > 1}
+    first = {}
+    for e in edges:
+        first.setdefault(e.range, e)
+
+    def lasso(start):
+        word, seen, v = [], {start: 0}, start
+        while v in first:
+            word.append(first[v].id)
+            v = first[v].source
+            if v in seen:
+                prefix, cycle = word[:seen[v]], word[seen[v]:]
+                return g.path(prefix) if prefix else g.vertex(start), g.path(cycle)
+            seen[v] = len(word)
+        return None
+
+    lassos = []
+    for v in g.vertices:
+        if v in cyclic and not reach[v] & branching and (found := lasso(v)):
+            lassos.append((v, found))
+    if not cyclic:
+        aper = AperiodicityVerdict(status="aperiodic", note="acyclic graph")
+    elif lassos:
+        v, (mu, alpha) = lassos[0]
+        nu = g.compose(mu, alpha)
+        aper = AperiodicityVerdict(status="periodic", vertex=v, m=mu.degree, n=nu.degree,
+                                   witness=(mu, nu, alpha),
+                                   note="deterministic region closes a cycle")
+    elif unresolved := sorted(v for v in cyclic if reach[v] & branching):
+        aper = AperiodicityVerdict(status="unknown",
+                                   note=f"cyclic non-deterministic region at {unresolved}")
+    else:
+        aper = AperiodicityVerdict(status="aperiodic", note="all regions resolve")
+
+    if not cyclic:
+        sinks = sorted(v for v in g.vertices if not after[v])
+        missed = [(v, w) for v in g.vertices for w in sinks if w not in reach[v]]
+        if not missed:
+            return aper, CofinalityVerdict(status="cofinal",
+                                           note="every vertex reaches every sink")
+        v, w = missed[0]
+        return aper, CofinalityVerdict(status="not_cofinal", vertex=v,
+                                       path=bnd.finite(g.vertex(w)))
+    if all(reach[v] == set(g.vertices) for v in g.vertices):
+        return aper, CofinalityVerdict(status="cofinal", note="all-pairs reachability")
+    for _, (mu, alpha) in lassos:
+        x = bnd.lasso(mu, alpha)
+        for v in g.vertices:
+            if x.head.source not in reach[v]:
+                return aper, CofinalityVerdict(status="not_cofinal", vertex=v, path=x)
+    return aper, CofinalityVerdict(status="unknown",
+                                   note="reachability incomplete and no witness found")
 
 
 def reduce_oracle(ring, weighted_words):

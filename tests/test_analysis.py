@@ -13,10 +13,14 @@ from kpx.rings import QQ, ZZ, IntegersMod
 
 from conftest import (
     ACYCLIC_ORACLE_GRAPHS,
+    CYCLE_GRAPHS,
+    ORACLE_GRAPHS,
     boundary_oracle,
     one_graph,
+    product_graph,
     random_one_graph,
     reach_oracle,
+    verdict_oracle,
 )
 
 
@@ -117,6 +121,30 @@ def test_acyclic_cofinality_on_random_graphs():
         got = None if v.status == "cofinal" else (v.vertex, v.path.label())
         assert got == want, seed
         assert (want is None) == (len(g.sinks()) == 1), seed
+
+
+def _reference_graphs():
+    """The oracle and cycle graphs, 300 random 1-graphs, 40 products of two
+    random 1-graphs (both, one or neither cyclic) and commuting_loops(1..4)."""
+    for name, build in {**ORACLE_GRAPHS, **CYCLE_GRAPHS}.items():
+        yield name, build()
+    for seed in range(300):
+        yield f"random{seed}", random_one_graph(seed)
+    for seed in range(40):
+        yield f"product{seed}", product_graph(random_one_graph(seed),
+                                              random_one_graph(seed + 300))
+    for n in range(1, 5):
+        yield f"cloops{n}", presets.commuting_loops(n)
+
+
+def test_verdicts_against_reference():
+    # every field, the witness paths and the note included
+    statuses = set()
+    for name, g in _reference_graphs():
+        got = ana.check_aperiodic(g), ana.check_cofinal(g)
+        assert got == verdict_oracle(g), name
+        statuses |= {v.status for v in got}
+    assert statuses == {"aperiodic", "periodic", "cofinal", "not_cofinal", "unknown"}
 
 
 # the oracle graphs with a boundary path that some vertex cannot reach

@@ -93,6 +93,14 @@ def test_missing_graph_flag(capsys):
     assert run(capsys, "info")[0] == 2
 
 
+def test_empty_graph_flags(capsys):
+    # an empty value is a value: it is parsed, not taken for a missing flag
+    assert main(["--omega", "", "dim"]) == 2
+    assert capsys.readouterr().err == "error: bad degree literal ''\n"
+    assert main(["--graph", "", "dim"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 def test_nonexistent_file(capsys):
     assert run(capsys, "--graph", "no/such/file.json", "validate")[0] == 2
 
@@ -445,6 +453,38 @@ def test_analyze_large_acyclic_graphs_in_time(capsys):
                       "dimension: 9006001\n")
     code, out = run_in_time(capsys, "--omega", "40,40", "analyze")
     assert code == 0 and out.endswith("simple: yes\ndimension: 2825761\n")
+
+
+def test_analyze_large_cyclic_graphs_in_time(capsys, tmp_path):
+    # a ring is strongly connected and one staircase closes it; with a loop
+    # at v0 every vertex reaches a vertex that receives two edges of one
+    # colour, so aperiodicity is unknown.  Neither builds a reachability
+    # set per vertex.
+    n = 2000
+    doc = {
+        "k": 1,
+        "vertices": [f"v{i}" for i in range(n)],
+        "edges": [{"id": f"e{i}", "color": 1, "range": f"v{i}", "source": f"v{(i + 1) % n}"}
+                  for i in range(n)],
+        "squares": [],
+    }
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(doc))
+    doc["edges"].append({"id": "loop", "color": 1, "range": "v0", "source": "v0"})
+    ring_loop = tmp_path / "ring_loop.json"
+    ring_loop.write_text(json.dumps(doc))
+    head = "acyclic: False\nhas_sources: False\nlocally_convex: True\nrow_finite: True\n"
+    cycle = ".".join(f"e{i}" for i in range(n))
+    with within(1, "ring analyze"):
+        got = run(capsys, "--graph", str(ring), "analyze")
+    assert got == (0, head + "aperiodic: periodic\n"
+                   f"periodicity: vertex=v0 m=(0,) n=({n},) mu=v0 nu={cycle} alpha={cycle}\n"
+                   "cofinal: cofinal\nring: Q (field: True)\n"
+                   "basically simple: no\nsimple: no\n")
+    with within(1, "ring with a loop analyze"):
+        got = run(capsys, "--graph", str(ring_loop), "analyze")
+    assert got == (3, head + "aperiodic: unknown\ncofinal: cofinal\nring: Q (field: True)\n"
+                   "basically simple: unknown\nsimple: unknown\n")
 
 
 def test_omega_flag(capsys):

@@ -312,6 +312,8 @@ def test_reachable_unknown_vertex(lambda2):
     for v in ("zz", "e1", ["v1"]):
         with pytest.raises(errors.UnknownId):
             lambda2.reachable(v)
+        with pytest.raises(errors.UnknownId):
+            lambda2.reaching(["v1", v])
 
 
 @pytest.mark.parametrize("m", [(0,), (4,), (2, 0, 1), (3, 3), (2, 2, 2), (1, 1, 1, 1)])
@@ -493,7 +495,8 @@ def test_is_acyclic(lambda2, loop, cloops, omega13):
 
 def _check_peel_order(g):
     """The peel order holds each vertex that reaches no cycle once, after
-    every vertex it reaches, and reachable agrees with the oracle."""
+    every vertex it reaches, and reachable and reaching agree with the
+    oracle."""
     after, cyclic = reach_oracle(g)
     order = g.peel_order()
     assert len(set(order)) == len(order)
@@ -504,6 +507,10 @@ def _check_peel_order(g):
     assert g.is_acyclic() == (not cyclic)
     for v in g.vertices:
         assert g.reachable(v) == after[v] | {v}, v
+        assert g.reaching([v]) == {u for u in g.vertices if v in after[u]} | {v}, v
+    assert g.reaching([]) == set()
+    targets = g.vertices[::2]
+    assert g.reaching(targets) == {u for u in g.vertices if (after[u] | {u}) & set(targets)}
 
 
 @pytest.mark.parametrize("name", sorted({**ORACLE_GRAPHS, **CYCLE_GRAPHS}))
