@@ -12,7 +12,7 @@ the paths with a given source grow from that source, one edge at a time.
 
 import collections
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import degrees
 from .errors import (
@@ -57,13 +57,36 @@ class KGraphSpec:
     squares: tuple
 
 
-@dataclass(frozen=True, slots=True)
 class Path:
-    """A morphism in normal form: a range vertex plus a color-sorted edge word."""
+    """A morphism in normal form: a range vertex plus a color-sorted edge word.
 
-    graph: "KGraph" = field(compare=False, repr=False)
-    range: str
-    edges: tuple
+    A graph holds one Path per range and word (``KGraph._path``); the paths
+    of two graphs of one spec compare equal by value.  The hash and the
+    degree are computed on first use and kept.  Paths are immutable, as the
+    interned ones are shared dict keys.
+    """
+
+    __slots__ = ("graph", "range", "edges", "_hash", "_degree")
+
+    def __init__(self, graph, range, edges):
+        _set_graph(self, graph)
+        _set_range(self, range)
+        _set_edges(self, edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Path.{name}: paths are immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self is other or (self.range, self.edges) == (other.range, other.edges)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            _set_hash(self, hash((self.range, self.edges)))
+            return self._hash
 
     @property
     def source(self):
@@ -73,10 +96,14 @@ class Path:
 
     @property
     def degree(self):
-        d = [0] * self.graph.k
-        for eid in self.edges:
-            d[self.graph.edge(eid).color - 1] += 1
-        return tuple(d)
+        try:
+            return self._degree
+        except AttributeError:
+            d = [0] * self.graph.k
+            for eid in self.edges:
+                d[self.graph.edge(eid).color - 1] += 1
+            _set_degree(self, tuple(d))
+            return self._degree
 
     def is_vertex(self):
         return not self.edges
@@ -89,6 +116,11 @@ class Path:
 
     def sort_key(self):
         return (len(self.edges), self.edges, self.range)
+
+
+# slot setters that bypass Path.__setattr__, which refuses every assignment
+_set_graph, _set_range, _set_edges, _set_hash, _set_degree = (
+    Path.__dict__[name].__set__ for name in Path.__slots__)
 
 
 class KGraph:
@@ -174,6 +206,8 @@ class KGraph:
             self._out[(e.range, e.color)].append(eid)
             self._in[(e.source, e.color)].append(eid)
         # derived caches, which live as long as the graph
+        self._paths = {}  # (range, normal-form word) -> the one Path (see _path)
+        self._composed = {}  # (lam, mu) -> compose(lam, mu), composable pairs only
         self._all_paths_cache = None
         self._peel = None  # see peel_order
         self._counts = {}  # vertex u -> [N(u, 1), ..., N(u, k)] (see count_paths_to)
@@ -236,7 +270,7 @@ class KGraph:
     def edge(self, eid):
         try:
             return self._edges[eid]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownId(f"unknown edge id {eid!r}") from None
 
     def edge_ids(self):
@@ -244,12 +278,23 @@ class KGraph:
 
     def out_edges(self, v, color=None):
         colors = range(1, self.k + 1) if color is None else (color,)
-        return [eid for c in colors for eid in self._out[(v, c)]]
+        try:
+            return [eid for c in colors for eid in self._out[(v, c)]]
+        except (KeyError, TypeError):
+            self.vertex(v)  # raises UnknownId for an unknown vertex
+            raise DegreeOutOfRange(f"colour {color!r} is not in 1..{self.k}") from None
 
     def vertex(self, v):
         if type(v) is not str or v not in self._vset:  # ids are str, and a list is unhashable
             raise UnknownId(f"unknown vertex id {v!r}")
-        return Path(self, v, ())
+        return self._path(v, ())
+
+    def _path(self, v, word):
+        """The one Path of this graph with range v and normal-form word."""
+        lam = self._paths.get((v, word))
+        if lam is None:
+            lam = self._paths[(v, word)] = Path(self, v, word)
+        return lam
 
     def path(self, edge_ids):
         """Build a path from a composable edge word and normalize it."""
@@ -260,8 +305,7 @@ class KGraph:
         for a, b in zip(edges, edges[1:]):
             if a.source != b.range:
                 raise NotComposable(f"edges {a.id} and {b.id} do not compose")
-        word = self._normalize_word(ids)
-        return Path(self, edges[0].range, tuple(word))
+        return self._path(edges[0].range, tuple(self._normalize_word(ids)))
 
     def parse_path(self, text):
         """Parse a path literal: a vertex id or dot-joined edge ids."""
@@ -307,14 +351,16 @@ class KGraph:
         return self._sort_word(word, [self.edge(eid).color for eid in word])
 
     def compose(self, lam, mu):
-        if lam.source != mu.range:
-            raise NotComposable(f"{lam!r} and {mu!r} do not compose")
-        if not lam.edges:
-            return mu
-        if not mu.edges:
-            return lam
-        word = self._normalize_word(list(lam.edges) + list(mu.edges))
-        return Path(self, lam.range, tuple(word))
+        """The path lam*mu: the joined words sorted through the squares.
+        Memoized per graph; only composable pairs are stored, so each call
+        on a pair that does not compose raises NotComposable."""
+        out = self._composed.get((lam, mu))
+        if out is None:
+            if lam.source != mu.range:
+                raise NotComposable(f"{lam!r} and {mu!r} do not compose")
+            word = tuple(self._normalize_word(lam.edges + mu.edges))
+            out = self._composed[(lam, mu)] = self._path(lam.range, word)
+        return out
 
     def factor(self, lam, m):
         """Split lam into its unique prefix of degree m and the rest."""
@@ -342,8 +388,8 @@ class KGraph:
             seen[c - 1] += 1
         word = self._sort_word(word, keys)
         cut = sum(m)
-        prefix = Path(self, v, tuple(word[:cut]))
-        return prefix, Path(self, prefix.source, tuple(word[cut:]))
+        prefix = self._path(v, tuple(word[:cut]))
+        return prefix, self._path(prefix.source, tuple(word[cut:]))
 
     def segment(self, lam, m, n):
         """The factor lam(m, n) for m <= n <= d(lam)."""
@@ -392,7 +438,7 @@ class KGraph:
                 elif count > low:
                     kept += words
             words = kept
-        return [Path(self, v, word) for word, _ in words]
+        return [self._path(v, word) for word, _ in words]
 
     def paths_from(self, v, n):
         """All paths with range v and degree exactly n, sorted."""
@@ -443,7 +489,7 @@ class KGraph:
         paths = []
         while level:
             level.sort()  # the words of a level differ, so this sorts by word
-            paths += [Path(self, v, word) for word, v, _ in level]
+            paths += [self._path(v, word) for word, v, _ in level]
             level = [((eid,) + word, edges[eid].range, c)
                      for word, v, top in level
                      for c in range(1, top + 1) for eid in into[(v, c)]]
@@ -608,7 +654,7 @@ class KGraph:
         out = {}
         for w, j in cuts:  # move w[j] to the front
             a, *rest = self._sort_word(w, [i != j for i in range(len(w))])
-            out.setdefault(a, []).append(Path(self, edges[a].source, tuple(rest)))
+            out.setdefault(a, []).append(self._path(edges[a].source, tuple(rest)))
         out = self._move_table[key] = {eid: frozenset(rhos) for eid, rhos in out.items()}
         return out
 

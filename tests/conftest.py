@@ -278,6 +278,37 @@ def paths_oracle(g, v, n):
     return sorted(found, key=lambda p: p.sort_key())
 
 
+def compose_oracle(g, lam, mu):
+    """The normal-form word of lam*mu from the definition: concatenate the
+    two words, then find by brute force every word that rewriting one
+    adjacent bicoloured pair by a square, either side to the other, reaches.
+    By unique factorization that class holds exactly one colour-sorted
+    word, which is returned.  It reads only the raw squares and edge
+    colours, so it shares no code with the library's rewriting."""
+    assert lam.source == mu.range, (lam, mu)
+    swap, colour = _rewrites(g)
+    start = lam.edges + mu.edges
+    seen, stack = {start}, [start]
+    while stack:
+        w = stack.pop()
+        for i in range(len(w) - 1):
+            other = swap.get(w[i:i + 2])
+            if other is not None and (nxt := w[:i] + other + w[i + 2:]) not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    (word,) = [w for w in seen if all(colour[a] <= colour[b] for a, b in zip(w, w[1:]))]
+    return word
+
+
+@functools.cache
+def _rewrites(g):
+    """The square rewrites of g, each side to the other, and the edge colours."""
+    swap = {}
+    for sq in g.squares:
+        swap[sq.first], swap[sq.second] = sq.second, sq.first
+    return swap, {e.id: e.color for e in g.spec.edges}
+
+
 def reach_oracle(g):
     """Reachability from the definition: after[v] is the set of vertices v
     reaches through at least one edge, a fixpoint over the raw edge list,

@@ -17,11 +17,13 @@ from conftest import (
     CYCLE_GRAPHS,
     ORACLE_GRAPHS,
     _tail,
+    compose_oracle,
     downset_graph,
     exhaustive_oracle,
     exhaustive_oracle_bool,
     mce_oracle,
     paths_oracle,
+    product_graph,
     random_one_graph,
     reach_oracle,
     witness_oracle,
@@ -314,6 +316,18 @@ def test_reachable_unknown_vertex(lambda2):
             lambda2.reachable(v)
         with pytest.raises(errors.UnknownId):
             lambda2.reaching(["v1", v])
+        with pytest.raises(errors.UnknownId):
+            lambda2.out_edges(v)
+    # an unhashable edge id is an unknown id too, not a bare TypeError
+    g = omega_graph((2, 2))
+    with pytest.raises(errors.UnknownId):
+        g.edge(["x"])
+    with pytest.raises(errors.UnknownId):
+        g.path([["x"]])
+    with pytest.raises(errors.UnknownId):
+        g.out_edges("zz")
+    with pytest.raises(errors.DegreeOutOfRange):
+        g.out_edges("0,0", 3)
 
 
 @pytest.mark.parametrize("m", [(0,), (4,), (2, 0, 1), (3, 3), (2, 2, 2), (1, 1, 1, 1)])
@@ -344,6 +358,68 @@ def test_compose_not_composable(lambda2):
     e3 = lambda2.parse_path("e3")
     with pytest.raises(errors.NotComposable):
         lambda2.compose(e1, e3)
+
+
+def _interned(g, p):
+    """The path of g spelling p, looked up through the public builders."""
+    return g.path(p.edges) if p.edges else g.vertex(p.range)
+
+
+def test_paths_are_interned():
+    # one Path object per range and word in a graph; the paths of a second
+    # graph of the same spec are other objects, equal in value and hash
+    g, twin = omega_graph((2, 2)), omega_graph((2, 2))
+    colour = {e.id: e.color for e in g.spec.edges}
+    paths = g.all_paths()
+    for p in paths:
+        assert _interned(g, p) is p
+        q = _interned(twin, p)
+        assert p == q and hash(p) == hash(q) and p is not q
+        brute = tuple(sum(colour[e] == c for e in p.edges) for c in (1, 2))
+        assert p.degree == brute and p.degree is p.degree
+        for m in below(p.degree):
+            head, tail = g.factor(p, m)
+            assert head is _interned(g, head) and tail is _interned(g, tail)
+        for r in paths:
+            if p.edges and r.edges and r.range == p.source:
+                assert g.compose(p, r) is g.path(p.edges + r.edges)
+    p = g.path(["0,0>1,0"])
+    for name in ("range", "edges"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+    assert p.range == "0,0" and p.edges == ("0,0>1,0",)
+
+
+def _check_compose(g, box):
+    """Gate compose against compose_oracle on every pair of paths of
+    degree <= box: a cold call, a repeat (memo hit), and a call with the
+    value-equal paths of a second graph built from the same spec."""
+    pool = _oracle_pool(g, box)
+    at = {v: [mu for mu in pool if mu.range == v] for v in g.vertices}
+    twin = KGraph(g.spec)
+    for lam in pool:
+        stranger = next((mu for mu in pool if mu.range != lam.source), None)
+        for _ in range(2 if stranger else 0):  # not stored, so raised on every call
+            with pytest.raises(errors.NotComposable):
+                g.compose(lam, stranger)
+            assert (lam, stranger) not in g._composed
+        for mu in at[lam.source]:
+            got = g.compose(lam, mu)
+            assert (got.range, got.edges) == (lam.range, compose_oracle(g, lam, mu)), (lam, mu)
+            assert got.graph is g and g._composed[(lam, mu)] is got and g.compose(lam, mu) is got
+            assert g.compose(_interned(twin, lam), _interned(twin, mu)) is got
+            assert twin.compose(_interned(twin, lam), _interned(twin, mu)) == got
+
+
+@pytest.mark.parametrize("name", sorted({**ORACLE_GRAPHS, **CYCLE_GRAPHS}))
+def test_compose_against_oracle(name):
+    _check_compose({**ORACLE_GRAPHS, **CYCLE_GRAPHS}[name](), (2, 1, 1))
+
+
+def test_compose_against_oracle_on_products():
+    # rank-2 products of seeded random 1-graphs, cyclic ones included
+    for seed in range(20):
+        _check_compose(product_graph(random_one_graph(seed), random_one_graph(seed + 100)), (1, 1))
 
 
 def test_factor_out_of_range(lambda2):
