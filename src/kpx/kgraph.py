@@ -29,12 +29,24 @@ from .errors import (
 )
 
 
+# fills the fields of a frozen record: the __init__ that dataclass
+# generates makes the same call through a slower per-field lookup, and
+# dataclass keeps an __init__ the class defines
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str
     color: int
     range: str
     source: str
+
+    def __init__(self, id, color, range, source):
+        _set(self, "id", id)
+        _set(self, "color", color)
+        _set(self, "range", range)
+        _set(self, "source", source)
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,10 @@ class Square:
 
     first: tuple
     second: tuple
+
+    def __init__(self, first, second):
+        _set(self, "first", first)
+        _set(self, "second", second)
 
 
 @dataclass(frozen=True)
@@ -123,6 +139,56 @@ _set_graph, _set_range, _set_edges, _set_hash, _set_degree = (
     Path.__dict__[name].__set__ for name in Path.__slots__)
 
 
+def _entries(value, what):
+    """A container of a specification as a tuple: a tuple or a list."""
+    if type(value) is not tuple and type(value) is not list:
+        raise InvalidSpec(f"{what} must be a tuple or list, not {type(value).__name__}")
+    return tuple(value)
+
+
+def _square_side(edges, pair, increasing, sq):
+    """The two edges of one side of square sq, checked: known, composable,
+    and listing the lower color first iff increasing."""
+    if not (type(pair) is tuple and len(pair) == 2
+            and type(pair[0]) is str and type(pair[1]) is str):
+        raise BadSquare(f"square side {pair!r} is not a pair of edge ids")
+    a, b = pair
+    if a not in edges or b not in edges:
+        raise BadSquare(f"square {sq} refers to unknown edge")
+    ea, eb = edges[a], edges[b]
+    if ea.source != eb.range:
+        raise BadSquare(f"square side {pair} is not composable")
+    if not (ea.color < eb.color if increasing else ea.color > eb.color):
+        order = "lower" if increasing else "higher"
+        raise BadSquare(f"square side {pair} must list the {order} color first")
+    return ea, eb
+
+
+def _swap_tables(squares, edges):
+    """The swap tables between the two orientations of a bicolored word,
+    (hi, lo) word -> (lo, hi) word and back, with each square checked."""
+    to_cm, from_cm = {}, {}
+    for sq in squares:
+        if not isinstance(sq, Square):
+            raise InvalidSpec(f"square {sq!r} is not a Square")
+        first, second = sq.first, sq.second
+        e, f = _square_side(edges, first, True, sq)
+        f2, e2 = _square_side(edges, second, False, sq)
+        # each side lists its colors in order, so the sides share their
+        # color pair iff e and e2, and f and f2, share a color
+        if e.color != e2.color or f.color != f2.color:
+            raise BadSquare(f"square {sq} mixes color pairs")
+        if e.range != f2.range or f.source != e2.source:
+            raise BadSquare(f"square {sq} endpoints do not match")
+        if first in from_cm:
+            raise NotBijective(f"edge pair {first} appears in two squares")
+        if second in to_cm:
+            raise NotBijective(f"edge pair {second} appears in two squares")
+        from_cm[first] = second
+        to_cm[second] = first
+    return to_cm, from_cm
+
+
 class KGraph:
     """A validated finite rank-k graph.
 
@@ -138,7 +204,7 @@ class KGraph:
         self.k = k = spec.k
         if type(k) is not int or k < 1:
             raise InvalidSpec(f"rank must be an int >= 1, got {k!r}")
-        self.vertices = tuple(spec.vertices)
+        self.vertices = _entries(spec.vertices, "vertices")
         vset = set()
         for v in self.vertices:
             if type(v) is not str:
@@ -149,62 +215,48 @@ class KGraph:
         self._vset = vset = frozenset(vset)
         self._edges = edges = {}
         at = {v: [] for v in self.vertices}  # vertex -> the edges with that range, in spec order
-        for e in spec.edges:
-            if type(e.id) is not str:
-                raise InvalidSpec(f"edge id {e.id!r} is not a str")
-            if e.id in edges or e.id in vset:
-                raise InvalidSpec(f"duplicate id {e.id!r}")
-            if "." in e.id:  # path labels join edge ids with '.'
-                raise InvalidSpec(f"edge id {e.id!r} contains '.'")
-            if type(e.color) is not int or not 1 <= e.color <= k:
-                raise InvalidSpec(f"edge {e.id!r} has color {e.color!r}, not an int in 1..{k}")
-            if type(e.range) is not str or e.range not in vset:
-                raise MissingEndpoint(f"edge {e.id!r} has unknown range {e.range!r}")
-            if type(e.source) is not str or e.source not in vset:
-                raise MissingEndpoint(f"edge {e.id!r} has unknown source {e.source!r}")
-            edges[e.id] = e
-            at[e.range].append(e)
+        for e in _entries(spec.edges, "edges"):
+            if not isinstance(e, Edge):
+                raise InvalidSpec(f"edge {e!r} is not an Edge")
+            eid, color, r, s = e.id, e.color, e.range, e.source
+            if type(eid) is not str:
+                raise InvalidSpec(f"edge id {eid!r} is not a str")
+            if eid in edges or eid in vset:
+                raise InvalidSpec(f"duplicate id {eid!r}")
+            if "." in eid:  # path labels join edge ids with '.'
+                raise InvalidSpec(f"edge id {eid!r} contains '.'")
+            if type(color) is not int or not 1 <= color <= k:
+                raise InvalidSpec(f"edge {eid!r} has color {color!r}, not an int in 1..{k}")
+            if type(r) is not str or r not in vset:
+                raise MissingEndpoint(f"edge {eid!r} has unknown range {r!r}")
+            if type(s) is not str or s not in vset:
+                raise MissingEndpoint(f"edge {eid!r} has unknown source {s!r}")
+            edges[eid] = e
+            at[r].append(e)
 
-        self.squares = tuple(spec.squares)
-        # swap tables between the two orientations of a bicolored word
-        self._to_colormajor = {}    # (hi, lo) word -> (lo, hi) word
-        self._from_colormajor = {}  # (lo, hi) word -> (hi, lo) word
-        for sq in self.squares:
-            e, f = self._square_side(sq.first, True, sq)
-            f2, e2 = self._square_side(sq.second, False, sq)
-            if {e.color, f.color} != {f2.color, e2.color}:
-                raise BadSquare(f"square {sq} mixes color pairs")
-            if e.range != f2.range or f.source != e2.source:
-                raise BadSquare(f"square {sq} endpoints do not match")
-            if sq.first in self._from_colormajor:
-                raise NotBijective(f"edge pair {sq.first} appears in two squares")
-            if sq.second in self._to_colormajor:
-                raise NotBijective(f"edge pair {sq.second} appears in two squares")
-            self._from_colormajor[sq.first] = sq.second
-            self._to_colormajor[sq.second] = sq.first
+        self.squares = _entries(spec.squares, "squares")
+        to_cm, from_cm = _swap_tables(self.squares, edges)
+        self._to_colormajor, self._from_colormajor = to_cm, from_cm
 
         # every composable bicolored pair must occur on exactly one square
         # side; the edges at each vertex keep spec order, so the first pair
         # reported is the first in spec order
         for a in edges.values():
             for b in at[a.source]:
-                if a.color == b.color:
-                    continue
-                pair = (a.id, b.id)
-                table = self._from_colormajor if a.color < b.color else self._to_colormajor
-                if pair not in table:
-                    raise NotBijective(f"edge pair {pair} is not covered by any square")
+                if a.color != b.color and (a.id, b.id) not in (
+                        from_cm if a.color < b.color else to_cm):
+                    raise NotBijective(f"edge pair {(a.id, b.id)} is not covered by any square")
         if k >= 3:
             self._check_cubes(at)
 
         # (vertex, color) -> sorted edge ids with that range, and with that
         # source; one pass over the sorted ids keeps each list sorted
-        self._out = {(v, c): [] for v in self.vertices for c in range(1, k + 1)}
-        self._in = {key: [] for key in self._out}
+        self._out = out = {key: [] for key in itertools.product(self.vertices, range(1, k + 1))}
+        self._in = into = {key: [] for key in out}
         for eid in sorted(edges):
             e = edges[eid]
-            self._out[(e.range, e.color)].append(eid)
-            self._in[(e.source, e.color)].append(eid)
+            out[e.range, e.color].append(eid)
+            into[e.source, e.color].append(eid)
         # derived caches, which live as long as the graph
         self._paths = {}  # (range, normal-form word) -> the one Path (see _path)
         self._composed = {}  # (lam, mu) -> compose(lam, mu), composable pairs only
@@ -230,27 +282,16 @@ class KGraph:
         The same as ``KGraph(spec)``: the constructor validates."""
         return cls(spec)
 
-    def _square_side(self, pair, increasing, sq):
-        """The two edges of one side of square sq, checked: known,
-        composable, and listing the lower color first iff increasing."""
-        if not (type(pair) is tuple and len(pair) == 2
-                and type(pair[0]) is str and type(pair[1]) is str):
-            raise BadSquare(f"square side {pair!r} is not a pair of edge ids")
-        a, b = pair
-        if a not in self._edges or b not in self._edges:
-            raise BadSquare(f"square {sq} refers to unknown edge")
-        ea, eb = self._edges[a], self._edges[b]
-        if ea.source != eb.range:
-            raise BadSquare(f"square side {pair} is not composable")
-        if not (ea.color < eb.color if increasing else ea.color > eb.color):
-            order = "lower" if increasing else "higher"
-            raise BadSquare(f"square side {pair} must list the {order} color first")
-        return ea, eb
-
     def _check_cubes(self, at):
         """Tricolored words must normalize identically along both swap
         orders.  at maps each vertex to the edges with that range, in spec
-        order."""
+        order.
+
+        A word xyz with color(x) > color(y) > color(z) sorts in three swaps
+        either way: xy, xz, yz (the order _normalize_word takes) or yz, xz,
+        xy.  The coverage check has passed, so every swap is in the table.
+        """
+        swap = self._to_colormajor
         for x in self._edges.values():
             for y in at[x.source]:
                 if y.color >= x.color:
@@ -258,10 +299,14 @@ class KGraph:
                 for z in at[y.source]:
                     if z.color >= y.color:
                         continue
-                    w = [x.id, y.id, z.id]
-                    a = self._normalize_word(w)
-                    b = self._normalize_word([x.id, *self._to_colormajor[(y.id, z.id)]])
+                    y1, x1 = swap[x.id, y.id]
+                    z1, x2 = swap[x1, z.id]
+                    a = [*swap[y1, z1], x2]
+                    z2, y2 = swap[y.id, z.id]
+                    z3, x3 = swap[x.id, z2]
+                    b = [z3, *swap[x3, y2]]
                     if a != b:
+                        w = [x.id, y.id, z.id]
                         raise CubeInconsistent(f"word {w} normalizes to both {a} and {b}")
 
     # ------------------------------------------------------------------
@@ -279,10 +324,12 @@ class KGraph:
     def out_edges(self, v, color=None):
         colors = range(1, self.k + 1) if color is None else (color,)
         try:
-            return [eid for c in colors for eid in self._out[(v, c)]]
+            if color is None or type(color) is int:  # True and 1.0 would match the key 1
+                return [eid for c in colors for eid in self._out[(v, c)]]
         except (KeyError, TypeError):
-            self.vertex(v)  # raises UnknownId for an unknown vertex
-            raise DegreeOutOfRange(f"colour {color!r} is not in 1..{self.k}") from None
+            pass
+        self.vertex(v)  # raises UnknownId for an unknown vertex
+        raise DegreeOutOfRange(f"colour {color!r} is not in 1..{self.k}")
 
     def vertex(self, v):
         if type(v) is not str or v not in self._vset:  # ids are str, and a list is unhashable
@@ -690,9 +737,9 @@ class KGraph:
         induction on the longest path it ranges."""
         if self._peel is None:
             edges, into = self._edges, self._in
-            # v -> the edges v receives whose source has not joined
-            waiting = {v: len(self.out_edges(v)) for v in self.vertices}
-            order = [v for v in self.vertices if not waiting[v]]
+            # v -> the edges v receives whose source has not joined, if any
+            waiting = collections.Counter(e.range for e in edges.values())
+            order = [v for v in self.vertices if v not in waiting]
             for u in order:  # the list grows as vertices join
                 for c in range(1, self.k + 1):
                     for eid in into[(u, c)]:
@@ -706,7 +753,7 @@ class KGraph:
     def sinks(self):
         """The vertices that receive no edge (no edge has them as range),
         sorted: on an acyclic graph, the sources of the boundary paths."""
-        return sorted(v for v in self.vertices if not self.out_edges(v))
+        return sorted(self._vset.difference(e.range for e in self._edges.values()))
 
     def has_sources(self):
         """True iff some vertex receives no edge of some color."""
@@ -767,28 +814,29 @@ class KGraph:
 def omega_graph(m):
     """The rank-k lattice segment graph: vertices are tuples p <= m, with one
     color-i edge from p to p + e_i whenever that stays below m, and a square
-    for every unit square of the segment."""
+    for every unit square of the segment.
+
+    itertools.product lists the points in lexicographic order, so p + e_i
+    comes stride[i] places after p: stride[i] counts the points that share
+    p's first i + 1 coordinates."""
     k = len(m)
-    points = list(degrees.below(m))
-    name = {p: ",".join(map(str, p)) for p in points}
-
-    def step(p, i):
-        """p + e_(i+1), or None outside the segment."""
-        return p[:i] + (p[i] + 1,) + p[i + 1:] if p[i] < m[i] else None
-
-    edges, eid = [], {}  # eid[(p, i)] is the color-(i+1) edge with range p
-    for p in points:
-        for i in range(k):
-            q = step(p, i)
-            if q is not None:
-                eid[(p, i)] = f"{name[p]}>{name[q]}"
-                edges.append(Edge(eid[(p, i)], i + 1, name[p], name[q]))
+    stride = [1] * k
+    for i in range(k - 1, 0, -1):
+        stride[i - 1] = stride[i] * (m[i] + 1)
+    points = list(itertools.product(*[range(c + 1) for c in m]))
+    names = [",".join(map(str, p)) for p in points]
+    up = [[i for i in range(k) if p[i] < m[i]] for p in points]  # the steps that stay below m
+    ids = [None] * (len(points) * k)  # ids[n * k + i]: the color-(i+1) edge with range point n
+    edges = []
+    for n, name in enumerate(names):
+        for i in up[n]:
+            source = names[n + stride[i]]
+            ids[n * k + i] = eid = f"{name}>{source}"
+            edges.append(Edge(eid, i + 1, name, source))
     squares = [
-        Square(first=(eid[(p, i)], eid[(step(p, i), j)]),
-               second=(eid[(p, j)], eid[(step(p, j), i)]))
-        for p in points
-        for i in range(k)
-        for j in range(i + 1, k)
-        if (p, i) in eid and (p, j) in eid
+        Square((ids[n * k + i], ids[(n + stride[i]) * k + j]),
+               (ids[n * k + j], ids[(n + stride[j]) * k + i]))
+        for n in range(len(points))
+        for i, j in itertools.combinations(up[n], 2)
     ]
-    return KGraph.validate(KGraphSpec(k, tuple(name.values()), tuple(edges), tuple(squares)))
+    return KGraph.validate(KGraphSpec(k, tuple(names), tuple(edges), tuple(squares)))

@@ -9,7 +9,7 @@ from kpx import cli, io, presets
 from kpx.cli import main
 from kpx.degrees import below
 
-from conftest import ORACLE_GRAPHS, within
+from conftest import ORACLE_GRAPHS, downset_graph, within
 
 FIX = "tests/fixtures"
 L2 = f"{FIX}/lambda2.json"
@@ -440,6 +440,21 @@ def test_dim_counts_large_graphs(capsys, tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc))
     assert run_in_time(capsys, "--graph", str(path), "dim") == (0, f"{(2 ** (n + 1) - 1) ** 2}\n")
+
+
+def test_validate_and_info_on_large_graphs_in_time(capsys):
+    # both commands are mostly graph construction; info lists every vertex
+    # and edge, taken here from the down-set oracle
+    assert run_in_time(capsys, "--omega", "8,8,8", "validate") == (
+        0, "ok: rank 3, 729 vertices, 1944 edges, 1728 squares\n")
+    assert run_in_time(capsys, "--omega", "40,40", "validate") == (
+        0, "ok: rank 2, 1681 vertices, 3280 edges, 1600 squares\n")
+    for m in ((8, 8, 8), (40, 40)):
+        want = downset_graph((m,))
+        assert run_in_time(capsys, "--omega", ",".join(map(str, m)), "info") == (
+            0, f"rank: {len(m)}\nvertices: {' '.join(sorted(want.vertices))}\n"
+               f"edges: {' '.join(want.edge_ids())}\nacyclic: True\nhas_sources: True\n"
+               "locally_convex: True\nrow_finite: True\n")
 
 
 def test_analyze_large_acyclic_graphs_in_time(capsys):

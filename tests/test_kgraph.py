@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +287,13 @@ BAD_TYPES = {
     "None endpoint": replace(LOOPS, edges=(E, replace(F, range=None))),
     "list edge id": replace(LOOPS, edges=(E, replace(F, id=["f"]))),
     "three-id square side": replace(LOOPS, squares=(Square(("e", "f", "e"), ("f", "e")),)),
+    # containers are tuples or lists, and their entries records
+    "str vertices": KGraphSpec(1, "vw", (), ()),
+    "None vertices": replace(LOOPS, vertices=None),
+    "set edges": replace(LOOPS, edges=set(LOOPS.edges)),
+    "None squares": replace(LOOPS, squares=None),
+    "tuple edge": replace(LOOPS, edges=(E, ("f", 2, "v", "v"))),
+    "tuple square": replace(LOOPS, squares=((("e", "f"), ("f", "e")),)),
 }
 
 
@@ -297,6 +304,33 @@ def test_spec_built_in_python_is_type_checked(label):
     KGraph.validate(LOOPS)
     with pytest.raises(errors.InvalidSpec):
         KGraph(BAD_TYPES[label])
+
+
+def test_spec_containers_may_be_lists():
+    g = KGraph(KGraphSpec(2, ["v"], list(LOOPS.edges), list(LOOPS.squares)))
+    assert g.spec == LOOPS and g.vertices == ("v",) and g.squares == LOOPS.squares
+
+
+def test_records_behave_as_generated_dataclasses():
+    # Edge and Square define their own __init__; everything else is the
+    # frozen dataclass's
+    e, sq = Edge("e1", 1, "v1", "v2"), Square(("e1", "f1"), ("f2", "e2"))
+    assert repr(e) == "Edge(id='e1', color=1, range='v1', source='v2')"
+    assert repr(sq) == "Square(first=('e1', 'f1'), second=('f2', 'e2'))"
+    assert e == Edge(id="e1", color=1, range="v1", source="v2") != replace(e, color=2)
+    assert sq == Square(first=("e1", "f1"), second=("f2", "e2")) != Square(("e1", "f1"), ())
+    assert e != ("e1", 1, "v1", "v2") and sq != (("e1", "f1"), ("f2", "e2"))
+    assert hash(e) == hash(("e1", 1, "v1", "v2"))
+    assert hash(sq) == hash((("e1", "f1"), ("f2", "e2")))
+    assert replace(e, source="v3") == Edge("e1", 1, "v1", "v3")
+    assert replace(sq, second=("f3", "e3")).second == ("f3", "e3")
+    assert asdict(e) == {"id": "e1", "color": 1, "range": "v1", "source": "v2"}
+    assert asdict(sq) == {"first": ("e1", "f1"), "second": ("f2", "e2")}
+    for record, field in ((e, "color"), (sq, "first")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, field)
 
 
 def test_unknown_vertex(lambda2):
@@ -328,9 +362,16 @@ def test_reachable_unknown_vertex(lambda2):
         g.out_edges("zz")
     with pytest.raises(errors.DegreeOutOfRange):
         g.out_edges("0,0", 3)
+    # True and 1.0 equal 1 as dict keys, but they are not colours
+    for colour in (True, 1.0, "1", 0):
+        with pytest.raises(errors.DegreeOutOfRange):
+            g.out_edges("0,0", colour)
+    with pytest.raises(errors.UnknownId):
+        g.out_edges("zz", True)
 
 
-@pytest.mark.parametrize("m", [(0,), (4,), (2, 0, 1), (3, 3), (2, 2, 2), (1, 1, 1, 1)])
+@pytest.mark.parametrize("m", [(0,), (4,), (5,), (0, 3), (2, 0, 1), (3, 3), (4, 4), (2, 2, 2),
+                               (1, 1, 1, 1), (3, 0, 0, 1)])
 def test_omega_graph_is_the_box_downset(m):
     # the lattice segment is the down-set of the single point m
     got, want = omega_graph(m), downset_graph((m,))
