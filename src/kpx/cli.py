@@ -4,12 +4,19 @@ Exit codes: 0 success / property holds, 1 property is false, 2 input
 error or internal error (reported on stderr, never as a traceback), 3 a
 three-valued verdict came back unknown.
 
-The argument parser is built once per process, at import; every
-:func:`main` call parses with it into a fresh namespace of defaults.
+The argument parser is built once per process, at import, and it is the
+one definition of the grammar.  :func:`main` first tries a table-driven
+parse of the plain form of a command line, with tables read from that parser
+at import: exact option strings, option values that do not start with '-',
+one exact subcommand, and its positionals in one unbroken run.  Anything
+else (help, abbreviations, ``--opt=value``, ``--``, values starting with '-',
+every usage error) goes to the argparse parser, which also writes every usage
+error and help text.  Both paths give the same namespace.
 """
 
 import argparse
 import json
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -323,6 +330,88 @@ def build_parser():
 
 
 _PARSER = build_parser()
+_DEFAULTS = {"graph": None, "omega": None, "json": False, "ring": "q"}
+_NARGS = {None: "(A)", "*": "(A*)", "+": "(A+)"}  # positional nargs -> pattern over its run
+
+
+def _plain_options(parser):
+    """{option string: (dest, True for a flag or None for one that takes a
+    value)} for the store and store_true actions of parser with no type or
+    choices; -h and anything else is left to argparse."""
+    table = {}
+    for option, a in parser._option_string_actions.items():
+        if a.type is None and a.choices is None:
+            if type(a) is argparse._StoreTrueAction:
+                table[option] = (a.dest, True)
+            elif type(a) is argparse._StoreAction and a.nargs is None:
+                table[option] = (a.dest, None)
+    return table
+
+
+def _plain_tables(parser):
+    """The top level's option table, the subcommands' dest, and per
+    subcommand its option table, defaults, required dests, positionals
+    (dest, nargs) and the pattern that splits their run."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = {}
+    for name, p in sub.choices.items():
+        positionals = [a for a in p._actions if not a.option_strings]
+        if all(a.nargs in _NARGS and a.type is None and a.choices is None and a.default is None
+               for a in positionals):
+            commands[name] = (
+                _plain_options(p),
+                {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS},
+                [a.dest for a in p._actions if a.option_strings and a.required],
+                [(a.dest, a.nargs) for a in positionals],
+                re.compile("".join(_NARGS[a.nargs] for a in positionals)),
+            )
+    return _plain_options(parser), sub.dest, commands
+
+
+_TOP_OPTIONS, _COMMAND_DEST, _COMMANDS = _plain_tables(_PARSER)
+
+
+def _parse_plain(argv):
+    """The namespace _PARSER gives for argv, if argv has the plain form;
+    None otherwise, and always when _PARSER would exit."""
+    top = dict(_DEFAULTS)
+    values, options, command = top, _TOP_OPTIONS, None
+    run, run_end = [], None  # the positionals, and the index after the last
+    i, n = 0, len(argv)
+    while i < n:
+        tok = argv[i]
+        i += 1
+        if tok in options:
+            dest, value = options[tok]
+            if value is None:
+                if i == n or argv[i][:1] == "-":
+                    return None
+                value = argv[i]
+                i += 1
+            values[dest] = value
+        elif tok[:1] == "-":
+            return None
+        elif command is None:
+            if tok not in _COMMANDS:
+                return None
+            command = tok
+            options, defaults, required, positionals, pattern = _COMMANDS[tok]
+            values = {}
+        elif run and run_end != i - 1:  # argparse splits a broken run differently
+            return None
+        else:
+            run.append(tok)
+            run_end = i
+    if command is None or any(dest not in values for dest in required):
+        return None
+    match = pattern.fullmatch("A" * len(run))
+    if match is None:
+        return None
+    for g, (dest, nargs) in enumerate(positionals, 1):
+        start, end = match.span(g)
+        values[dest] = run[start] if nargs is None else run[start:end]
+    return argparse.Namespace(**{**top, _COMMAND_DEST: command, **defaults, **values})
+
 
 _HANDLERS = {
     "validate": cmd_validate,
@@ -341,8 +430,11 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    defaults = argparse.Namespace(graph=None, omega=None, json=False, ring="q")
-    args = _PARSER.parse_args(argv, defaults)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        args = _PARSER.parse_args(argv, argparse.Namespace(**_DEFAULTS))
     try:
         code, payload, lines = _HANDLERS[args.command](args)
         if args.json:

@@ -27,13 +27,25 @@ def _list(value, what):
     return tuple(value)
 
 
+def _entries(data):
+    """(name, value, keys) for the document, each edge and each square, in
+    the order spec_from_dict reads them: each must be a JSON object with
+    those keys."""
+    yield "the graph document", data, ("k", "vertices")
+    for i, e in enumerate(data.get("edges", [])):
+        yield f"edge {i}", e, ("id", "color", "range", "source")
+    for i, sq in enumerate(data.get("squares", [])):
+        yield f"square {i}", sq, ("first", "second")
+
+
 def spec_from_dict(data):
     """Map a parsed graph document to a specification.
 
-    Only the document's shape is checked here: it must have every key, and
-    each container must be a JSON list (it becomes a tuple).  The values go
-    through unchanged; the ``KGraph`` constructor checks their types, the
-    same checks a specification built in Python goes through."""
+    Only the document's shape is checked here: the document, each edge and
+    each square must be a JSON object with every key, and each container a
+    JSON list (it becomes a tuple).  The values go through unchanged; the
+    ``KGraph`` constructor checks their types, the same checks a
+    specification built in Python goes through."""
     try:
         return KGraphSpec(
             k=data["k"],
@@ -44,8 +56,14 @@ def spec_from_dict(data):
                                  _list(sq["second"], "square side"))
                           for sq in _list(data.get("squares", []), "squares")),
         )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed graph document: {exc}") from exc
+    except (KeyError, TypeError):  # an entry is not an object or lacks a key
+        for what, value, keys in _entries(data):
+            if type(value) is not dict:
+                raise ParseError(f"{what} must be an object, not {type(value).__name__}") from None
+            missing = [key for key in keys if key not in value]
+            if missing:
+                raise ParseError(f"key {missing[0]!r} is missing in {what}") from None
+        raise
 
 
 def load_graph(path):

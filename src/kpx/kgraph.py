@@ -12,6 +12,8 @@ the paths with a given source grow from that source, one edge at a time.
 
 import collections
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 
 from . import degrees
@@ -819,6 +821,8 @@ def omega_graph(m):
     itertools.product lists the points in lexicographic order, so p + e_i
     comes stride[i] places after p: stride[i] counts the points that share
     p's first i + 1 coordinates."""
+    if math.prod(c + 1 for c in m) > sys.maxsize:  # no Python sequence is that long
+        raise DegreeOutOfRange(f"degree {m} spans more than {sys.maxsize} vertices")
     k = len(m)
     stride = [1] * k
     for i in range(k - 1, 0, -1):

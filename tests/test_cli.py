@@ -1,9 +1,14 @@
 """Command line interface: commands, exit codes, JSON mode, file loading."""
 
 import argparse
+import ast
+import contextlib
+import io as stdio
 import json
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kpx import cli, io, presets
 from kpx.cli import main
@@ -75,6 +80,29 @@ def test_validate_bad_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, doc
         assert err.startswith("error: ") and "internal error" not in err, (doc[:80], err)
+
+
+def test_malformed_document_says_what_is_wrong(tmp_path, capsys):
+    edge = '{"id": "e", "color": 1, "range": "v", "source": "v"}'
+    documents = {
+        "[1]": "the graph document must be an object, not list",
+        '"v"': "the graph document must be an object, not str",
+        '{"k": 1}': "key 'vertices' is missing in the graph document",
+        '{"k": 1, "vertices": ["v"], "edges": [7]}': "edge 0 must be an object, not int",
+        '{"k": 1, "vertices": ["v"], "edges": [%s, ["e"]]}' % edge:
+            "edge 1 must be an object, not list",
+        '{"k": 1, "vertices": ["v"], "edges": [{"id": "e", "range": "v", "source": "v"}]}':
+            "key 'color' is missing in edge 0",
+        '{"k": 2, "vertices": ["v"], "edges": [%s], "squares": ["ef"]}' % edge:
+            "square 0 must be an object, not str",
+        '{"k": 2, "vertices": ["v"], "squares": [{"first": ["e", "f"]}]}':
+            "key 'second' is missing in square 0",
+    }
+    bad = tmp_path / "bad.json"
+    for doc, message in documents.items():
+        bad.write_text(doc)
+        assert main(["--graph", str(bad), "validate"]) == 2, doc
+        assert capsys.readouterr().err == f"error: {message}\n", doc
 
 
 def test_internal_error_has_no_traceback(capsys, monkeypatch):
@@ -510,6 +538,17 @@ def test_omega_flag(capsys):
     assert run(capsys, "--omega", "1,1,1", "validate")[0] == 0
 
 
+def test_omega_segment_too_large_is_an_input_error(capsys):
+    # no sequence of its 10^20 + 1 vertices fits in memory: the degree is
+    # rejected before anything is built
+    assert main(["--omega", "99999999999999999999", "dim"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: degree (99999999999999999999,) spans more than {sys.maxsize} vertices\n")
+    assert main(["--omega", "4294967296,4294967295", "validate"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: degree (4294967296, 4294967295) spans more than {sys.maxsize} vertices\n")
+
+
 def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     # --json given once does not stick to the parser
     json.loads(run(capsys, "--graph", L2, "--json", "info")[1])
@@ -586,3 +625,226 @@ def test_parse_error_has_location(tmp_path, capsys):
         "error: expected a generator s(...) or g(...) (column 9)\n")
     assert main(["--graph", L2, "eval", "s(e1) + s(zz)"]) == 2
     assert capsys.readouterr().err == "error: bad path 'zz': unknown edge id 'zz' (column 11)\n"
+
+
+# ----------------------------------------------------------------------
+# argparse owns help, usage errors and every form the plain-form parse
+# (cli._parse_plain) leaves to it; these outcomes are pinned byte for byte
+
+SUBCOMMANDS = "{validate,info,paths,mce,exhaustive,boundary,eval,zero,equal,refine,analyze,dim}"
+# Python 3.13 ends the top-level usage with " ..." on the subcommands' line
+USAGE = ("usage: kpx [-h] [--graph GRAPH] [--omega M] [--json] [--ring RING]\n"
+         f"           {SUBCOMMANDS}"
+         + (" ...\n" if sys.version_info >= (3, 13) else "\n           ...\n"))
+HELP = USAGE + f"""
+Exact computations in Kumjian-Pask algebras of finite higher-rank graphs.
+
+positional arguments:
+  {SUBCOMMANDS}
+    validate            validate the graph file
+    info                summary and structural predicates
+    paths               enumerate paths from a vertex
+    mce                 minimal common extensions of two paths
+    exhaustive          test a set of paths for exhaustivity
+    boundary            enumerate boundary paths (acyclic)
+    eval                reduce an element expression to span form
+    zero                exact zero test for an element
+    equal               exact equality of two elements
+    refine              disjointify a list of groupoid cells
+    analyze             aperiodicity / cofinality / simplicity
+    dim                 dimension over a field (acyclic graphs)
+
+options:
+  -h, --help            show this help message and exit
+  --graph GRAPH         graph specification file (JSON)
+  --omega M             use the built-in lattice-segment graph with top degree
+                        M, e.g. --omega 3 or --omega 1,1
+  --json                JSON output
+  --ring RING           coefficient ring: z, q, or zmod:N (default q)
+"""
+DIM_HELP = """usage: kpx dim [-h] [--graph GRAPH] [--omega M] [--json] [--ring RING]
+
+options:
+  -h, --help     show this help message and exit
+  --graph GRAPH  graph specification file (JSON)
+  --omega M      use the built-in lattice-segment graph with top degree M,
+                 e.g. --omega 3 or --omega 1,1
+  --json         JSON output
+  --ring RING    coefficient ring: z, q, or zmod:N (default q)
+"""
+EVAL_USAGE = """usage: kpx eval [-h] [--graph GRAPH] [--omega M] [--json] [--ring RING]
+                [--grade]
+                expr
+"""
+
+# (argv, exit code, stdout, stderr); argparse exits with SystemExit
+ARGPARSE_OWNED = [
+    ([], 2, "", USAGE + "kpx: error: the following arguments are required: command\n"),
+    (["-h"], 0, HELP, ""),
+    (["dim", "-h"], 0, DIM_HELP, ""),
+    (["--graph", L2, "validate", "--frobnicate"], 2, "",
+     USAGE + "kpx: error: unrecognized arguments: --frobnicate\n"),
+    (["--frobnicate", "--graph", L2, "validate"], 2, "",
+     USAGE + "kpx: error: unrecognized arguments: --frobnicate\n"),
+    # an abbreviation and --opt=value are argparse's to read
+    (["--gra", L2, "validate"], 0, "ok: rank 2, 5 vertices, 5 edges, 1 squares\n", ""),
+    (["--omega=2", "dim"], 0, "9\n", ""),
+    # an expression starting with '-' needs '--' in front of it
+    (["--graph", L2, "eval", "-s(e1)"], 2, "",
+     EVAL_USAGE + "kpx eval: error: the following arguments are required: expr\n"),
+    (["--graph", L2, "eval", "--", "-s(e1)"], 0, "-1*s(e1)*g(v2)\n", ""),
+    # a negative number is a value, so kpx itself rejects the degree
+    (["--graph", L2, "paths", "--from", "v1", "--degree", "-1"], 2, "",
+     "error: degree '-1' has a negative entry\n"),
+    # argparse gives a run of positionals broken by an option to the
+    # positional it is matching, not to the next one
+    (["--omega", "1", "exhaustive", "--vertex", "0", "0>1", "--json", "1"], 2, "",
+     USAGE + "kpx: error: unrecognized arguments: 1\n"),
+    (["--omega", "1", "mce", "0", "--json", "0"], 0,
+     '{\n  "mce": [\n    "0"\n  ],\n  "pairs": [\n    {\n      "rho": "0",\n'
+     '      "tau": "0"\n    }\n  ]\n}\n', ""),
+    # a repeated flag: the last one wins, also across the subcommand
+    (["--omega", "1", "--omega", "2", "dim"], 0, "9\n", ""),
+    (["--omega", "2", "--ring", "z", "dim", "--ring", "q"], 0, "9\n", ""),
+    (["--omega", "2", "--ring", "q", "dim", "--ring", "z"], 2, "",
+     "error: Z is not a field\n"),
+    # global flags after the subcommand
+    (["dim", "--omega", "2", "--json"], 0, '{\n  "dimension": 9\n}\n', ""),
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGPARSE_OWNED)
+def test_argparse_owned_outcomes_are_pinned(capsys, argv, code, out, err):
+    assert outcome(capsys, argv) == (code, out, err)
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    for argv, expected in ((["--omega", "2", "dim"], "9\n"), (["--omega=2", "dim"], "9\n"),
+                           (["--omega", "2", "dim", "--json"], '{\n  "dimension": 9\n}\n')):
+        monkeypatch.setattr(sys, "argv", ["kpx", *argv])
+        assert outcome(capsys, None) == (0, expected, "")
+
+
+def parse_both(argv):
+    """(plain-form parse, argparse's namespace or None where it exits)."""
+    fast = cli._parse_plain(argv)
+    sink = stdio.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            ref = cli._PARSER.parse_args(argv, argparse.Namespace(**cli._DEFAULTS))
+    except SystemExit:
+        ref = None
+    return fast, ref
+
+
+def assert_plain_parse_agrees(argv):
+    fast, ref = parse_both(argv)
+    if fast is not None:
+        assert ref is not None and vars(fast) == vars(ref), argv
+
+
+def _argparse_parsers():
+    (sub,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    return [cli._PARSER, *sub.choices.values()]
+
+
+OPTION_STRINGS = sorted({s for p in _argparse_parsers() for s in p._option_string_actions})
+TOKENS = sorted(
+    {s[:n] for s in OPTION_STRINGS if s.startswith("--") for n in range(3, len(s) + 1)}
+    | set(OPTION_STRINGS) | set(cli._COMMANDS)
+    | {"--graph=x", "-h", "--", "", "v1", "e1.f2", "1,1", "-1", "-s(v)", "a b"})
+
+
+PLAIN_VALUES = ["", "v1", "e1.f2", "1,1", "a b"]
+VALUES = PLAIN_VALUES + ["-1", "-s(v)"]
+
+
+def items(options, positionals):
+    """Lists of argv items: an option of options (with a plain value if it
+    takes one) or one of positionals, three times as often as an odd item:
+    any one token, or an option with a value that starts with '-'."""
+    takes_value = sorted(s for s, (_, flag) in options.items() if flag is None)
+    plain = st.sampled_from([(s, v) for s in takes_value for v in PLAIN_VALUES]
+                            + [(s,) for s, (_, flag) in options.items() if flag]
+                            + [(v,) for v in positionals])
+    odd = st.sampled_from([(t,) for t in TOKENS] + [(s, v) for s in takes_value
+                                                    for v in VALUES if v not in PLAIN_VALUES])
+    return st.lists(st.one_of(plain, plain, plain, odd), max_size=4)
+
+
+# (the subcommand, items after it), each subcommand with its own options
+COMMAND_AND_ITEMS = st.sampled_from(sorted(cli._COMMANDS)).flatmap(
+    lambda c: st.tuples(st.just(c), items(cli._COMMANDS[c][0], PLAIN_VALUES)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(items(cli._TOP_OPTIONS, []), COMMAND_AND_ITEMS)
+@example([("--omega", "1")], ("exhaustive", [("--vertex", "0"), ("0>1",), ("--json",), ("1",)]))
+def test_plain_parse_agrees_with_argparse(before, command_and_after):
+    command, after = command_and_after
+    # the argv, and each argv with one item but the subcommand left out
+    for drop in range(-1, len(before) + len(after)):
+        head = [t for i, item in enumerate(before) if i != drop for t in item]
+        tail = [t for i, item in enumerate(after, len(before)) if i != drop for t in item]
+        assert_plain_parse_agrees(head + [command] + tail)
+
+
+def _argv_literals():
+    """Each list or tuple literal in this file that names a subcommand, and
+    each argument list of a run or run_in_time call; a part that is not a
+    string literal (a file name, an expression) stands in as 'x.json'."""
+    found = []
+    with open(__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.List, ast.Tuple)):
+            parts = node.elts
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("run", "run_in_time")):
+            parts = node.args[1:]
+        else:
+            continue
+        if any(isinstance(p, ast.Starred) for p in parts):
+            continue
+        argv = [p.value if isinstance(p, ast.Constant) and isinstance(p.value, str)
+                else "x.json" for p in parts]
+        if set(argv) & set(cli._COMMANDS):
+            found.append(argv)
+    return found
+
+
+# the argv shapes the cli-ladder and cyclic-queries workloads run
+WORKLOAD_ARGVS = [
+    *([*graph, *command] for graph in (["--omega", "2,2"], ["--graph", "acyclic0.json"])
+      for command in (["dim"], ["boundary"], ["boundary", "--orbits"], ["analyze"],
+                      ["validate"], ["info"])),
+    ["--graph", "cyclic0.json", "exhaustive", "--vertex", "v0"],
+    ["--graph", "cyclic0.json", "exhaustive", "--vertex", "v0", "e1", "f1.e2", "f2"],
+    ["--graph", "cyclic0.json", "zero", "s(v0) - s(e1)*g(e1) - s(e2)*g(e2)"],
+    ["--graph", "cyclic0.json", "equal", "s(e1)*g(f1)*s(f2)", "s(e1)*s(a)*g(b) + s(e1)*s(c)*g(d)"],
+    ["--graph", "loop.json", "analyze"],
+    ["--graph", "loop.json", "paths", "--from", "v", "--degree", "150"],
+]
+
+
+def test_plain_parse_agrees_on_test_and_workload_argvs():
+    literals = _argv_literals()
+    assert len(literals) > 100
+    for argv in literals:
+        assert_plain_parse_agrees(argv)
+    # argparse exits on this one; splitting the run at --json would not
+    assert parse_both(["--omega", "1", "exhaustive", "--vertex", "0", "0>1", "--json", "1"]) \
+        == (None, None)
+    # every workload command line takes the plain-form parse
+    for argv in WORKLOAD_ARGVS:
+        fast, ref = parse_both(argv)
+        assert fast is not None and vars(fast) == vars(ref), argv
