@@ -78,13 +78,15 @@ class KGraphSpec:
 class Path:
     """A morphism in normal form: a range vertex plus a color-sorted edge word.
 
-    A graph holds one Path per range and word (``KGraph._path``); the paths
-    of two graphs of one spec compare equal by value.  The hash and the
-    degree are computed on first use and kept.  Paths are immutable, as the
-    interned ones are shared dict keys.
+    A graph holds one Path per range and word (``KGraph._path``), so paths
+    compare and hash by identity within their graph.  The paths of two
+    graphs of one spec are unequal; a SpanForm, Cell or operation that mixes
+    them is undefined, and ``g.path(p.edges)`` or ``g.vertex(p.range)``
+    carries p into g.  The degree is computed on first use and kept.  Paths
+    are immutable, as the interned ones are shared dict keys.
     """
 
-    __slots__ = ("graph", "range", "edges", "_hash", "_degree")
+    __slots__ = ("graph", "range", "edges", "_degree")
 
     def __init__(self, graph, range, edges):
         _set_graph(self, graph)
@@ -93,18 +95,6 @@ class Path:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Path.{name}: paths are immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Path:
-            return NotImplemented
-        return self is other or (self.range, self.edges) == (other.range, other.edges)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            _set_hash(self, hash((self.range, self.edges)))
-            return self._hash
 
     @property
     def source(self):
@@ -137,7 +127,7 @@ class Path:
 
 
 # slot setters that bypass Path.__setattr__, which refuses every assignment
-_set_graph, _set_range, _set_edges, _set_hash, _set_degree = (
+_set_graph, _set_range, _set_edges, _set_degree = (
     Path.__dict__[name].__set__ for name in Path.__slots__)
 
 
@@ -642,10 +632,10 @@ class KGraph:
         first of the shortest ones.
         """
         root = self.vertex(v)
-        E = frozenset(E)
-        for mu in E:
+        for mu in E:  # in the given order, so the error names the first stray
             if mu.range != v:
                 raise RangeMismatch(f"{mu!r} is not a path at {v!r}")
+        E = frozenset(E)
         start = (v, E)
         parent = {start: None}  # state -> (previous state, edge id)
         queue = collections.deque([start])

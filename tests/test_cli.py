@@ -5,11 +5,14 @@ import ast
 import contextlib
 import io as stdio
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kpx
 from kpx import cli, io, presets
 from kpx.cli import main
 from kpx.degrees import below
@@ -207,6 +210,10 @@ def test_exhaustive_unknown_vertex(capsys):
     code = main(["--graph", L2, "exhaustive", "--vertex", "zz", "e1"])
     assert code == 2
     assert capsys.readouterr().err == "error: unknown vertex id 'zz'\n"
+    # of two paths at other vertices, the error names the first given
+    for strays in (["e2", "f1"], ["f1", "e2"]):
+        assert main(["--graph", L2, "exhaustive", "--vertex", "v1", "e1", *strays]) == 2
+        assert capsys.readouterr().err == f"error: Path({strays[0]}) is not a path at 'v1'\n"
 
 
 F1_12 = ".".join(["f1"] * 12)
@@ -441,6 +448,66 @@ def test_analyze_over_a_non_field(capsys, tmp_path):
     assert "basically simple: unknown\nsimple: no\n" in out
 
 
+# runs each argv of the JSON list argv[1] through kpx.cli.main and prints
+# the JSON list of their [exit code, stdout, stderr]
+_BATCH = """
+import contextlib, io, json, sys
+from kpx.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    # paths hash by identity, so a set of paths iterates in address order,
+    # and str hashes follow PYTHONHASHSEED: neither order may reach the
+    # output, so two fresh processes under two seeds print the same bytes
+    cl2 = tmp_path / "cloops2.json"
+    cl2.write_text(json.dumps(io.graph_to_dict(presets.commuting_loops(2))))
+    cl2 = str(cl2)
+    argvs = [
+        ["--graph", L2, "refine", "e1*e1", "f2*f2", "v1*v1", "e1.f1*e1.f1", "v1*v1\\e1;f2"],
+        ["--graph", L2, "eval", "g(e1)*s(f2) + s(e1.f1)*g(f2.e2) - 2*s(v1) + g(e3)*s(e3)",
+         "--grade"],
+        ["--graph", L2, "--json", "eval", "g(v1)*s(v1) - s(e1)*g(e1) - s(e3)*g(e3)", "--grade"],
+        ["--graph", L2, "mce", "e1", "f2"],
+        ["--graph", L2, "mce", "v1", "e1.f1", "--json"],
+        ["--graph", L2, "exhaustive", "--vertex", "v1", "f2"],
+        ["--graph", L2, "boundary", "--orbits"],
+        ["--omega", "2,2", "boundary", "--orbits", "--json"],
+        ["--graph", L2, "analyze"],
+        ["--graph", LOOP, "analyze", "--json"],
+        ["--graph", cl2, "analyze"],
+        ["--graph", cl2, "mce", "e", "f1.f2"],
+        ["--graph", cl2, "exhaustive", "--vertex", "v", "e.f1"],
+        ["--graph", cl2, "refine", "e*e", "f1*f1", "e.f1*f1.e", "v*v\\e;f2"],
+        ["--graph", cl2, "eval", "g(f1)*s(f2) + g(e)*s(f1) + s(e.f1)*g(f1.e)", "--grade"],
+        ["--graph", L2, "refine", "e1*e1", "e1.f1*e3.f2"],
+    ]
+    src = os.path.dirname(os.path.dirname(kpx.__file__))
+    children = [
+        subprocess.Popen([sys.executable, "-c", _BATCH, json.dumps(argvs)],
+                         env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                         stdout=subprocess.PIPE, text=True)
+        for seed in ("0", "1")
+    ]
+    try:
+        first, second = (child.communicate(timeout=60)[0] for child in children)
+    finally:
+        for child in children:
+            child.kill()  # a no-op once the child has exited
+    assert [child.returncode for child in children] == [0, 0]
+    assert first == second
+    results = json.loads(first)
+    assert [code for code, _, _ in results] == [0] * 5 + [1] + [0] * 4 + [3, 0, 1, 0, 0, 2]
+    assert all(out for _, out, _ in results[:-1])
+
+
 def test_dim(capsys):
     code, out = run(capsys, "--graph", L2, "dim", "--json")
     assert code == 0 and json.loads(out)["dimension"] == 20
@@ -604,7 +671,8 @@ def test_graph_round_trip(tmp_path, name):
     assert g2.vertices == g.vertices
     for v in g.vertices:
         for n in below((1,) * g.k):
-            assert g2.paths_from(v, n) == g.paths_from(v, n)
+            assert ([(p.range, p.edges) for p in g2.paths_from(v, n)]
+                    == [(p.range, p.edges) for p in g.paths_from(v, n)])
 
 
 def test_parse_error_has_location(tmp_path, capsys):

@@ -407,15 +407,17 @@ def _interned(g, p):
 
 
 def test_paths_are_interned():
-    # one Path object per range and word in a graph; the paths of a second
-    # graph of the same spec are other objects, equal in value and hash
+    # one Path object per range and word in a graph, and paths compare by
+    # identity: the path of a second graph of the same spec is another,
+    # unequal object, and the builders carry it back to the first graph
     g, twin = omega_graph((2, 2)), omega_graph((2, 2))
     colour = {e.id: e.color for e in g.spec.edges}
     paths = g.all_paths()
     for p in paths:
         assert _interned(g, p) is p
         q = _interned(twin, p)
-        assert p == q and hash(p) == hash(q) and p is not q
+        assert q is not p and q != p and len({p, q}) == 2
+        assert (q.range, q.edges) == (p.range, p.edges) and _interned(g, q) is p
         brute = tuple(sum(colour[e] == c for e in p.edges) for c in (1, 2))
         assert p.degree == brute and p.degree is p.degree
         for m in below(p.degree):
@@ -433,8 +435,9 @@ def test_paths_are_interned():
 
 def _check_compose(g, box):
     """Gate compose against compose_oracle on every pair of paths of
-    degree <= box: a cold call, a repeat (memo hit), and a call with the
-    value-equal paths of a second graph built from the same spec."""
+    degree <= box: a cold call, a repeat (memo hit), and the same pair
+    carried into a second graph built from the same spec, whose result
+    carries back to the first."""
     pool = _oracle_pool(g, box)
     at = {v: [mu for mu in pool if mu.range == v] for v in g.vertices}
     twin = KGraph(g.spec)
@@ -448,8 +451,8 @@ def _check_compose(g, box):
             got = g.compose(lam, mu)
             assert (got.range, got.edges) == (lam.range, compose_oracle(g, lam, mu)), (lam, mu)
             assert got.graph is g and g._composed[(lam, mu)] is got and g.compose(lam, mu) is got
-            assert g.compose(_interned(twin, lam), _interned(twin, mu)) is got
-            assert twin.compose(_interned(twin, lam), _interned(twin, mu)) == got
+            other = twin.compose(_interned(twin, lam), _interned(twin, mu))
+            assert other.graph is twin and _interned(g, other) is got
 
 
 @pytest.mark.parametrize("name", sorted({**ORACLE_GRAPHS, **CYCLE_GRAPHS}))
@@ -732,8 +735,8 @@ def _two_loop_square_graph(flip):
 
 
 def test_mce_memo_is_per_graph():
-    # paths of A and B compare equal (the graph is not part of a path's
-    # identity), so a cache shared between graphs would answer B from A
+    # paths of A and B spell the same words, so a cache shared between
+    # graphs and keyed by words would answer B from A
     a, b = _two_loop_square_graph(False), _two_loop_square_graph(True)
     for g, tau in ((a, "e1"), (b, "e2"), (a, "e1"), (b, "e2")):
         e1, f1 = g.parse_path("e1"), g.parse_path("f1")
