@@ -261,6 +261,24 @@ def cmd_dim(args):
     return EXIT_OK, {"dimension": dim}, [str(dim)]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, whose error for a missing expression also says where an
+    expression such as -s(e1) goes when one was read as an unknown option."""
+
+    _args = None  # the arguments of the parse under way, for error()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = args  # a subcommand's parser gets those after its name
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        if message.startswith("the following arguments are required: expr") and any(
+                a[:1] == "-" and a[:2] != "--" and a not in self._option_string_actions
+                for a in self._args or ()):
+            message += " (an expression that starts with '-' must follow '--')"
+        super().error(message)
+
+
 def build_parser():
     # the shared flags suppress their defaults so a subcommand occurrence
     # does not clobber a value given before the subcommand
@@ -276,7 +294,7 @@ def build_parser():
     common.add_argument(
         "--ring", help="coefficient ring: z, q, or zmod:N (default q)"
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kpx",
         description="Exact computations in Kumjian-Pask algebras of finite "
         "higher-rank graphs.",

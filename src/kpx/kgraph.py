@@ -604,13 +604,11 @@ class KGraph:
 
     def ext(self, lam, E):
         """Union of first components of minimal-extension pairs against E."""
-        for mu in E:
+        out = set()
+        for mu in E:  # one pass, so E may be a one-shot iterable
             if mu.range != lam.range:
                 raise RangeMismatch(f"{mu!r} does not share range with {lam!r}")
-        out = set()
-        for mu in E:
-            for rho, _ in self.minimal_common_extensions(lam, mu):
-                out.add(rho)
+            out.update(rho for rho, _ in self.minimal_common_extensions(lam, mu))
         return frozenset(out)
 
     # ------------------------------------------------------------------
@@ -618,7 +616,7 @@ class KGraph:
 
     def exhaustiveness_witness(self, v, E):
         """A path gamma in v*Lambda with no common extension with any member
-        of E, or None if E is exhaustive at v.
+        of E, or None if E is exhaustive at v.  E is any iterable of paths.
 
         Works by a breadth-first search over states (vertex, obligation
         set).  A witness through a first edge a must avoid Ext(a; S), the
@@ -627,27 +625,25 @@ class KGraph:
         holds Ext(a; {mu}) for every colour-c edge a at r(mu) (see _moves),
         so each successor is a few dict lookups and one union, with no MCE
         search.  Degrees of obligations never increase, so the state space
-        is finite even on cyclic graphs.  Successors are visited in
-        out_edges order, so the witness returned is the lexicographically
-        first of the shortest ones.
+        is finite even on cyclic graphs.  Successors are generated in
+        out_edges order into a first-in first-out queue, so the first state
+        without obligations to be generated would also be dequeued first: the
+        search returns it at once, as the lexicographically first of the
+        shortest witnesses (the vertex v when E is empty).
         """
         root = self.vertex(v)
+        E = tuple(E)  # E is read twice below, so a one-shot iterable is kept
         for mu in E:  # in the given order, so the error names the first stray
             if mu.range != v:
                 raise RangeMismatch(f"{mu!r} is not a path at {v!r}")
-        E = frozenset(E)
-        start = (v, E)
+        if not E:
+            return root
+        start = (v, frozenset(E))
         parent = {start: None}  # state -> (previous state, edge id)
         queue = collections.deque([start])
         while queue:
             state = queue.popleft()
             w, S = state
-            if not S:  # witness found: walk the parent pointers back
-                word = []
-                while parent[state] is not None:
-                    state, eid = parent[state]
-                    word.append(eid)
-                return self.path(word[::-1]) if word else root
             if any(p.is_vertex() for p in S):
                 continue  # dead: the vertex meets everything
             for c in range(1, self.k + 1):
@@ -660,6 +656,12 @@ class KGraph:
                            frozenset().union(*[m.get(eid, ()) for m in moves]))
                     if nxt not in parent:
                         parent[nxt] = (state, eid)
+                        if not nxt[1]:  # a witness: walk the parent pointers back
+                            word = []
+                            while parent[nxt] is not None:
+                                nxt, eid = parent[nxt]
+                                word.append(eid)
+                            return self.path(word[::-1])
                         queue.append(nxt)
         return None
 
@@ -676,25 +678,28 @@ class KGraph:
         of mu*f and the rest.  By unique factorization each f gives one pair
         and every pair comes from one f, so one cut of mu, or one cut of mu*f
         per f, gives Ext(a; {mu}) for all the colour-c edges a at once.  A
-        cut is one _sort_word that moves the chosen colour-c edge to the
-        front: every edge it passes has another colour, and the rest keeps
-        the colour order of the word, so it is in normal form.
+        cut moves the chosen colour-c edge to the front by one _sort_word,
+        or by none when it is in front already: every edge it passes has
+        another colour, and the rest keeps the colour order of the word, so
+        it is in normal form.
         """
-        key = (mu, c)
-        out = self._move_table.get(key)
+        out = self._move_table.get((mu, c))
         if out is not None:
             return out
         edges, word = self._edges, mu.edges
-        first = next((i for i, eid in enumerate(word) if edges[eid].color == c), None)
-        if first is None:
-            cuts = [(word + (f,), len(word)) for f in self._out[(mu.source, c)]]
-        else:
-            cuts = [(word, first)]
+        for j, eid in enumerate(word):  # the first colour-c edge of mu
+            if edges[eid].color == c:
+                words = [word]
+                break
+        else:  # mu has none: cut mu*f for each colour-c edge f at s(mu)
+            j, words = len(word), [word + (f,) for f in self._out[(mu.source, c)]]
         out = {}
-        for w, j in cuts:  # move w[j] to the front
-            a, *rest = self._sort_word(w, [i != j for i in range(len(w))])
-            out.setdefault(a, []).append(self._path(edges[a].source, tuple(rest)))
-        out = self._move_table[key] = {eid: frozenset(rhos) for eid, rhos in out.items()}
+        for w in words:
+            if j:  # move w[j] to the front
+                w = self._sort_word(w, [True] * j + [False] + [True] * (len(w) - j - 1))
+            a, rho = w[0], self._path(edges[w[0]].source, tuple(w[1:]))
+            out[a] = out[a] | {rho} if a in out else frozenset((rho,))
+        self._move_table[(mu, c)] = out
         return out
 
     def is_exhaustive(self, v, E):

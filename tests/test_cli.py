@@ -744,6 +744,10 @@ EVAL_USAGE = """usage: kpx eval [-h] [--graph GRAPH] [--omega M] [--json] [--rin
                 [--grade]
                 expr
 """
+EQUAL_USAGE = """usage: kpx equal [-h] [--graph GRAPH] [--omega M] [--json] [--ring RING]
+                 expr1 expr2
+"""
+DASH_HINT = " (an expression that starts with '-' must follow '--')"
 
 # (argv, exit code, stdout, stderr); argparse exits with SystemExit
 ARGPARSE_OWNED = [
@@ -757,9 +761,11 @@ ARGPARSE_OWNED = [
     # an abbreviation and --opt=value are argparse's to read
     (["--gra", L2, "validate"], 0, "ok: rank 2, 5 vertices, 5 edges, 1 squares\n", ""),
     (["--omega=2", "dim"], 0, "9\n", ""),
-    # an expression starting with '-' needs '--' in front of it
+    # an expression starting with '-' needs '--' in front of it, and the
+    # error says so where argparse read one as an unknown option
     (["--graph", L2, "eval", "-s(e1)"], 2, "",
-     EVAL_USAGE + "kpx eval: error: the following arguments are required: expr\n"),
+     EVAL_USAGE + "kpx eval: error: the following arguments are required: expr"
+     + DASH_HINT + "\n"),
     (["--graph", L2, "eval", "--", "-s(e1)"], 0, "-1*s(e1)*g(v2)\n", ""),
     # a negative number is a value, so kpx itself rejects the degree
     (["--graph", L2, "paths", "--from", "v1", "--degree", "-1"], 2, "",
@@ -778,6 +784,17 @@ ARGPARSE_OWNED = [
      "error: Z is not a field\n"),
     # global flags after the subcommand
     (["dim", "--omega", "2", "--json"], 0, '{\n  "dimension": 9\n}\n', ""),
+    # the hint for an expression read as an option, on the second one too;
+    # with no such token, or a long option, argparse's message alone
+    (["--graph", L2, "equal", "s(v1)", "-s(v1)"], 2, "",
+     EQUAL_USAGE + "kpx equal: error: the following arguments are required: expr2"
+     + DASH_HINT + "\n"),
+    (["--graph", L2, "eval"], 2, "",
+     EVAL_USAGE + "kpx eval: error: the following arguments are required: expr\n"),
+    (["--graph", L2, "eval", "--bogus"], 2, "",
+     EVAL_USAGE + "kpx eval: error: the following arguments are required: expr\n"),
+    (["--graph", L2, "equal", "s(v1)"], 2, "",
+     EQUAL_USAGE + "kpx equal: error: the following arguments are required: expr2\n"),
 ]
 
 
