@@ -10,15 +10,8 @@ factor with that same rule (:func:`reduce`).
 
 from dataclasses import dataclass
 
-from . import degrees
-from .errors import (
-    CoefficientNotInRing,
-    IndexEscapesPi,
-    NotComposable,
-    NotCore,
-    PairNotEligible,
-    RangeMismatch,
-)
+from . import degrees, groupoid
+from .errors import CoefficientNotInRing, NotComposable, RangeMismatch
 
 
 @dataclass(frozen=True)
@@ -198,45 +191,6 @@ def grade(a):
     return parts
 
 
-# ----------------------------------------------------------------------
-# the finite matrix-unit decomposition of a corner of the core
-
-
-def pi_closure(g, E):
-    """The least finite path set containing E that is closed under taking
-    minimal common extensions of degree- and source-matched pairs."""
-    F = set(E)
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(F, key=lambda p: p.sort_key())
-        matched = [
-            (lam, mu)
-            for lam in items
-            for mu in items
-            if lam.degree == mu.degree and lam.source == mu.source
-        ]
-        for lam, mu in matched:
-            for rho, tau in matched:
-                for alpha, beta in g.minimal_common_extensions(mu, rho):
-                    for new in (g.compose(lam, alpha), g.compose(tau, beta)):
-                        if new not in F:
-                            F.add(new)
-                            changed = True
-    return frozenset(F)
-
-
-def t_set(g, lam, pi):
-    """Non-trivial extension directions of lam inside the closed set pi."""
-    out = set()
-    for p in pi:
-        if p.degree != lam.degree and g.has_prefix(p, lam):
-            nu = g.factor(p, lam.degree)[1]
-            if not nu.is_vertex():
-                out.add(nu)
-    return frozenset(out)
-
-
 def _range_projection_complement(ring, g, v, nus):
     """The span form of prod_nu (s_v - s_nu s_nu^*) at vertex v."""
     acc = vertex_unit(ring, g, v)
@@ -245,73 +199,10 @@ def _range_projection_complement(ring, g, v, nus):
     return acc
 
 
-def theta(ring, g, lam, mu, pi):
-    """The matrix-unit element for an eligible pair in the closed set pi."""
-    if lam not in pi or mu not in pi:
-        raise PairNotEligible(f"({lam!r}, {mu!r}) not inside the closed set")
-    if lam.degree != mu.degree or lam.source != mu.source:
-        raise PairNotEligible(f"({lam!r}, {mu!r}) is not degree- and source-matched")
-    middle = _range_projection_complement(ring, g, lam.source, t_set(g, lam, pi))
-    return multiply(multiply(generator(ring, lam, g.vertex(lam.source)), middle),
-                    generator(ring, g.vertex(mu.source), mu))
-
-
-def expand_core_in_theta(a):
-    """Express a degree-zero element as a combination of matrix units.
-
-    Returns (pi, coefficients) where coefficients maps eligible pairs to
-    ring values such that a = sum coefficients[(lam, mu)] * theta(lam, mu).
-    """
-    g = a.graph()
-    ring = a.ring
-    for (lam, mu) in a._terms:
-        if lam.degree != mu.degree:
-            raise NotCore(f"term ({lam!r}, {mu!r}) has non-zero degree")
-    pi = pi_closure(g, a.index_paths()) if not a.is_structurally_zero() else frozenset()
-    coeffs = {}
-    for (lam, mu), r in a._terms.items():
-        if lam not in pi or mu not in pi:
-            raise IndexEscapesPi(f"index of ({lam!r}, {mu!r}) escapes the closed set")
-        extensions = [g.vertex(lam.source)] + sorted(
-            t_set(g, lam, pi), key=lambda p: p.sort_key()
-        )
-        for nu in extensions:
-            lnu = g.compose(lam, nu)
-            mnu = g.compose(mu, nu)
-            if lnu not in pi:
-                continue
-            assert mnu in pi, "closure must contain the paired extension"
-            key = (lnu, mnu)
-            cur = coeffs.get(key, ring.zero)
-            new = cur + r
-            if new == ring.zero:
-                coeffs.pop(key, None)
-            else:
-                coeffs[key] = new
-    return pi, coeffs
-
-
-def core_is_zero(a):
-    """Exact zero test for degree-zero elements via the matrix-unit basis.
-
-    A matrix unit vanishes exactly when its extension set is exhaustive at
-    the common source; the remaining units are linearly independent.
-    """
-    if a.is_structurally_zero():
-        return True
-    g = a.graph()
-    pi, coeffs = expand_core_in_theta(a)
-    for (lam, mu), c in coeffs.items():
-        if c == a.ring.zero:
-            continue
-        if not g.is_exhaustive(lam.source, t_set(g, lam, pi)):
-            return False
-    return True
-
-
 def kp4_defect(ring, g, v, E):
     """The element prod_{lam in E} (s_v - s_lam s_lam^*); zero iff E is
     exhaustive at v (over any ring with 1 != 0)."""
+    E = tuple(E)  # E is read twice below, so a one-shot iterable is kept
     for lam in E:
         if lam.range != v:
             raise RangeMismatch(f"{lam!r} is not a path at {v!r}")
@@ -324,9 +215,7 @@ def kp4_defect(ring, g, v, E):
 
 def is_zero(a):
     """Exact zero test: push each homogeneous part to the groupoid model."""
-    from . import groupoid
-
-    return all(groupoid.func_is_zero(groupoid.pi_t(part)) for part in grade(a).values())
+    return all(groupoid.pi_t(part).is_zero() for part in grade(a).values())
 
 
 def equals(a, b):

@@ -7,7 +7,7 @@ that may return "unknown".
 
 from dataclasses import dataclass
 
-from . import algebra, boundary, groupoid
+from . import boundary, groupoid
 from .rings import QQ
 
 
@@ -26,13 +26,6 @@ class CofinalityVerdict:
     status: str  # "cofinal" | "not_cofinal" | "unknown"
     vertex: str | None = None
     path: object | None = None  # a boundary path unreachable from vertex
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class FaithfulnessVerdict:
-    status: str  # "faithful" | "not_faithful" | "unknown"
-    kernel: object | None = None  # a non-zero element killed by the representation
     note: str = ""
 
 
@@ -120,18 +113,6 @@ def check_aperiodic(g):
     return AperiodicityVerdict(status="aperiodic", note="all regions resolve")
 
 
-def periodicity_kernel(ring, verdict):
-    """The non-zero element annihilated by the boundary representation:
-    s_{mu alpha} s_{mu alpha}^* - s_{nu alpha} s_{mu alpha}^*."""
-    mu, nu, alpha = verdict.witness
-    g = mu.graph
-    mu_alpha = g.compose(mu, alpha)
-    nu_alpha = g.compose(nu, alpha)
-    return algebra.generator(ring, mu_alpha, mu_alpha) - algebra.generator(
-        ring, nu_alpha, mu_alpha
-    )
-
-
 # ----------------------------------------------------------------------
 # cofinality
 
@@ -178,7 +159,8 @@ def check_cofinal(g):
 
 
 # ----------------------------------------------------------------------
-# groupoid formulations
+# the headline report
+
 
 # the three-valued answer carried by each verdict status
 _ANSWER = {
@@ -188,33 +170,6 @@ _ANSWER = {
     "not_cofinal": "no",
     "unknown": "unknown",
 }
-
-
-def is_effective(g):
-    """Three-valued: the groupoid is effective iff the graph is aperiodic."""
-    return _ANSWER[check_aperiodic(g).status]
-
-
-def is_minimal(g):
-    """Three-valued: the groupoid is minimal iff the graph is cofinal."""
-    return _ANSWER[check_cofinal(g).status]
-
-
-def boundary_rep_faithful(g, ring=QQ):
-    """Whether the boundary-path representation is injective: it is exactly
-    when the graph is aperiodic; a periodic witness yields a kernel element."""
-    verdict = check_aperiodic(g)
-    if verdict.status == "aperiodic":
-        return FaithfulnessVerdict(status="faithful")
-    if verdict.status == "periodic":
-        return FaithfulnessVerdict(
-            status="not_faithful", kernel=periodicity_kernel(ring, verdict)
-        )
-    return FaithfulnessVerdict(status="unknown", note=verdict.note)
-
-
-# ----------------------------------------------------------------------
-# the headline report
 
 
 def _meet(a, b):

@@ -166,10 +166,6 @@ def prepend(lam, x):
     return lasso(g.compose(lam, x.head), x.cycle)
 
 
-def vertex_at(x, n):
-    return prefix(x, n).source
-
-
 def has_path_prefix(x, lam):
     """True iff lam is the initial segment of x of degree d(lam)."""
     if x.range != lam.range:

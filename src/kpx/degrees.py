@@ -23,10 +23,6 @@ def unit(k, i):
     return tuple(1 if j == i - 1 else 0 for j in range(k))
 
 
-def add(m, n):
-    return tuple(a + b for a, b in zip(m, n))
-
-
 def sub(m, n):
     """Componentwise difference m - n; requires n <= m."""
     if not le(n, m):
@@ -45,13 +41,3 @@ def le(m, n):
 
 def join(m, n):
     return tuple(max(a, b) for a, b in zip(m, n))
-
-
-def below(n):
-    """All degrees m with 0 <= m <= n, in lexicographic order."""
-    if not n:
-        yield ()
-        return
-    for head in range(n[0] + 1):
-        for tail in below(n[1:]):
-            yield (head,) + tail

@@ -53,18 +53,6 @@ class NotField(KpxError):
     """An operation requiring a field was called with a non-field ring."""
 
 
-class NotCore(KpxError):
-    """An element required to be homogeneous of degree zero is not."""
-
-
-class IndexEscapesPi(KpxError):
-    """An index path of an element lies outside the given closed path set."""
-
-
-class PairNotEligible(KpxError):
-    """A path pair is not degree- and source-matched inside a closed set."""
-
-
 class ParseError(KpxError):
     """A textual input (graph file or element expression) failed to parse."""
 

@@ -4,21 +4,16 @@ Compact open subsets of the groupoid are finite disjoint unions of cells
 Z(lam * mu \\ G): pairs of boundary paths through lam and mu with matching
 tails, minus those extending lam by a member of G.  Functions into a ring
 are finite combinations of cell indicators kept in refined (disjoint)
-form, which makes the zero test exact; multiplication of algebra elements
-transports through this model.  One routine cuts a cell by another into
-intersection and difference; refinement runs it only within a bucket of
-cells sharing shift degree, r(lam) and r(mu), as cells of two are disjoint.
+form, which makes the zero test exact; pi_t carries a span-form element
+into this model.  One routine cuts a cell by another into intersection
+and difference; refinement runs it only within a bucket of cells sharing
+shift degree, r(lam) and r(mu), as cells of two are disjoint.
 """
 
 from dataclasses import dataclass
 
-from . import algebra, boundary, degrees
-from .errors import (
-    DegreeOutOfRange,
-    NotAcyclic,
-    NotField,
-    RangeMismatch,
-)
+from . import degrees
+from .errors import DegreeOutOfRange, NotAcyclic, NotField, RangeMismatch
 from .kgraph import Path
 from .rings import ZZ
 
@@ -207,28 +202,8 @@ def func_from_terms(ring, weighted_cells):
     return SteinbergFunction(ring=ring, terms=tuple(entries))
 
 
-def func_is_zero(f):
-    return f.is_zero()
-
-
-def func_add(f, g):
-    return func_from_terms(f.ring, list(f.terms) + list(g.terms))
-
-
-def func_neg(f):
-    return SteinbergFunction(ring=f.ring, terms=tuple((-c, cell) for c, cell in f.terms))
-
-
-def func_sub(f, g):
-    return func_add(f, func_neg(g))
-
-
-def func_equal(f, g):
-    return func_is_zero(func_sub(f, g))
-
-
 # ----------------------------------------------------------------------
-# transport between the algebra and the groupoid model
+# transport from span form to the groupoid model
 
 
 def pi_t(a):
@@ -239,108 +214,8 @@ def pi_t(a):
     return func_from_terms(a.ring, terms)
 
 
-def pi_t_inv(f):
-    """The algebra element of a cell function:
-    1[Z(lam*mu\\G)] = s_lam (prod_nu (s_w - s_nu s_nu^*)) s_mu^*."""
-    out = None
-    ring = f.ring
-    for coeff, cell in f.terms:
-        g = cell.graph
-        w = cell.lam.source
-        middle = algebra._range_projection_complement(ring, g, w, cell.avoid)
-        piece = algebra.multiply(
-            algebra.multiply(algebra.generator(ring, cell.lam, g.vertex(w)), middle),
-            algebra.generator(ring, g.vertex(w), cell.mu),
-        ).scale(coeff)
-        out = piece if out is None else out + piece
-    return out if out is not None else algebra.SpanForm(ring)
-
-
-def convolve(f, g):
-    """Convolution of cell functions, transported through the algebra."""
-    return pi_t(algebra.multiply(pi_t_inv(f), pi_t_inv(g)))
-
-
-# ----------------------------------------------------------------------
-# pointwise model on acyclic graphs
-
-
-@dataclass(frozen=True)
-class GroupoidElement:
-    """A boundary-path groupoid element (x, m, y): some shifts of x and y
-    agree with degree offset m."""
-
-    x: boundary.BoundaryPath
-    m: tuple
-    y: boundary.BoundaryPath
-
-    def label(self):
-        return f"({self.x.label()}, {self.m}, {self.y.label()})"
-
-    def __repr__(self):
-        return f"GroupoidElement{self.label()}"
-
-    def sort_key(self):
-        return (self.x.sort_key(), self.m, self.y.sort_key())
-
-
-def make_element(x, m, y):
-    """Validate and build a groupoid element from finite boundary paths.
-
-    (x, m, y) is one iff s(x) = s(y) and m = d(x) - d(y): equal finite tails
-    shift(x, p) = shift(y, q) have equal degrees, so d(x) - p = d(y) - q with
-    m = p - q; conversely p = d(x), q = d(y) both leave the tail s(x) = s(y)."""
-    if x.source != y.source or m != degrees.diff(x.degree, y.degree):
-        raise DegreeOutOfRange(f"({x!r}, {m}, {y!r}) is not a groupoid element")
-    return GroupoidElement(x=x, m=m, y=y)
-
-
-def enumerate_groupoid(g):
-    """All groupoid elements of an acyclic graph, sorted."""
-    if not g.is_acyclic():
-        raise NotAcyclic("pointwise enumeration requires an acyclic graph")
-    paths = boundary.enumerate_boundary(g)
-    out = []
-    for x in paths:
-        for y in paths:
-            if x.source != y.source:
-                continue
-            offsets = set()
-            for p in degrees.below(x.degree):
-                for q in degrees.below(y.degree):
-                    if boundary.shift(x, p) == boundary.shift(y, q):
-                        offsets.add(degrees.diff(p, q))
-            for m in sorted(offsets):
-                out.append(GroupoidElement(x=x, m=m, y=y))
-    return sorted(out, key=GroupoidElement.sort_key)
-
-
-def element_in_cell(el, cell):
-    g = cell.graph
-    if el.m != cell.shift_degree:
-        return False
-    if not boundary.has_path_prefix(el.x, cell.lam):
-        return False
-    if not boundary.has_path_prefix(el.y, cell.mu):
-        return False
-    if boundary.shift(el.x, cell.lam.degree) != boundary.shift(el.y, cell.mu.degree):
-        return False
-    for nu in cell.avoid:
-        if boundary.has_path_prefix(el.x, g.compose(cell.lam, nu)):
-            return False
-    return True
-
-
-def eval_function(f, el):
-    total = f.ring.zero
-    for coeff, cell in f.terms:
-        if element_in_cell(el, cell):
-            total = total + coeff
-    return total
-
-
 def dim_over_field(g, ring):
-    """The dimension of the algebra over a field for an acyclic graph: the
+    """The dimension of KP_R(Lambda) over a field R for an acyclic graph: the
     number of groupoid elements, i.e. the sum of squared orbit sizes.
 
     The orbit of a sink w holds one boundary path per path with source w

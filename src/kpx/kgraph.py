@@ -156,10 +156,12 @@ def _square_side(edges, pair, increasing, sq):
     return ea, eb
 
 
-def _swap_tables(squares, edges):
-    """The swap tables between the two orientations of a bicolored word,
-    (hi, lo) word -> (lo, hi) word and back, with each square checked."""
-    to_cm, from_cm = {}, {}
+def _swap_table(squares, edges):
+    """The swap table between the two orientations of a bicolored word,
+    (lo, hi) word -> (hi, lo) word and back, with each square checked.  A
+    pair's colours are ordered one way or the other, so the two directions
+    never share a key."""
+    swap = {}
     for sq in squares:
         if not isinstance(sq, Square):
             raise InvalidSpec(f"square {sq!r} is not a Square")
@@ -172,20 +174,20 @@ def _swap_tables(squares, edges):
             raise BadSquare(f"square {sq} mixes color pairs")
         if e.range != f2.range or f.source != e2.source:
             raise BadSquare(f"square {sq} endpoints do not match")
-        if first in from_cm:
+        if first in swap:
             raise NotBijective(f"edge pair {first} appears in two squares")
-        if second in to_cm:
+        if second in swap:
             raise NotBijective(f"edge pair {second} appears in two squares")
-        from_cm[first] = second
-        to_cm[second] = first
-    return to_cm, from_cm
+        swap[first] = second
+        swap[second] = first
+    return swap
 
 
 class KGraph:
     """A validated finite rank-k graph.
 
     The constructor checks the specification while it builds the edge
-    table, the square tables and the edge index, so each is built once and
+    table, the swap table and the edge index, so each is built once and
     no unvalidated graph exists.  It checks types too (``int`` rank and
     colours, not ``bool``; ``str`` ids; two-id square sides), so a spec read
     from a file and one built in Python pass the same gate.  The graph owns
@@ -227,16 +229,14 @@ class KGraph:
             at[r].append(e)
 
         self.squares = _entries(spec.squares, "squares")
-        to_cm, from_cm = _swap_tables(self.squares, edges)
-        self._to_colormajor, self._from_colormajor = to_cm, from_cm
+        self._swap = swap = _swap_table(self.squares, edges)
 
         # every composable bicolored pair must occur on exactly one square
         # side; the edges at each vertex keep spec order, so the first pair
         # reported is the first in spec order
         for a in edges.values():
             for b in at[a.source]:
-                if a.color != b.color and (a.id, b.id) not in (
-                        from_cm if a.color < b.color else to_cm):
+                if a.color != b.color and (a.id, b.id) not in swap:
                     raise NotBijective(f"edge pair {(a.id, b.id)} is not covered by any square")
         if k >= 3:
             self._check_cubes(at)
@@ -283,7 +283,7 @@ class KGraph:
         either way: xy, xz, yz (the order _normalize_word takes) or yz, xz,
         xy.  The coverage check has passed, so every swap is in the table.
         """
-        swap = self._to_colormajor
+        swap = self._swap
         for x in self._edges.values():
             for y in at[x.source]:
                 if y.color >= x.color:
@@ -371,12 +371,8 @@ class KGraph:
                 if keys[i] <= keys[i + 1]:
                     continue
                 pair = (w[i], w[i + 1])
-                if self._edges[pair[0]].color > self._edges[pair[1]].color:
-                    table = self._to_colormajor
-                else:
-                    table = self._from_colormajor
                 try:
-                    w[i], w[i + 1] = table[pair]
+                    w[i], w[i + 1] = self._swap[pair]
                 except KeyError:
                     raise NotBijective(
                         f"no square covers the edge pair {pair}"

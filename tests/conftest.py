@@ -7,6 +7,7 @@ fast implementations can be gated against them.
 
 import collections
 import contextlib
+import dataclasses
 import functools
 import itertools
 import random
@@ -15,11 +16,12 @@ import signal
 import pytest
 
 from kpx import boundary as bnd
+from kpx import groupoid as gpd
 from kpx import presets
 from kpx.analysis import AperiodicityVerdict, CofinalityVerdict
-from kpx.algebra import GhostSym, PathSym, SpanForm
-from kpx.errors import NotComposable
-from kpx.degrees import join, le, sub, zero
+from kpx.algebra import GhostSym, PathSym, SpanForm, generator, kp4_defect, multiply
+from kpx.errors import DegreeOutOfRange, NotAcyclic, NotComposable
+from kpx.degrees import diff, join, le, sub, zero
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 
 
@@ -86,7 +88,7 @@ def downset_graph(generators):
     two points lies in the set, so this is always a valid acyclic k-graph;
     it is locally convex only when the set is a box."""
     k = len(generators[0])
-    points = sorted({p for top in generators for p in _degree_box(top)})
+    points = sorted({p for top in generators for p in below(top)})
     inside = set(points)
 
     def name(p):
@@ -566,7 +568,7 @@ def boundary_oracle(g, lam):
     """A finite path is a boundary path iff for every exhaustive finite set E
     at any of its vertices lam(n), some member of E is picked up by the tail.
     Exact on acyclic graphs; sweeps every finite set of paths at the vertex."""
-    for n_idx in _degree_box(lam.degree):
+    for n_idx in below(lam.degree):
         v = g.vertex_at(lam, n_idx)
         tail = g.segment(lam, n_idx, lam.degree)
         pool = sorted(g.paths_at(v), key=lambda p: p.sort_key())
@@ -580,38 +582,9 @@ def boundary_oracle(g, lam):
     return True
 
 
-def _degree_box(d):
-    return itertools.product(*(range(n + 1) for n in d))
-
-
-def groupoid_points(g):
-    from kpx.groupoid import enumerate_groupoid
-
-    return enumerate_groupoid(g)
-
-
-def convolve_oracle(f1, f2, points):
-    """Pointwise convolution over an explicit list of groupoid elements:
-    (f1 * f2)(a) = sum over b with same range of f1(b) f2(b^-1 a)."""
-    from kpx.groupoid import GroupoidElement, eval_function
-
-    ring = f1.ring
-    out = {}
-    for a in points:
-        total = ring.zero
-        for b in points:
-            if b.x != a.x:
-                continue
-            # b^-1 a = (y_b, m_a - m_b, y_a) when legal
-            inv = GroupoidElement(b.y, sub_z(a.m, b.m), a.y)
-            total = total + eval_function(f1, b) * eval_function(f2, inv)
-        if total != ring.zero:
-            out[a] = total
-    return out
-
-
-def sub_z(m, n):
-    return tuple(a - b for a, b in zip(m, n))
+def below(n):
+    """All degrees m with 0 <= m <= n, in lexicographic order."""
+    return itertools.product(*(range(c + 1) for c in n))
 
 
 def eval_span_on_boundary(g, a, basis=None):
@@ -622,7 +595,7 @@ def eval_span_on_boundary(g, a, basis=None):
     return {x: bnd.boundary_rep(a, {x: a.ring.one}) for x in basis}
 
 
-def random_span(g, ring, rng, npaths=None, nterms=3, maxdeg=None):
+def random_span(g, ring, rng, npaths=None, nterms=3):
     """Random span-form element with source-matched pairs."""
     if npaths is None:
         npaths = list(g.all_paths())
@@ -640,8 +613,6 @@ def random_span(g, ring, rng, npaths=None, nterms=3, maxdeg=None):
 
 
 def random_cell(g, rng, npaths=None, max_avoid=2):
-    from kpx.groupoid import make_cell
-
     if npaths is None:
         npaths = list(g.all_paths())
     by_source = {}
@@ -653,19 +624,233 @@ def random_cell(g, rng, npaths=None, max_avoid=2):
         exts = [p for p in g.paths_at(lam.source) if not p.is_vertex()]
         navoid = rng.randint(0, min(max_avoid, len(exts)))
         avoid = rng.sample(exts, navoid) if navoid else []
-        cell = make_cell(lam, mu, avoid)
+        cell = gpd.make_cell(lam, mu, avoid)
         if cell is not None:
             return cell
     raise RuntimeError("could not build a nonempty cell")
 
 
-def cell_points(cell, points):
-    from kpx.groupoid import element_in_cell
+def periodicity_kernel(ring, verdict):
+    """The non-zero element that a periodic verdict's witness (mu, nu, alpha)
+    gives, annihilated by the boundary representation:
+    s_{mu alpha} s_{mu alpha}^* - s_{nu alpha} s_{mu alpha}^*."""
+    mu, nu, alpha = verdict.witness
+    g = mu.graph
+    mu_alpha = g.compose(mu, alpha)
+    nu_alpha = g.compose(nu, alpha)
+    return generator(ring, mu_alpha, mu_alpha) - generator(ring, nu_alpha, mu_alpha)
 
+
+# ----------------------------------------------------------------------
+# the matrix units of a corner of the core: a second zero test for
+# degree-zero elements, independent of the cell model behind is_zero
+
+
+def pi_closure(g, E):
+    """The least finite path set containing E that is closed under taking
+    minimal common extensions of degree- and source-matched pairs."""
+    F = set(E)
+    changed = True
+    while changed:
+        changed = False
+        items = sorted(F, key=lambda p: p.sort_key())
+        matched = [
+            (lam, mu)
+            for lam in items
+            for mu in items
+            if lam.degree == mu.degree and lam.source == mu.source
+        ]
+        for lam, mu in matched:
+            for rho, tau in matched:
+                for alpha, beta in g.minimal_common_extensions(mu, rho):
+                    for new in (g.compose(lam, alpha), g.compose(tau, beta)):
+                        if new not in F:
+                            F.add(new)
+                            changed = True
+    return frozenset(F)
+
+
+def t_set(g, lam, pi):
+    """Non-trivial extension directions of lam inside the closed set pi."""
+    out = set()
+    for p in pi:
+        if p.degree != lam.degree and g.has_prefix(p, lam):
+            nu = g.factor(p, lam.degree)[1]
+            if not nu.is_vertex():
+                out.add(nu)
+    return frozenset(out)
+
+
+def theta(ring, g, lam, mu, pi):
+    """The matrix-unit element for an eligible pair in the closed set pi:
+    s_lam (prod over nu in T(lam) of (s_w - s_nu s_nu^*)) s_mu^*."""
+    if lam not in pi or mu not in pi:
+        raise ValueError(f"({lam!r}, {mu!r}) not inside the closed set")
+    if lam.degree != mu.degree or lam.source != mu.source:
+        raise ValueError(f"({lam!r}, {mu!r}) is not degree- and source-matched")
+    w = g.vertex(lam.source)
+    middle = kp4_defect(ring, g, lam.source, t_set(g, lam, pi))
+    return multiply(multiply(generator(ring, lam, w), middle), generator(ring, w, mu))
+
+
+def expand_core_in_theta(a):
+    """Express a degree-zero element as a combination of matrix units.
+
+    Returns (pi, coefficients) where coefficients maps eligible pairs to
+    ring values such that a = sum coefficients[(lam, mu)] * theta(lam, mu).
+    pi is the closure of the index paths, so it holds every index.
+    """
+    g = a.graph()
+    ring = a.ring
+    for (lam, mu) in a._terms:
+        if lam.degree != mu.degree:
+            raise ValueError(f"term ({lam!r}, {mu!r}) has non-zero degree")
+    pi = pi_closure(g, a.index_paths())
+    coeffs = {}
+    for (lam, mu), r in a._terms.items():
+        extensions = [g.vertex(lam.source)] + sorted(
+            t_set(g, lam, pi), key=lambda p: p.sort_key()
+        )
+        for nu in extensions:
+            lnu = g.compose(lam, nu)
+            mnu = g.compose(mu, nu)
+            if lnu not in pi:
+                continue
+            assert mnu in pi, "closure must contain the paired extension"
+            key = (lnu, mnu)
+            new = coeffs.get(key, ring.zero) + r
+            if new == ring.zero:
+                coeffs.pop(key, None)
+            else:
+                coeffs[key] = new
+    return pi, coeffs
+
+
+def core_is_zero(a):
+    """Exact zero test for degree-zero elements via the matrix-unit basis.
+
+    A matrix unit vanishes exactly when its extension set is exhaustive at
+    the common source; the remaining units are linearly independent.
+    """
+    if a.is_structurally_zero():
+        return True
+    g = a.graph()
+    pi, coeffs = expand_core_in_theta(a)
+    return all(g.is_exhaustive(lam.source, t_set(g, lam, pi)) for lam, _ in coeffs)
+
+
+# ----------------------------------------------------------------------
+# the pointwise groupoid model of an acyclic graph, and the transport of
+# cell functions back to span form
+
+
+@dataclasses.dataclass(frozen=True)
+class GroupoidElement:
+    """A boundary-path groupoid element (x, m, y): some shifts of x and y
+    agree with degree offset m."""
+
+    x: bnd.BoundaryPath
+    m: tuple
+    y: bnd.BoundaryPath
+
+    def sort_key(self):
+        return (self.x.sort_key(), self.m, self.y.sort_key())
+
+
+def make_element(x, m, y):
+    """Validate and build a groupoid element from finite boundary paths.
+
+    (x, m, y) is one iff s(x) = s(y) and m = d(x) - d(y): equal finite tails
+    shift(x, p) = shift(y, q) have equal degrees, so d(x) - p = d(y) - q with
+    m = p - q; conversely p = d(x), q = d(y) both leave the tail s(x) = s(y)."""
+    if x.source != y.source or m != diff(x.degree, y.degree):
+        raise DegreeOutOfRange(f"({x!r}, {m}, {y!r}) is not a groupoid element")
+    return GroupoidElement(x=x, m=m, y=y)
+
+
+def groupoid_points(g):
+    """All groupoid elements of an acyclic graph, sorted: (x, p - q, y) for
+    every pair of shifts with shift(x, p) = shift(y, q)."""
+    if not g.is_acyclic():
+        raise NotAcyclic("pointwise enumeration requires an acyclic graph")
+    paths = bnd.enumerate_boundary(g)
+    out = []
+    for x in paths:
+        for y in paths:
+            if x.source != y.source:
+                continue
+            offsets = {
+                diff(p, q)
+                for p in below(x.degree)
+                for q in below(y.degree)
+                if bnd.shift(x, p) == bnd.shift(y, q)
+            }
+            out += [GroupoidElement(x=x, m=m, y=y) for m in offsets]
+    return sorted(out, key=GroupoidElement.sort_key)
+
+
+def element_in_cell(el, cell):
+    g = cell.graph
+    if el.m != cell.shift_degree:
+        return False
+    if not bnd.has_path_prefix(el.x, cell.lam):
+        return False
+    if not bnd.has_path_prefix(el.y, cell.mu):
+        return False
+    if bnd.shift(el.x, cell.lam.degree) != bnd.shift(el.y, cell.mu.degree):
+        return False
+    return not any(bnd.has_path_prefix(el.x, g.compose(cell.lam, nu)) for nu in cell.avoid)
+
+
+def eval_function(f, el):
+    return sum((c for c, cell in f.terms if element_in_cell(el, cell)), f.ring.zero)
+
+
+def cell_points(cell, points):
     return {a for a in points if element_in_cell(a, cell)}
 
 
-def func_points(g, f, points):
-    from kpx.groupoid import eval_function
-
+def func_points(f, points):
     return {a: v for a in points if (v := eval_function(f, a)) != f.ring.zero}
+
+
+def func_equal(f1, f2):
+    """Whether two cell functions agree: their refined difference is empty."""
+    minus = [(-c, cell) for c, cell in f2.terms]
+    return gpd.func_from_terms(f1.ring, [*f1.terms, *minus]).is_zero()
+
+
+def pi_t_inv(f):
+    """The algebra element of a cell function:
+    1[Z(lam*mu\\G)] = s_lam (prod_nu (s_w - s_nu s_nu^*)) s_mu^*."""
+    out = SpanForm(f.ring)
+    for coeff, cell in f.terms:
+        g, w = cell.graph, cell.lam.source
+        middle = kp4_defect(f.ring, g, w, cell.avoid)
+        piece = multiply(multiply(generator(f.ring, cell.lam, g.vertex(w)), middle),
+                         generator(f.ring, g.vertex(w), cell.mu))
+        out = out + piece.scale(coeff)
+    return out
+
+
+def convolve(f1, f2):
+    """Convolution of cell functions, transported through the algebra."""
+    return gpd.pi_t(multiply(pi_t_inv(f1), pi_t_inv(f2)))
+
+
+def convolve_oracle(f1, f2, points):
+    """Pointwise convolution over an explicit list of groupoid elements:
+    (f1 * f2)(a) = sum over b with same range of f1(b) f2(b^-1 a)."""
+    ring = f1.ring
+    out = {}
+    for a in points:
+        total = ring.zero
+        for b in points:
+            if b.x != a.x:
+                continue
+            # b^-1 a = (y_b, m_a - m_b, y_a) when legal
+            inv = GroupoidElement(b.y, diff(a.m, b.m), a.y)
+            total = total + eval_function(f1, b) * eval_function(f2, inv)
+        if total != ring.zero:
+            out[a] = total
+    return out

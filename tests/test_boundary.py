@@ -174,7 +174,7 @@ def test_prefix_shift_roundtrip(lambda2):
     x = bnd.finite(lambda2.parse_path("e1.f1"))
     assert bnd.prefix(x, (1, 0)).label() == "e1"
     assert bnd.shift(x, (1, 0)).label() == "f1"
-    assert bnd.vertex_at(x, (1, 1)) == "v4"
+    assert bnd.prefix(x, (1, 1)).source == "v4"
     p = lambda2.parse_path("e1")
     assert bnd.prepend(p, bnd.shift(x, (1, 0))) == x
 

@@ -15,9 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import kpx
 from kpx import cli, io, presets
 from kpx.cli import main
-from kpx.degrees import below
-
-from conftest import ORACLE_GRAPHS, downset_graph, within
+from conftest import ORACLE_GRAPHS, below, downset_graph, within
 
 FIX = "tests/fixtures"
 L2 = f"{FIX}/lambda2.json"

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from kpx import boundary as bnd
 from kpx import errors, presets
-from kpx.degrees import below, join, le, sub, zero
+from kpx.degrees import join, le, sub, zero
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 
 from conftest import (
     CYCLE_GRAPHS,
     ORACLE_GRAPHS,
     _tail,
+    below,
     compose_oracle,
     downset_graph,
     exhaustive_oracle,
