@@ -191,14 +191,6 @@ def grade(a):
     return parts
 
 
-def _range_projection_complement(ring, g, v, nus):
-    """The span form of prod_nu (s_v - s_nu s_nu^*) at vertex v."""
-    acc = vertex_unit(ring, g, v)
-    for nu in sorted(nus, key=lambda p: p.sort_key()):
-        acc = multiply(acc, vertex_unit(ring, g, v) - generator(ring, nu, nu))
-    return acc
-
-
 def kp4_defect(ring, g, v, E):
     """The element prod_{lam in E} (s_v - s_lam s_lam^*); zero iff E is
     exhaustive at v (over any ring with 1 != 0)."""
@@ -206,7 +198,10 @@ def kp4_defect(ring, g, v, E):
     for lam in E:
         if lam.range != v:
             raise RangeMismatch(f"{lam!r} is not a path at {v!r}")
-    return _range_projection_complement(ring, g, v, E)
+    acc = vertex_unit(ring, g, v)
+    for lam in sorted(E, key=lambda p: p.sort_key()):
+        acc = multiply(acc, vertex_unit(ring, g, v) - generator(ring, lam, lam))
+    return acc
 
 
 # ----------------------------------------------------------------------

@@ -123,37 +123,27 @@ def _primitive_root(cycle):
 
 
 def _pump(x, n):
-    """Rewrite a lasso so that its head has degree >= n (where possible)."""
-    g = x.graph
+    """(head, cycle) of x, the head of a lasso grown by its cycle until its
+    degree is >= n; n must be <= d(x)."""
     head, cycle = x.head, x.cycle
-    for i, c in enumerate(n):
-        if c > head.degree[i] and not cycle.degree[i]:
-            raise DegreeOutOfRange(f"{n} exceeds the degree of {x!r}")
+    if not degrees.le(n, x.degree):
+        raise DegreeOutOfRange(f"{n} exceeds the degree of {x!r}")
     while not degrees.le(n, head.degree):
-        head = g.compose(head, cycle)
+        head = x.graph.compose(head, cycle)
     return head, cycle
 
 
 def prefix(x, n):
     """The finite initial segment x(0, n) for finite n <= d(x)."""
-    g = x.graph
-    if x.is_finite:
-        if not degrees.le(n, x.head.degree):
-            raise DegreeOutOfRange(f"{n} exceeds the degree of {x!r}")
-        return g.factor(x.head, n)[0]
     head, _ = _pump(x, n)
-    return g.factor(head, n)[0]
+    return x.graph.factor(head, n)[0]
 
 
 def shift(x, n):
     """The shifted path sigma^n x for finite n <= d(x)."""
-    g = x.graph
-    if x.is_finite:
-        if not degrees.le(n, x.head.degree):
-            raise DegreeOutOfRange(f"{n} exceeds the degree of {x!r}")
-        return finite(g.factor(x.head, n)[1])
     head, cycle = _pump(x, n)
-    return lasso(g.factor(head, n)[1], cycle)
+    tail = x.graph.factor(head, n)[1]
+    return finite(tail) if cycle is None else lasso(tail, cycle)
 
 
 def prepend(lam, x):

@@ -4,14 +4,15 @@ Exit codes: 0 success / property holds, 1 property is false, 2 input
 error or internal error (reported on stderr, never as a traceback), 3 a
 three-valued verdict came back unknown.
 
-The argument parser is built once per process, at import, and it is the
-one definition of the grammar.  :func:`main` first tries a table-driven
-parse of the plain form of a command line, with tables read from that parser
-at import: exact option strings, option values that do not start with '-',
-one exact subcommand, and its positionals in one unbroken run.  Anything
-else (help, abbreviations, ``--opt=value``, ``--``, values starting with '-',
-every usage error) goes to the argparse parser, which also writes every usage
-error and help text.  Both paths give the same namespace.
+The grammar is written once, as data (``_SHARED`` and ``_GRAMMAR``), and at
+import it builds both the argparse parser and the tables of a parse of the
+plain form of a command line: exact option strings, option values that do
+not start with '-', one exact subcommand, and its positionals in one unbroken
+run.  :func:`main` tries the plain parse first.  Anything else (help,
+abbreviations, ``--opt=value``, ``--``, values starting with '-', every usage
+error) goes to argparse, which also writes every usage error and help text.
+Both paths give the same namespace.  :func:`main` then loads the graph once
+and hands it to the subcommand's handler.
 """
 
 import argparse
@@ -76,8 +77,7 @@ def _span_text(a):
     )
 
 
-def cmd_validate(args):
-    g = _load(args)
+def cmd_validate(g, args):
     payload = {
         "ok": True,
         "k": g.k,
@@ -91,8 +91,7 @@ def cmd_validate(args):
     ]
 
 
-def cmd_info(args):
-    g = _load(args)
+def cmd_info(g, args):
     preds = g.predicates()
     payload = {
         "k": g.k,
@@ -107,8 +106,7 @@ def cmd_info(args):
     return EXIT_OK, payload, lines
 
 
-def cmd_paths(args):
-    g = _load(args)
+def cmd_paths(g, args):
     deg = _parse_degree(args.degree, g.k)
     if args.leq:
         out = g.paths_leq(args.from_vertex, deg)
@@ -118,8 +116,7 @@ def cmd_paths(args):
     return EXIT_OK, {"paths": labels}, labels
 
 
-def cmd_mce(args):
-    g = _load(args)
+def cmd_mce(g, args):
     lam = g.parse_path(args.path1)
     mu = g.parse_path(args.path2)
     pairs = sorted(
@@ -136,8 +133,7 @@ def cmd_mce(args):
     return EXIT_OK, payload, lines
 
 
-def cmd_exhaustive(args):
-    g = _load(args)
+def cmd_exhaustive(g, args):
     E = [g.parse_path(p) for p in args.paths]
     witness = g.exhaustiveness_witness(args.vertex, E)
     ok = witness is None
@@ -149,8 +145,7 @@ def cmd_exhaustive(args):
     return (EXIT_OK if ok else EXIT_FALSE), payload, lines
 
 
-def cmd_boundary(args):
-    g = _load(args)
+def cmd_boundary(g, args):
     if args.orbits:
         orbs = boundary.orbits(g)
         payload = {"orbits": [[x.label() for x in orb] for orb in orbs]}
@@ -162,8 +157,7 @@ def cmd_boundary(args):
     return EXIT_OK, payload, lines
 
 
-def cmd_eval(args):
-    g = _load(args)
+def cmd_eval(g, args):
     ring = parse_ring(args.ring)
     a = elements.parse_element(g, ring, args.expr)
     payload = {"ring": ring.name, "terms": _span_terms(a)}
@@ -179,16 +173,14 @@ def cmd_eval(args):
     return EXIT_OK, payload, lines
 
 
-def cmd_zero(args):
-    g = _load(args)
+def cmd_zero(g, args):
     ring = parse_ring(args.ring)
     a = elements.parse_element(g, ring, args.expr)
     ok = algebra.is_zero(a)
     return (EXIT_OK if ok else EXIT_FALSE), {"zero": ok}, [f"zero: {str(ok).lower()}"]
 
 
-def cmd_equal(args):
-    g = _load(args)
+def cmd_equal(g, args):
     ring = parse_ring(args.ring)
     a = elements.parse_element(g, ring, args.expr1)
     b = elements.parse_element(g, ring, args.expr2)
@@ -196,16 +188,14 @@ def cmd_equal(args):
     return (EXIT_OK if ok else EXIT_FALSE), {"equal": ok}, [f"equal: {str(ok).lower()}"]
 
 
-def cmd_refine(args):
-    g = _load(args)
+def cmd_refine(g, args):
     cells = [elements.parse_cell(g, text) for text in args.cells]
     refined = groupoid.disjointify([c for c in cells if c is not None])
     labels = [c.label() for c in refined]
     return EXIT_OK, {"cells": labels}, labels if labels else ["(empty)"]
 
 
-def cmd_analyze(args):
-    g = _load(args)
+def cmd_analyze(g, args):
     ring = parse_ring(args.ring)
     rep = analysis.report(g, ring=ring)
     payload = {
@@ -254,8 +244,7 @@ def cmd_analyze(args):
     return code, payload, lines
 
 
-def cmd_dim(args):
-    g = _load(args)
+def cmd_dim(g, args):
     ring = parse_ring(args.ring)
     dim = groupoid.dim_over_field(g, ring)
     return EXIT_OK, {"dimension": dim}, [str(dim)]
@@ -279,21 +268,46 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+# Each argument is (name, add_argument keywords); a name that starts with '-'
+# is an option.  The plain parse knows only store and store_true arguments
+# with no type or choices, and positionals with nargs None, '*' or '+'.
+_SHARED = [  # before or after the subcommand
+    ("--graph", {"help": "graph specification file (JSON)"}),
+    ("--omega", {"metavar": "M", "help": "use the built-in lattice-segment graph with "
+                 "top degree M, e.g. --omega 3 or --omega 1,1"}),
+    ("--json", {"action": "store_true", "help": "JSON output"}),
+    ("--ring", {"help": "coefficient ring: z, q, or zmod:N (default q)"}),
+]
+_GRAMMAR = {  # subcommand: (handler, help, its own arguments)
+    "validate": (cmd_validate, "validate the graph file", []),
+    "info": (cmd_info, "summary and structural predicates", []),
+    "paths": (cmd_paths, "enumerate paths from a vertex", [
+        ("--from", {"dest": "from_vertex", "required": True}),
+        ("--degree", {"required": True}),
+        ("--leq", {"action": "store_true", "help": "relative boundary: degree <= bound, "
+                   "maximal in deficient colors"}),
+    ]),
+    "mce": (cmd_mce, "minimal common extensions of two paths", [("path1", {}), ("path2", {})]),
+    "exhaustive": (cmd_exhaustive, "test a set of paths for exhaustivity", [
+        ("--vertex", {"required": True}), ("paths", {"nargs": "*"})]),
+    "boundary": (cmd_boundary, "enumerate boundary paths (acyclic)", [
+        ("--orbits", {"action": "store_true"})]),
+    "eval": (cmd_eval, "reduce an element expression to span form", [
+        ("expr", {}), ("--grade", {"action": "store_true"})]),
+    "zero": (cmd_zero, "exact zero test for an element", [("expr", {})]),
+    "equal": (cmd_equal, "exact equality of two elements", [("expr1", {}), ("expr2", {})]),
+    "refine": (cmd_refine, "disjointify a list of groupoid cells", [("cells", {"nargs": "+"})]),
+    "analyze": (cmd_analyze, "aperiodicity / cofinality / simplicity", []),
+    "dim": (cmd_dim, "dimension over a field (acyclic graphs)", []),
+}
+
+
 def build_parser():
-    # the shared flags suppress their defaults so a subcommand occurrence
+    # the shared options suppress their defaults so a subcommand occurrence
     # does not clobber a value given before the subcommand
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--graph", help="graph specification file (JSON)")
-    common.add_argument(
-        "--omega",
-        metavar="M",
-        help="use the built-in lattice-segment graph with top degree M, "
-        "e.g. --omega 3 or --omega 1,1",
-    )
-    common.add_argument("--json", action="store_true", help="JSON output")
-    common.add_argument(
-        "--ring", help="coefficient ring: z, q, or zmod:N (default q)"
-    )
+    for name, kw in _SHARED:
+        common.add_argument(name, **kw)
     parser = _Parser(
         prog="kpx",
         description="Exact computations in Kumjian-Pask algebras of finite "
@@ -301,49 +315,10 @@ def build_parser():
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    add("validate", help="validate the graph file")
-    add("info", help="summary and structural predicates")
-
-    p = add("paths", help="enumerate paths from a vertex")
-    p.add_argument("--from", dest="from_vertex", required=True)
-    p.add_argument("--degree", required=True)
-    p.add_argument(
-        "--leq", action="store_true",
-        help="relative boundary: degree <= bound, maximal in deficient colors",
-    )
-
-    p = add("mce", help="minimal common extensions of two paths")
-    p.add_argument("path1")
-    p.add_argument("path2")
-
-    p = add("exhaustive", help="test a set of paths for exhaustivity")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("paths", nargs="*")
-
-    p = add("boundary", help="enumerate boundary paths (acyclic)")
-    p.add_argument("--orbits", action="store_true")
-
-    p = add("eval", help="reduce an element expression to span form")
-    p.add_argument("expr")
-    p.add_argument("--grade", action="store_true")
-
-    p = add("zero", help="exact zero test for an element")
-    p.add_argument("expr")
-
-    p = add("equal", help="exact equality of two elements")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-
-    p = add("refine", help="disjointify a list of groupoid cells")
-    p.add_argument("cells", nargs="+")
-
-    add("analyze", help="aperiodicity / cofinality / simplicity")
-
-    add("dim", help="dimension over a field (acyclic graphs)")
+    for command, (_, help_text, arguments) in _GRAMMAR.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for name, kw in arguments:
+            p.add_argument(name, **kw)
     return parser
 
 
@@ -352,41 +327,29 @@ _DEFAULTS = {"graph": None, "omega": None, "json": False, "ring": "q"}
 _NARGS = {None: "(A)", "*": "(A*)", "+": "(A+)"}  # positional nargs -> pattern over its run
 
 
-def _plain_options(parser):
+def _options(arguments):
     """{option string: (dest, True for a flag or None for one that takes a
-    value)} for the store and store_true actions of parser with no type or
-    choices; -h and anything else is left to argparse."""
-    table = {}
-    for option, a in parser._option_string_actions.items():
-        if a.type is None and a.choices is None:
-            if type(a) is argparse._StoreTrueAction:
-                table[option] = (a.dest, True)
-            elif type(a) is argparse._StoreAction and a.nargs is None:
-                table[option] = (a.dest, None)
-    return table
+    value)} for the options among arguments."""
+    return {name: (kw.get("dest", name[2:]), kw.get("action") == "store_true" or None)
+            for name, kw in arguments if name[:1] == "-"}
 
 
-def _plain_tables(parser):
-    """The top level's option table, the subcommands' dest, and per
-    subcommand its option table, defaults, required dests, positionals
+def _command_table(arguments):
+    """A subcommand's option table, defaults, required dests, positionals
     (dest, nargs) and the pattern that splits their run."""
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    commands = {}
-    for name, p in sub.choices.items():
-        positionals = [a for a in p._actions if not a.option_strings]
-        if all(a.nargs in _NARGS and a.type is None and a.choices is None and a.default is None
-               for a in positionals):
-            commands[name] = (
-                _plain_options(p),
-                {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS},
-                [a.dest for a in p._actions if a.option_strings and a.required],
-                [(a.dest, a.nargs) for a in positionals],
-                re.compile("".join(_NARGS[a.nargs] for a in positionals)),
-            )
-    return _plain_options(parser), sub.dest, commands
+    positionals = [(name, kw.get("nargs")) for name, kw in arguments if name[:1] != "-"]
+    return (
+        _options(_SHARED + arguments),
+        {**{dest: False if flag else None for dest, flag in _options(arguments).values()},
+         **{dest: None for dest, _ in positionals}},
+        [kw.get("dest", name[2:]) for name, kw in arguments if kw.get("required")],
+        positionals,
+        re.compile("".join(_NARGS[nargs] for _, nargs in positionals)),
+    )
 
 
-_TOP_OPTIONS, _COMMAND_DEST, _COMMANDS = _plain_tables(_PARSER)
+_TOP_OPTIONS = _options(_SHARED)
+_COMMANDS = {command: _command_table(arguments) for command, (_, _, arguments) in _GRAMMAR.items()}
 
 
 def _parse_plain(argv):
@@ -428,23 +391,7 @@ def _parse_plain(argv):
     for g, (dest, nargs) in enumerate(positionals, 1):
         start, end = match.span(g)
         values[dest] = run[start] if nargs is None else run[start:end]
-    return argparse.Namespace(**{**top, _COMMAND_DEST: command, **defaults, **values})
-
-
-_HANDLERS = {
-    "validate": cmd_validate,
-    "info": cmd_info,
-    "paths": cmd_paths,
-    "mce": cmd_mce,
-    "exhaustive": cmd_exhaustive,
-    "boundary": cmd_boundary,
-    "eval": cmd_eval,
-    "zero": cmd_zero,
-    "equal": cmd_equal,
-    "refine": cmd_refine,
-    "analyze": cmd_analyze,
-    "dim": cmd_dim,
-}
+    return argparse.Namespace(**{**top, "command": command, **defaults, **values})
 
 
 def main(argv=None):
@@ -454,7 +401,7 @@ def main(argv=None):
     if args is None:
         args = _PARSER.parse_args(argv, argparse.Namespace(**_DEFAULTS))
     try:
-        code, payload, lines = _HANDLERS[args.command](args)
+        code, payload, lines = _GRAMMAR[args.command][0](_load(args), args)
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:

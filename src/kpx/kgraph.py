@@ -460,20 +460,29 @@ class KGraph:
         if any(c < 0 for c in hi) or any(hi[self.k:]):
             raise DegreeOutOfRange(f"degree {hi} is not in N^{self.k}")
         out, edges = self._out, self._edges
-        words = [((), v)]  # (edge word, source)
+        # a word is a chain (last edge id, source, word before it), so one
+        # level costs one tuple per word, not a copy of the word
+        words = [(None, v, None)]
         for color, (low, high) in enumerate(zip(lo, hi), start=1):
             kept = words if low == 0 else []
             count = 0
             while words and count < high:
-                words = [(word + (eid,), edges[eid].source)
-                         for word, w in words for eid in out[(w, color)]]
+                words = [(eid, edges[eid].source, word)
+                         for word in words for eid in out[(word[1], color)]]
                 count += 1
                 if count == low:
                     kept = words
                 elif count > low:
                     kept += words
             words = kept
-        return [self._path(v, word) for word, _ in words]
+        paths = []
+        for eid, _, word in words:
+            spelled = []
+            while word is not None:
+                spelled.append(eid)
+                eid, _, word = word
+            paths.append(self._path(v, tuple(spelled[::-1])))
+        return paths
 
     def paths_from(self, v, n):
         """All paths with range v and degree exactly n, sorted."""

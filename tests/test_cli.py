@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -107,10 +108,10 @@ def test_malformed_document_says_what_is_wrong(tmp_path, capsys):
 
 
 def test_internal_error_has_no_traceback(capsys, monkeypatch):
-    def broken(args):
+    def broken(g, args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._HANDLERS, "validate", broken)
+    monkeypatch.setitem(cli._GRAMMAR, "validate", (broken, *cli._GRAMMAR["validate"][1:]))
     code = main(["--graph", L2, "validate"])
     captured = capsys.readouterr()
     assert code == 2
@@ -159,9 +160,15 @@ def test_paths_bad_degree(capsys):
 
 
 def test_paths_deep_degree(capsys):
-    code, out = run(capsys, "--graph", LOOP, "paths", "--from", "v", "--degree", "1500")
-    assert code == 0
-    assert out == ".".join(["e"] * 1500) + "\n"
+    # growing one path of n edges is linear in n: 20,000 edges take about
+    # 0.03 s, where copying the word at each level took about 1 s (2-vCPU
+    # host, Python 3.11)
+    for n, seconds in ((1500, 10), (20000, 0.3)):
+        start = time.perf_counter()
+        code, out = run(capsys, "--graph", LOOP, "paths", "--from", "v", "--degree", str(n))
+        assert time.perf_counter() - start < seconds, n
+        assert code == 0
+        assert out == ".".join(["e"] * n) + "\n"
 
 
 def test_paths_huge_degree(capsys):
@@ -840,6 +847,47 @@ def _argparse_parsers():
     return [cli._PARSER, *sub.choices.values()]
 
 
+def _introspected_options(parser):
+    """{option string: (dest, True for a flag or None for one that takes a
+    value)} for the store and store_true actions of parser with no type or
+    choices; -h and anything else is left to argparse."""
+    table = {}
+    for option, a in parser._option_string_actions.items():
+        if a.type is None and a.choices is None:
+            if type(a) is argparse._StoreTrueAction:
+                table[option] = (a.dest, True)
+            elif type(a) is argparse._StoreAction and a.nargs is None:
+                table[option] = (a.dest, None)
+    return table
+
+
+def _introspected_tables(parser):
+    """The top level's option table, the subcommands' dest, and per
+    subcommand whose positionals the plain parse can split its option table,
+    defaults, required dests, positionals (dest, nargs) and pattern."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = {}
+    for name, p in sub.choices.items():
+        positionals = [a for a in p._actions if not a.option_strings]
+        if all(a.nargs in cli._NARGS and a.type is None and a.choices is None
+               and a.default is None for a in positionals):
+            commands[name] = (
+                _introspected_options(p),
+                {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS},
+                [a.dest for a in p._actions if a.option_strings and a.required],
+                [(a.dest, a.nargs) for a in positionals],
+                "".join(cli._NARGS[a.nargs] for a in positionals),
+            )
+    return _introspected_options(parser), sub.dest, commands
+
+
+def test_plain_tables_match_the_argparse_parser():
+    # the tables the plain parse reads from the grammar rows are the ones
+    # argparse's own actions give for the parser built from the same rows
+    derived = {name: (*table[:4], table[4].pattern) for name, table in cli._COMMANDS.items()}
+    assert _introspected_tables(cli._PARSER) == (cli._TOP_OPTIONS, "command", derived)
+
+
 OPTION_STRINGS = sorted({s for p in _argparse_parsers() for s in p._option_string_actions})
 TOKENS = sorted(
     {s[:n] for s in OPTION_STRINGS if s.startswith("--") for n in range(3, len(s) + 1)}
@@ -931,3 +979,62 @@ def test_plain_parse_agrees_on_test_and_workload_argvs():
     for argv in WORKLOAD_ARGVS:
         fast, ref = parse_both(argv)
         assert fast is not None and vars(fast) == vars(ref), argv
+
+
+# ----------------------------------------------------------------------
+# the exit-code contract: whatever the argv, kpx exits with 0-3 and reports
+# no fault of its own; argvs are drawn from the grammar rows, with literals
+# from small token sets and degrees of at most 3, so each one runs quickly
+
+FUZZ_GRAPHS = [["--graph", L2], ["--graph", LOOP], ["--omega", "1,1"]]
+VERTICES = ["v1", "v5", "v", "0,0", "1,1", "zz", ""]
+PATHS = ["v1", "e1", "f2", "e1.f1", "e3.f2", "e", "e.e", "0,0>1,0", "e1.e1", "zz", "", "-e1"]
+EXPRESSIONS = ["s(e1)*g(e1)", "s(v1) - s(e1)*g(e1) - s(e3)*g(e3)", "g(e1)*s(f2)", "s(e)*g(e)",
+               "s(v) - s(e)*g(e)", "2*s(v)", "1/2*s(0,0)", "1/0*s(v1)", "s(zz)", "s(", "s(e1)+",
+               "", "-s(e)"]
+FUZZ_TOKENS = {
+    "--from": VERTICES, "--vertex": VERTICES,
+    "--degree": ["0", "3", "1,1", "0,3", "2,1", "3,3", "-1", "x", "1,2,3", ""],
+    "--ring": ["q", "z", "zmod:5", "zmod:4", "zmod:1", "zmod:0", "zmod:x", "r"],
+    "path1": PATHS, "path2": PATHS, "paths": PATHS,
+    "expr": EXPRESSIONS, "expr1": EXPRESSIONS, "expr2": EXPRESSIONS,
+    "cells": ["e1*e1", "f2*f2", "v1*v1\\e1;f2", "e1.f1*e3.f2", "e*e", "v*v\\e", "0,0*0,0",
+              "e1*", "zz*zz"],
+}
+
+
+def fuzz_argument(name, kw):
+    """Lists of argv items for one argument of a grammar row, each drawn in
+    one step, since hypothesis's cost per draw bounds this gate."""
+    if kw.get("action") == "store_true":
+        return st.sampled_from([[], [name]])
+    tokens = FUZZ_TOKENS[name]
+    if name[:1] == "-":
+        return st.sampled_from([[], *([name, t] for t in tokens)])
+    if kw.get("nargs") is None:
+        return st.sampled_from([[t] for t in tokens])
+    return st.lists(st.sampled_from(tokens), max_size=3)
+
+
+def fuzz_command(command):
+    """A subcommand followed by its own arguments and the shared ones, but
+    the graph, which comes first."""
+    arguments = [(name, kw) for name, kw in [*cli._GRAMMAR[command][2], *cli._SHARED]
+                 if name not in ("--graph", "--omega")]
+    return st.tuples(*[fuzz_argument(name, kw) for name, kw in arguments]).map(
+        lambda parts: [command, *(item for part in parts for item in part)])
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(FUZZ_GRAPHS), st.one_of([fuzz_command(c) for c in cli._GRAMMAR]))
+def test_exit_codes_stay_in_the_contract(graph, command):
+    argv = graph + command
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "internal error" not in err.getvalue(), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
