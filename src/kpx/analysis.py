@@ -50,35 +50,22 @@ def _tangled(g):
                        if any(len(g.out_edges(w, c)) > 1 for c in range(1, g.k + 1))])
 
 
-def _staircase(g, v):
-    """Walk from v along the first edge each vertex receives, lowest colour
-    first: in a deterministic region, the unique maximal path from v.
-
-    Returns (edges, None) at a dead end, or (prefix, cycle) on the first
-    vertex repeat.
-    """
-    seen = {v: 0}
-    edges = []
-    while out := g.out_edges(v):
-        edges.append(out[0])
-        v = g.edge(out[0]).source
-        if v in seen:
-            return edges[:seen[v]], edges[seen[v]:]
-        seen[v] = len(edges)
-    return edges, None
-
-
-def _lassos(g, tangled):
-    """Yield (v, mu, alpha), in vertex order, for each vertex v that reaches
-    a cycle, is not tangled, and whose staircase mu.alpha closes the cycle
-    alpha."""
-    peeled = set(g.peel_order())  # the vertices that reach no cycle
-    for v in g.vertices:
-        if v in peeled or v in tangled:
-            continue
-        prefix, cycle = _staircase(g, v)
-        if cycle is not None:
-            yield v, g.path(prefix) if prefix else g.vertex(v), g.path(cycle)
+def _lassos(g, done):
+    """Yield (v, mu, alpha), in vertex order, for each vertex v not in done
+    (at first the tangled and peeled ones) whose staircase mu.alpha, the
+    first edge each vertex receives, lowest colour first, closes the cycle
+    alpha.  Each vertex walked joins done; a walk that reaches done ends as
+    the walk of that vertex did, so it yields nothing."""
+    for start in g.vertices:
+        at, edges, v = {}, [], start  # at: vertex -> the edges walked before it
+        while v not in done:
+            at[v] = len(edges)
+            done.add(v)
+            edges.append(g.out_edges(v)[0])
+            v = g.edge(edges[-1]).source
+        if v in at:
+            cut = at[v]
+            yield start, g.path(edges[:cut]) if cut else g.vertex(start), g.path(edges[cut:])
 
 
 def check_aperiodic(g):
@@ -87,14 +74,15 @@ def check_aperiodic(g):
     Acyclic graphs are aperiodic outright.  On cyclic graphs, a vertex that
     is not tangled carries a single boundary path, its staircase; if that
     path closes a cycle, all of v's boundary is periodic and a kernel
-    witness in the style of the one-sided shift argument is produced.  The
-    tangled vertices, those that reach a vertex receiving two edges of one
-    colour, are one backward walk; those that reach a cycle stay unresolved.
+    witness in the style of the one-sided shift argument is produced from
+    the first lasso.  The tangled vertices, those that reach a vertex
+    receiving two edges of one colour, are one backward walk; those that
+    reach a cycle stay unresolved.
     """
     if g.is_acyclic():
         return AperiodicityVerdict(status="aperiodic", note="acyclic graph")
     tangled = _tangled(g)
-    for v, mu, alpha in _lassos(g, tangled):
+    for v, mu, alpha in _lassos(g, tangled | set(g.peel_order())):
         nu = g.compose(mu, alpha)
         return AperiodicityVerdict(
             status="periodic",
@@ -121,38 +109,45 @@ def check_cofinal(g):
     """Decide whether every vertex can reach every boundary path.
 
     A boundary path x meets reachable(v) exactly when that set holds its
-    tail vertex x.head.source (the source of a finite x, the cycle base of a
-    lasso), since every vertex x visits reaches it.  On acyclic graphs the
-    tails are the sinks (vertices that receive no edge).  A sink reaches
-    only itself and every vertex reaches some sink, so the graph is cofinal
-    iff it has exactly one sink.  Otherwise the witness is the first vertex,
-    in vertex order, that misses a sink, with the first sink it misses (a
-    boundary path that sorts before the longer ones); the first sink in
-    vertex order misses the others, so the search stops there at the latest.
-    On cyclic graphs, strong connectivity certifies cofinality, in two walks:
-    the first vertex reaches every vertex and every vertex reaches it.
-    Otherwise a lasso witness is searched among the staircases of the
-    untangled vertices (see check_aperiodic); failing both, unknown.
+    tail vertex x.head.source (the source of a finite x, a vertex on the
+    cycle of a lasso), since every vertex x visits reaches it.  On acyclic
+    graphs the tails are the sinks (vertices that receive no edge), and one
+    pass along peel_order records the sinks each vertex reaches; the
+    witness is the first vertex, in vertex order, that misses a sink, with
+    the first sink it misses (a boundary path that sorts before the longer
+    ones).  On cyclic graphs, strong connectivity certifies cofinality, in
+    two walks: the first vertex reaches every vertex and every vertex
+    reaches it.  Otherwise a lasso mu.alpha of _lassos is a witness when
+    some vertex misses reaching([alpha.range]).  If every vertex reaches
+    the first tail t, every vertex reaches each vertex of reachable(t), so
+    no lasso met from there is a witness, and reachable(t) joins done.  A
+    later lasso closes a cycle outside reachable(t), which t misses, so it
+    is a witness.  The search thus makes at most two reaching walks and one
+    reachable walk; failing a witness, unknown.
     """
     if g.is_acyclic():
         sinks = g.sinks()
-        if len(sinks) <= 1:
-            return CofinalityVerdict(status="cofinal", note="every vertex reaches every sink")
+        reach = {w: 1 << i for i, w in enumerate(sinks)}  # vertex -> bit i per sinks[i] reached
+        for u in g.peel_order():  # after every vertex u reaches; a sink receives no edge
+            for eid in g.out_edges(u):
+                reach[u] = reach.get(u, 0) | reach[g.edge(eid).source]
         for v in g.vertices:
-            reach = g.reachable(v)
-            for w in sinks:
-                if w not in reach:
-                    return CofinalityVerdict(status="not_cofinal", vertex=v,
-                                             path=boundary.finite(g.vertex(w)))
+            if missed := ~reach[v] & (1 << len(sinks)) - 1:
+                w = sinks[(missed & -missed).bit_length() - 1]
+                return CofinalityVerdict(status="not_cofinal", vertex=v,
+                                         path=boundary.finite(g.vertex(w)))
+        return CofinalityVerdict(status="cofinal", note="every vertex reaches every sink")
     v0 = g.vertices[0]
     if len(g.reachable(v0)) == len(g.reaching([v0])) == len(g.vertices):
         return CofinalityVerdict(status="cofinal", note="all-pairs reachability")
-    for _, head, cycle in _lassos(g, _tangled(g)):
-        x = boundary.lasso(head, cycle)
-        reaching = g.reaching([x.head.source])
+    done = _tangled(g) | set(g.peel_order())
+    for _, mu, alpha in _lassos(g, done):
+        reaching = g.reaching([alpha.range])
         for v in g.vertices:
             if v not in reaching:
-                return CofinalityVerdict(status="not_cofinal", vertex=v, path=x)
+                return CofinalityVerdict(status="not_cofinal", vertex=v,
+                                         path=boundary.lasso(mu, alpha))
+        done.update(g.reachable(alpha.range))
     return CofinalityVerdict(
         status="unknown", note="reachability incomplete and no witness found"
     )

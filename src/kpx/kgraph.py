@@ -397,8 +397,13 @@ class KGraph:
             out = self._composed[(lam, mu)] = self._path(lam.range, word)
         return out
 
+    def _check_degree(self, m):
+        if len(m) != self.k or min(m) < 0:
+            raise DegreeOutOfRange(f"degree {m} is not in N^{self.k}")
+
     def factor(self, lam, m):
         """Split lam into its unique prefix of degree m and the rest."""
+        self._check_degree(m)
         if not degrees.le(m, lam.degree):
             raise DegreeOutOfRange(f"{m} exceeds degree {lam.degree}")
         return self._split(lam.range, lam.edges, m)
@@ -441,7 +446,7 @@ class KGraph:
         """True iff mu is the degree-d(mu) prefix of lam."""
         if not degrees.le(mu.degree, lam.degree) or lam.range != mu.range:
             return False
-        return self.factor(lam, mu.degree)[0] == mu
+        return self._split(lam.range, lam.edges, mu.degree)[0] == mu
 
     # ------------------------------------------------------------------
     # path enumeration
@@ -457,8 +462,7 @@ class KGraph:
         """
         if type(v) is not str or v not in self._vset:
             raise UnknownId(f"unknown vertex id {v!r}")
-        if any(c < 0 for c in hi) or any(hi[self.k:]):
-            raise DegreeOutOfRange(f"degree {hi} is not in N^{self.k}")
+        self._check_degree(hi)
         out, edges = self._out, self._edges
         # a word is a chain (last edge id, source, word before it), so one
         # level costs one tuple per word, not a copy of the word

@@ -8,7 +8,7 @@ from kpx import groupoid as gpd
 from kpx import presets
 from kpx.algebra import is_zero
 from kpx.degrees import zero
-from kpx.kgraph import Edge, KGraph, KGraphSpec, Path, omega_graph
+from kpx.kgraph import Edge, KGraph, KGraphSpec, Path, Square, omega_graph
 from kpx.rings import QQ, ZZ, IntegersMod
 
 from conftest import (
@@ -126,11 +126,31 @@ def test_acyclic_cofinality_on_random_graphs():
         assert (want is None) == (len(g.sinks()) == 1), seed
 
 
+def _later_staircases():
+    """Two 2-graphs where a later staircase runs into a walked vertex.  In
+    the first, v's staircase e ends at the sink s although v reaches the
+    colour-2 loop l, and u's staircase h runs into v.  In the second, the
+    product of a loop at a with an edge from b to a and a loop at x, the
+    staircase of a*x closes a loop that every vertex reaches, and that of
+    b*x runs into a*x, which b*x does not reach back."""
+    edges = [Edge("e", 1, "v", "s"), Edge("f", 2, "v", "y"), Edge("l", 2, "y", "y"),
+             Edge("h", 1, "u", "v"), Edge("f2", 2, "u", "z"), Edge("h2", 1, "z", "y"),
+             Edge("m", 2, "z", "z")]
+    squares = [Square(first=("h", "f"), second=("f2", "h2")),
+               Square(first=("h2", "l"), second=("m", "h2"))]
+    yield "dead_end", KGraph(KGraphSpec(k=2, vertices=("v", "u", "s", "y", "z"),
+                                        edges=tuple(edges), squares=tuple(squares)))
+    yield "covered_tail", product_graph(one_graph("ab", [("a", "a"), ("b", "a")]),
+                                        one_graph("x", [("x", "x")]))
+
+
 def _reference_graphs():
-    """The oracle and cycle graphs, 300 random 1-graphs, 40 products of two
-    random 1-graphs (both, one or neither cyclic) and commuting_loops(1..4)."""
+    """The oracle and cycle graphs, two 2-graphs whose later staircases run
+    into walked vertices, 300 random 1-graphs, 40 products of two random
+    1-graphs (both, one or neither cyclic) and commuting_loops(1..4)."""
     for name, build in {**ORACLE_GRAPHS, **CYCLE_GRAPHS}.items():
         yield name, build()
+    yield from _later_staircases()
     for seed in range(300):
         yield f"random{seed}", random_one_graph(seed)
     for seed in range(40):

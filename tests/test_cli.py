@@ -557,9 +557,9 @@ def test_validate_and_info_on_large_graphs_in_time(capsys):
                "locally_convex: True\nrow_finite: True\n")
 
 
-def test_analyze_large_acyclic_graphs_in_time(capsys):
-    # acyclic cofinality is "exactly one sink", so analyze builds no
-    # reachability set per vertex
+def test_analyze_large_acyclic_graphs_in_time(capsys, tmp_path):
+    # acyclic cofinality is one pass along the peel order, so analyze builds
+    # no reachability set per vertex, one sink or many
     with within(2, "--omega 3000 analyze"):
         got = run(capsys, "--omega", "3000", "analyze")
     assert got == (0, "acyclic: True\nhas_sources: True\nlocally_convex: True\n"
@@ -568,13 +568,34 @@ def test_analyze_large_acyclic_graphs_in_time(capsys):
                       "dimension: 9006001\n")
     code, out = run_in_time(capsys, "--omega", "40,40", "analyze")
     assert code == 0 and out.endswith("simple: yes\ndimension: 2825761\n")
+    # a chain of 2,000 vertices into the two sinks a and b: every chain
+    # vertex reaches both, and the witness is the first sink with the other
+    n = 2000
+    doc = {
+        "k": 1,
+        "vertices": [f"v{i}" for i in range(n)] + ["a", "b"],
+        "edges": [{"id": f"e{i}", "color": 1, "range": f"v{i}", "source": f"v{i + 1}"}
+                  for i in range(n - 1)]
+                 + [{"id": f"to{w}", "color": 1, "range": f"v{n - 1}", "source": w} for w in "ab"],
+        "squares": [],
+    }
+    path = tmp_path / "chain_sinks.json"
+    path.write_text(json.dumps(doc))
+    with within(1, "chain into two sinks analyze"):
+        got = run(capsys, "--graph", str(path), "analyze")
+    assert got == (0, "acyclic: True\nhas_sources: True\nlocally_convex: True\n"
+                      "row_finite: True\naperiodic: aperiodic\ncofinal: not_cofinal\n"
+                      "cofinality witness: vertex=a path=b\nring: Q (field: True)\n"
+                      f"basically simple: no\nsimple: no\ndimension: {2 * (n + 1) ** 2}\n")
 
 
 def test_analyze_large_cyclic_graphs_in_time(capsys, tmp_path):
     # a ring is strongly connected and one staircase closes it; with a loop
     # at v0 every vertex reaches a vertex that receives two edges of one
-    # colour, so aperiodicity is unknown.  Neither builds a reachability
-    # set per vertex.
+    # colour, so aperiodicity is unknown.  A chain into a loop is neither:
+    # every staircase ends in the loop, which every vertex reaches, so
+    # cofinality stays unknown after one walk over the chain.  None builds
+    # a reachability set per vertex.
     n = 2000
     doc = {
         "k": 1,
@@ -600,6 +621,17 @@ def test_analyze_large_cyclic_graphs_in_time(capsys, tmp_path):
         got = run(capsys, "--graph", str(ring_loop), "analyze")
     assert got == (3, head + "aperiodic: unknown\ncofinal: cofinal\nring: Q (field: True)\n"
                    "basically simple: unknown\nsimple: unknown\n")
+    doc["edges"] = doc["edges"][:n - 1] + [
+        {"id": "loop", "color": 1, "range": f"v{n - 1}", "source": f"v{n - 1}"}]
+    chain_loop = tmp_path / "chain_loop.json"
+    chain_loop.write_text(json.dumps(doc))
+    with within(1, "chain into a loop analyze"):
+        got = run(capsys, "--graph", str(chain_loop), "analyze")
+    mu = ".".join(f"e{i}" for i in range(n - 1))
+    assert got == (0, head + "aperiodic: periodic\n"
+                   f"periodicity: vertex=v0 m=({n - 1},) n=({n},) mu={mu} nu={mu}.loop alpha=loop\n"
+                   "cofinal: unknown\nring: Q (field: True)\n"
+                   "basically simple: no\nsimple: no\n")
 
 
 def test_omega_flag(capsys):

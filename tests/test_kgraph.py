@@ -587,6 +587,36 @@ def test_paths_from_rejects_bad_degrees(lambda2, loop):
         loop.paths_leq("v", (-1,))
 
 
+def test_degrees_of_the_wrong_rank_raise(lambda2, cloops):
+    # a degree with too many or too few entries is not in N^k: zipping it
+    # against a degree of rank k would drop or miss entries
+    lam = lambda2.parse_path("e1.f1")
+    for m in ((1, 0, 5), (1,), (0, 0, 0), (), (-1, 1)):
+        with pytest.raises(errors.DegreeOutOfRange):
+            lambda2.factor(lam, m)
+        with pytest.raises(errors.DegreeOutOfRange):
+            lambda2.vertex_at(lam, m)
+        for grow in (lambda2.paths_from, lambda2.paths_upto, lambda2.paths_leq):
+            with pytest.raises(errors.DegreeOutOfRange):
+                grow("v1", m)
+        for cut in (bnd.prefix, bnd.shift):
+            with pytest.raises(errors.DegreeOutOfRange):
+                cut(bnd.finite(lam), m)
+    with pytest.raises(errors.DegreeOutOfRange):
+        lambda2.segment(lam, (0,), (1, 0))
+    with pytest.raises(errors.DegreeOutOfRange):
+        lambda2.segment(lam, (0, 0), (1, 0, 5))
+    x = bnd.lasso(cloops.vertex("v"), cloops.parse_path("e"))
+    for m in ((1,), (1, 0, 5)):
+        for cut in (bnd.prefix, bnd.shift):
+            with pytest.raises(errors.DegreeOutOfRange):
+                cut(x, m)
+    # has_prefix compares degrees of the graph's own paths
+    assert lambda2.has_prefix(lam, lambda2.parse_path("e1"))
+    assert lambda2.has_prefix(lam, lambda2.parse_path("f2"))  # e1.f1 = f2.e2
+    assert not lambda2.has_prefix(lam, lambda2.parse_path("e3"))
+
+
 def test_omega_path_counts(omega13, omega211):
     # lattice-segment graphs have exactly one path of each legal shape
     assert len(omega13.all_paths()) == 4 + 3 + 2 + 1
