@@ -4,18 +4,19 @@ Exit codes: 0 success / property holds, 1 property is false, 2 input
 error or internal error (reported on stderr, never as a traceback), 3 a
 three-valued verdict came back unknown.
 
-The grammar is written once, as data (``_SHARED`` and ``_GRAMMAR``), and at
-import it builds both the argparse parser and the tables of a parse of the
-plain form of a command line: exact option strings, option values that do
-not start with '-', one exact subcommand, and its positionals in one unbroken
-run.  :func:`main` tries the plain parse first.  Anything else (help,
-abbreviations, ``--opt=value``, ``--``, values starting with '-', every usage
-error) goes to argparse, which also writes every usage error and help text.
-Both paths give the same namespace.  :func:`main` then loads the graph once
-and hands it to the subcommand's handler.
+The grammar is written once, as data (``_SHARED`` and ``_GRAMMAR``).  At
+import it builds the tables of a parse of the plain form of a command line:
+exact option strings, option values that do not start with '-', one exact
+subcommand, and its positionals in one unbroken run.  :func:`main` tries the
+plain parse first.  Anything else (help, abbreviations, ``--opt=value``,
+``--``, values starting with '-', every usage error) goes to argparse, whose
+parser is built from the same rows on first use, and which writes every
+usage error and help text.  Both paths give the same namespace.
+:func:`main` then loads the graph once and hands it to its handler.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -302,7 +303,9 @@ _GRAMMAR = {  # subcommand: (handler, help, its own arguments)
 }
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    """The argparse parser, built once, when a command line is not plain."""
     # the shared options suppress their defaults so a subcommand occurrence
     # does not clobber a value given before the subcommand
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -322,7 +325,6 @@ def build_parser():
     return parser
 
 
-_PARSER = build_parser()
 _DEFAULTS = {"graph": None, "omega": None, "json": False, "ring": "q"}
 _NARGS = {None: "(A)", "*": "(A*)", "+": "(A+)"}  # positional nargs -> pattern over its run
 
@@ -353,8 +355,8 @@ _COMMANDS = {command: _command_table(arguments) for command, (_, _, arguments) i
 
 
 def _parse_plain(argv):
-    """The namespace _PARSER gives for argv, if argv has the plain form;
-    None otherwise, and always when _PARSER would exit."""
+    """The namespace argparse gives for argv, if argv has the plain form;
+    None otherwise, and always when argparse would exit."""
     top = dict(_DEFAULTS)
     values, options, command = top, _TOP_OPTIONS, None
     run, run_end = [], None  # the positionals, and the index after the last
@@ -399,7 +401,7 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = _parse_plain(argv)
     if args is None:
-        args = _PARSER.parse_args(argv, argparse.Namespace(**_DEFAULTS))
+        args = _parser().parse_args(argv, argparse.Namespace(**_DEFAULTS))
     try:
         code, payload, lines = _GRAMMAR[args.command][0](_load(args), args)
         if args.json:

@@ -81,7 +81,18 @@ def load_graph(path):
         ) from exc
     except RecursionError:
         raise ParseError(f"invalid graph file {path}: nested too deeply") from None
+    except ValueError:  # an integer longer than int() converts: a second reading names it
+        data = json.loads(text, parse_int=lambda literal: _int(path, literal))
     return KGraph.validate(spec_from_dict(data))
+
+
+def _int(path, literal):
+    """int(literal), or a ParseError if the literal is too long to convert."""
+    try:
+        return int(literal)
+    except ValueError:
+        raise ParseError(f"invalid graph file {path}: integer of "
+                         f"{len(literal.lstrip('-'))} digits is too long") from None
 
 
 def graph_to_dict(g):

@@ -31,27 +31,22 @@ from .errors import (
 )
 
 
-# fills the fields of a frozen record: the __init__ that dataclass
-# generates makes the same call through a slower per-field lookup, and
-# dataclass keeps an __init__ the class defines
-_set = object.__setattr__
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: str
     color: int
     range: str
     source: str
 
+    # dataclass keeps this __init__; it fills the slots as Path does, cheaper than its own
     def __init__(self, id, color, range, source):
-        _set(self, "id", id)
-        _set(self, "color", color)
-        _set(self, "range", range)
-        _set(self, "source", source)
+        _set_id(self, id)
+        _set_color(self, color)
+        _set_edge_range(self, range)
+        _set_source(self, source)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Square:
     """A commuting square: the path first[0]*first[1] equals second[0]*second[1].
 
@@ -62,9 +57,14 @@ class Square:
     first: tuple
     second: tuple
 
-    def __init__(self, first, second):
-        _set(self, "first", first)
-        _set(self, "second", second)
+    def __init__(self, first, second):  # as Edge's
+        _set_first(self, first)
+        _set_second(self, second)
+
+
+# slot setters that bypass the frozen records' __setattr__
+_set_id, _set_color, _set_edge_range, _set_source, _set_first, _set_second = (
+    cls.__dict__[name].__set__ for cls in (Edge, Square) for name in cls.__slots__)
 
 
 @dataclass(frozen=True)
@@ -138,36 +138,44 @@ def _entries(value, what):
     return tuple(value)
 
 
-def _square_side(edges, pair, increasing, sq):
-    """The two edges of one side of square sq, checked: known, composable,
-    and listing the lower color first iff increasing."""
-    if not (type(pair) is tuple and len(pair) == 2
-            and type(pair[0]) is str and type(pair[1]) is str):
-        raise BadSquare(f"square side {pair!r} is not a pair of edge ids")
-    a, b = pair
-    if a not in edges or b not in edges:
-        raise BadSquare(f"square {sq} refers to unknown edge")
-    ea, eb = edges[a], edges[b]
-    if ea.source != eb.range:
-        raise BadSquare(f"square side {pair} is not composable")
-    if not (ea.color < eb.color if increasing else ea.color > eb.color):
-        order = "lower" if increasing else "higher"
-        raise BadSquare(f"square side {pair} must list the {order} color first")
-    return ea, eb
-
-
 def _swap_table(squares, edges):
     """The swap table between the two orientations of a bicolored word,
-    (lo, hi) word -> (hi, lo) word and back, with each square checked.  A
-    pair's colours are ordered one way or the other, so the two directions
-    never share a key."""
+    (lo, hi) word -> (hi, lo) word and back, with each square checked.
+
+    Coverage by count: each side is checked to be a composable pair (a, b)
+    of known edges with c(a) != c(b), the two sides of a square order their
+    colours oppositely, and a repeated key is refused.  So the keys are
+    distinct members of the set P of composable bicoloured pairs, and they
+    are all of P iff there are |P| of them.  The b that pair with one a are
+    the edges with range s(a) and a colour other than c(a), so |P| is the
+    sum over the edges a of the in-degree of s(a) less the number of
+    colour-c(a) edges with range s(a).
+    """
     swap = {}
     for sq in squares:
         if not isinstance(sq, Square):
             raise InvalidSpec(f"square {sq!r} is not a Square")
         first, second = sq.first, sq.second
-        e, f = _square_side(edges, first, True, sq)
-        f2, e2 = _square_side(edges, second, False, sq)
+        if not (type(first) is tuple and len(first) == 2
+                and type(first[0]) is str and type(first[1]) is str):
+            raise BadSquare(f"square side {first!r} is not a pair of edge ids")
+        e, f = edges.get(first[0]), edges.get(first[1])
+        if e is None or f is None:
+            raise BadSquare(f"square {sq} refers to unknown edge")
+        if e.source != f.range:
+            raise BadSquare(f"square side {first} is not composable")
+        if e.color >= f.color:
+            raise BadSquare(f"square side {first} must list the lower color first")
+        if not (type(second) is tuple and len(second) == 2
+                and type(second[0]) is str and type(second[1]) is str):
+            raise BadSquare(f"square side {second!r} is not a pair of edge ids")
+        f2, e2 = edges.get(second[0]), edges.get(second[1])
+        if f2 is None or e2 is None:
+            raise BadSquare(f"square {sq} refers to unknown edge")
+        if f2.source != e2.range:
+            raise BadSquare(f"square side {second} is not composable")
+        if f2.color <= e2.color:
+            raise BadSquare(f"square side {second} must list the higher color first")
         # each side lists its colors in order, so the sides share their
         # color pair iff e and e2, and f and f2, share a color
         if e.color != e2.color or f.color != f2.color:
@@ -231,16 +239,6 @@ class KGraph:
         self.squares = _entries(spec.squares, "squares")
         self._swap = swap = _swap_table(self.squares, edges)
 
-        # every composable bicolored pair must occur on exactly one square
-        # side; the edges at each vertex keep spec order, so the first pair
-        # reported is the first in spec order
-        for a in edges.values():
-            for b in at[a.source]:
-                if a.color != b.color and (a.id, b.id) not in swap:
-                    raise NotBijective(f"edge pair {(a.id, b.id)} is not covered by any square")
-        if k >= 3:
-            self._check_cubes(at)
-
         # (vertex, color) -> sorted edge ids with that range, and with that
         # source; one pass over the sorted ids keeps each list sorted
         self._out = out = {key: [] for key in itertools.product(self.vertices, range(1, k + 1))}
@@ -249,6 +247,21 @@ class KGraph:
             e = edges[eid]
             out[e.range, e.color].append(eid)
             into[e.source, e.color].append(eid)
+        self._indegree = indegree = dict(zip(at, map(len, at.values())))  # edges received
+
+        # every composable bicolored pair must occur on exactly one square
+        # side, that is the swap table must have one key per pair (see
+        # _swap_table); at keeps spec order, so a scan names the first missing
+        pairs = 0
+        for a in edges.values():
+            pairs += indegree[a.source] - len(out[a.source, a.color])
+        if len(swap) != pairs:
+            a, b = next((a, b) for a in edges.values() for b in at[a.source]
+                        if a.color != b.color and (a.id, b.id) not in swap)
+            raise NotBijective(f"edge pair {(a.id, b.id)} is not covered by any square")
+        if k >= 3:
+            self._check_cubes(at)
+
         # derived caches, which live as long as the graph
         self._paths = {}  # (range, normal-form word) -> the one Path (see _path)
         self._composed = {}  # (lam, mu) -> compose(lam, mu), composable pairs only
@@ -743,9 +756,8 @@ class KGraph:
         induction on the longest path it ranges."""
         if self._peel is None:
             edges, into = self._edges, self._in
-            # v -> the edges v receives whose source has not joined, if any
-            waiting = collections.Counter(e.range for e in edges.values())
-            order = [v for v in self.vertices if v not in waiting]
+            waiting = dict(self._indegree)  # v -> the edges v receives whose source has not joined
+            order = [v for v in self.vertices if not waiting[v]]
             for u in order:  # the list grows as vertices join
                 for c in range(1, self.k + 1):
                     for eid in into[(u, c)]:
@@ -759,7 +771,7 @@ class KGraph:
     def sinks(self):
         """The vertices that receive no edge (no edge has them as range),
         sorted: on an acyclic graph, the sources of the boundary paths."""
-        return sorted(self._vset.difference(e.range for e in self._edges.values()))
+        return sorted(v for v, n in self._indegree.items() if not n)
 
     def has_sources(self):
         """True iff some vertex receives no edge of some color."""
@@ -831,10 +843,11 @@ def omega_graph(m):
     stride = [1] * k
     for i in range(k - 1, 0, -1):
         stride[i - 1] = stride[i] * (m[i] + 1)
-    points = list(itertools.product(*[range(c + 1) for c in m]))
-    names = [",".join(map(str, p)) for p in points]
-    up = [[i for i in range(k) if p[i] < m[i]] for p in points]  # the steps that stay below m
-    ids = [None] * (len(points) * k)  # ids[n * k + i]: the color-(i+1) edge with range point n
+    names = list(map(",".join, itertools.product(*[list(map(str, range(top + 1))) for top in m])))
+    # the steps that stay below m: coordinate i adds step i below m[i], none at it
+    steps = itertools.product(*[[(i,)] * top + [()] for i, top in enumerate(m)])
+    up = [sum(point, ()) for point in steps]
+    ids = [None] * (len(names) * k)  # ids[n * k + i]: the color-(i+1) edge with range point n
     edges = []
     for n, name in enumerate(names):
         for i in up[n]:
@@ -844,7 +857,7 @@ def omega_graph(m):
     squares = [
         Square((ids[n * k + i], ids[(n + stride[i]) * k + j]),
                (ids[n * k + j], ids[(n + stride[j]) * k + i]))
-        for n in range(len(points))
+        for n in range(len(names))
         for i, j in itertools.combinations(up[n], 2)
     ]
     return KGraph.validate(KGraphSpec(k, tuple(names), tuple(edges), tuple(squares)))

@@ -311,6 +311,19 @@ def _rewrites(g):
     return swap, {e.id: e.color for e in g.spec.edges}
 
 
+def coverage_oracle(spec):
+    """The first composable bicoloured edge pair (a, b) of spec, in spec
+    order of a and then of b, that no square side lists, as a pair of ids;
+    None if every such pair is listed.  Brute force over all pairs of
+    edges, so it shares no code with the constructor's count."""
+    sides = {side for sq in spec.squares for side in (sq.first, sq.second)}
+    for a in spec.edges:
+        for b in spec.edges:
+            if a.source == b.range and a.color != b.color and (a.id, b.id) not in sides:
+                return (a.id, b.id)
+    return None
+
+
 def reach_oracle(g):
     """Reachability from the definition: after[v] is the set of vertices v
     reaches through at least one edge, a fixpoint over the raw edge list,

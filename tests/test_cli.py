@@ -74,6 +74,8 @@ def test_validate_bad_file(tmp_path, capsys):
         b"[1]",
         # nested deeper than the JSON decoder recurses
         b"[" * 200_000,
+        # an integer longer than int() converts
+        b'{"k": ' + b"1" * 5000 + b', "vertices": []}',
     ]
     for doc in documents:
         bad = tmp_path / "bad.json"
@@ -99,12 +101,19 @@ def test_malformed_document_says_what_is_wrong(tmp_path, capsys):
             "square 0 must be an object, not str",
         '{"k": 2, "vertices": ["v"], "squares": [{"first": ["e", "f"]}]}':
             "key 'second' is missing in square 0",
+        # int() refuses a literal past the interpreter's digit limit; the
+        # error gives its length, as the element parser's does
+        '{"k": %s, "vertices": []}' % ("1" * 5000):
+            "invalid graph file {path}: integer of 5000 digits is too long",
+        '{"k": 1, "vertices": ["v"], "edges": [{"id": "e", "color": %s, "range": "v", '
+        '"source": "v"}]}' % ("-" + "9" * 4301):
+            "invalid graph file {path}: integer of 4301 digits is too long",
     }
     bad = tmp_path / "bad.json"
     for doc, message in documents.items():
         bad.write_text(doc)
-        assert main(["--graph", str(bad), "validate"]) == 2, doc
-        assert capsys.readouterr().err == f"error: {message}\n", doc
+        assert main(["--graph", str(bad), "validate"]) == 2, doc[:80]
+        assert capsys.readouterr().err == f"error: {message.format(path=bad)}\n", doc[:80]
 
 
 def test_internal_error_has_no_traceback(capsys, monkeypatch):
@@ -513,6 +522,18 @@ def test_output_independent_of_hash_seed(tmp_path):
     assert all(out for _, out, _ in results[:-1])
 
 
+def test_plain_command_line_never_builds_the_parser():
+    # the parser is built once per process and kept, so each case runs in
+    # a fresh process; only a command line that is not in plain form builds it
+    src = os.path.dirname(os.path.dirname(kpx.__file__))
+    script = ("import sys; from kpx import cli; code = cli.main(sys.argv[1:]); "
+              "print(code, cli._parser.cache_info().currsize)")
+    for argv, built in ((["--omega", "2", "dim"], 0), (["--omega=2", "dim"], 1)):
+        child = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (child.stdout, child.stderr) == (f"9\n0 {built}\n", ""), argv
+
+
 def test_dim(capsys):
     code, out = run(capsys, "--graph", L2, "dim", "--json")
     assert code == 0 and json.loads(out)["dimension"] == 20
@@ -862,7 +883,7 @@ def parse_both(argv):
     sink = stdio.StringIO()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            ref = cli._PARSER.parse_args(argv, argparse.Namespace(**cli._DEFAULTS))
+            ref = cli._parser().parse_args(argv, argparse.Namespace(**cli._DEFAULTS))
     except SystemExit:
         ref = None
     return fast, ref
@@ -875,8 +896,8 @@ def assert_plain_parse_agrees(argv):
 
 
 def _argparse_parsers():
-    (sub,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
-    return [cli._PARSER, *sub.choices.values()]
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [cli._parser(), *sub.choices.values()]
 
 
 def _introspected_options(parser):
@@ -917,7 +938,7 @@ def test_plain_tables_match_the_argparse_parser():
     # the tables the plain parse reads from the grammar rows are the ones
     # argparse's own actions give for the parser built from the same rows
     derived = {name: (*table[:4], table[4].pattern) for name, table in cli._COMMANDS.items()}
-    assert _introspected_tables(cli._PARSER) == (cli._TOP_OPTIONS, "command", derived)
+    assert _introspected_tables(cli._parser()) == (cli._TOP_OPTIONS, "command", derived)
 
 
 OPTION_STRINGS = sorted({s for p in _argparse_parsers() for s in p._option_string_actions})

@@ -19,6 +19,7 @@ from conftest import (
     _tail,
     below,
     compose_oracle,
+    coverage_oracle,
     downset_graph,
     exhaustive_oracle,
     exhaustive_oracle_bool,
@@ -149,6 +150,37 @@ def test_uncovered_pair_message(omega3111):
         KGraph.validate(KGraphSpec(spec.k, spec.vertices, spec.edges, spec.squares[1:]))
     assert str(exc.value) == (
         "edge pair ('0,0,0>0,1,0', '0,1,0>1,1,0') is not covered by any square")
+
+
+def test_coverage_by_count_names_the_first_missing_pair():
+    # the constructor counts the pairs instead of looking each one up; a
+    # spec with 1-3 squares dropped, or with an edge added (which can leave
+    # an odd number of pairs uncovered), must still name the first
+    # uncovered pair, and a spec with none must still pass
+    rng = random.Random(26)
+    specs = [presets.lambda2().spec, omega_graph((2, 2)).spec, omega_graph((3, 1, 1)).spec,
+             cube_spec(True)]
+    specs += [product_graph(random_one_graph(rng.randrange(10**6)),
+                            random_one_graph(rng.randrange(10**6))).spec for _ in range(30)]
+    for spec in specs:
+        variants = [spec]
+        for _ in range(5 if spec.squares else 0):
+            drop = rng.sample(range(len(spec.squares)), min(len(spec.squares), rng.randint(1, 3)))
+            variants.append(replace(spec, squares=tuple(
+                sq for i, sq in enumerate(spec.squares) if i not in drop)))
+        for _ in range(3):
+            extra = Edge("extra", rng.randint(1, spec.k), rng.choice(spec.vertices),
+                         rng.choice(spec.vertices))
+            variants.append(replace(spec, edges=spec.edges + (extra,)))
+        assert coverage_oracle(spec) is None
+        for variant in variants:
+            pair = coverage_oracle(variant)
+            if pair is None:
+                KGraph(variant)
+                continue
+            with pytest.raises(errors.NotBijective) as exc:
+                KGraph(variant)
+            assert str(exc.value) == f"edge pair {pair} is not covered by any square"
 
 
 def spec_mutations(spec):
@@ -673,6 +705,19 @@ def test_peel_order_on_random_graphs():
     # odd seeds are acyclic, even ones mostly cyclic (see random_one_graph)
     for seed in range(100):
         _check_peel_order(random_one_graph(seed))
+
+
+def test_sinks_and_first_peeled_match_in_degrees():
+    # the graph keeps the number of edges each vertex receives; the
+    # vertices that receive none are the sinks, and they open the peel order
+    graphs = [build() for build in {**ORACLE_GRAPHS, **CYCLE_GRAPHS}.values()]
+    for g in graphs + [random_one_graph(seed) for seed in range(100)]:
+        after, _ = reach_oracle(g)
+        indegree = {v: sum(e.range == v for e in g.spec.edges) for v in g.vertices}
+        unreceived = [v for v in g.vertices if not indegree[v]]
+        assert unreceived == [v for v in g.vertices if not after[v]]
+        assert g.sinks() == sorted(unreceived)
+        assert list(g.peel_order()[:len(unreceived)]) == unreceived
 
 
 def test_predicates(lambda2, omega13, point):
