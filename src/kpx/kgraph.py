@@ -140,17 +140,9 @@ def _entries(value, what):
 
 def _swap_table(squares, edges):
     """The swap table between the two orientations of a bicolored word,
-    (lo, hi) word -> (hi, lo) word and back, with each square checked.
-
-    Coverage by count: each side is checked to be a composable pair (a, b)
-    of known edges with c(a) != c(b), the two sides of a square order their
-    colours oppositely, and a repeated key is refused.  So the keys are
-    distinct members of the set P of composable bicoloured pairs, and they
-    are all of P iff there are |P| of them.  The b that pair with one a are
-    the edges with range s(a) and a colour other than c(a), so |P| is the
-    sum over the edges a of the in-degree of s(a) less the number of
-    colour-c(a) edges with range s(a).
-    """
+    (lo, hi) word -> (hi, lo) word and back, with each square checked.  A
+    pair's colours are ordered one way or the other, so the two directions
+    never share a key."""
     swap = {}
     for sq in squares:
         if not isinstance(sq, Square):
@@ -239,6 +231,18 @@ class KGraph:
         self.squares = _entries(spec.squares, "squares")
         self._swap = swap = _swap_table(self.squares, edges)
 
+        self._indegree = dict(zip(at, map(len, at.values())))  # edges received
+
+        # every composable bicolored pair must occur on exactly one square
+        # side; the edges at each vertex keep spec order, so the first pair
+        # reported is the first in spec order
+        for a in edges.values():
+            for b in at[a.source]:
+                if a.color != b.color and (a.id, b.id) not in swap:
+                    raise NotBijective(f"edge pair {(a.id, b.id)} is not covered by any square")
+        if k >= 3:
+            self._check_cubes(at)
+
         # (vertex, color) -> sorted edge ids with that range, and with that
         # source; one pass over the sorted ids keeps each list sorted
         self._out = out = {key: [] for key in itertools.product(self.vertices, range(1, k + 1))}
@@ -247,21 +251,6 @@ class KGraph:
             e = edges[eid]
             out[e.range, e.color].append(eid)
             into[e.source, e.color].append(eid)
-        self._indegree = indegree = dict(zip(at, map(len, at.values())))  # edges received
-
-        # every composable bicolored pair must occur on exactly one square
-        # side, that is the swap table must have one key per pair (see
-        # _swap_table); at keeps spec order, so a scan names the first missing
-        pairs = 0
-        for a in edges.values():
-            pairs += indegree[a.source] - len(out[a.source, a.color])
-        if len(swap) != pairs:
-            a, b = next((a, b) for a in edges.values() for b in at[a.source]
-                        if a.color != b.color and (a.id, b.id) not in swap)
-            raise NotBijective(f"edge pair {(a.id, b.id)} is not covered by any square")
-        if k >= 3:
-            self._check_cubes(at)
-
         # derived caches, which live as long as the graph
         self._paths = {}  # (range, normal-form word) -> the one Path (see _path)
         self._composed = {}  # (lam, mu) -> compose(lam, mu), composable pairs only
@@ -844,9 +833,8 @@ def omega_graph(m):
     for i in range(k - 1, 0, -1):
         stride[i - 1] = stride[i] * (m[i] + 1)
     names = list(map(",".join, itertools.product(*[list(map(str, range(top + 1))) for top in m])))
-    # the steps that stay below m: coordinate i adds step i below m[i], none at it
-    steps = itertools.product(*[[(i,)] * top + [()] for i, top in enumerate(m)])
-    up = [sum(point, ()) for point in steps]
+    up = [[i for i in range(k) if p[i] < m[i]]  # the steps that stay below m
+          for p in itertools.product(*[range(c + 1) for c in m])]
     ids = [None] * (len(names) * k)  # ids[n * k + i]: the color-(i+1) edge with range point n
     edges = []
     for n, name in enumerate(names):

@@ -152,11 +152,9 @@ def test_uncovered_pair_message(omega3111):
         "edge pair ('0,0,0>0,1,0', '0,1,0>1,1,0') is not covered by any square")
 
 
-def test_coverage_by_count_names_the_first_missing_pair():
-    # the constructor counts the pairs instead of looking each one up; a
-    # spec with 1-3 squares dropped, or with an edge added (which can leave
-    # an odd number of pairs uncovered), must still name the first
-    # uncovered pair, and a spec with none must still pass
+def test_uncovered_pair_matches_the_oracle():
+    # a spec with 1-3 squares dropped, or with an edge added, must name the
+    # first uncovered pair in spec order, and a spec with none must pass
     rng = random.Random(26)
     specs = [presets.lambda2().spec, omega_graph((2, 2)).spec, omega_graph((3, 1, 1)).spec,
              cube_spec(True)]
@@ -679,10 +677,16 @@ def test_is_acyclic(lambda2, loop, cloops, omega13):
 def _check_peel_order(g):
     """The peel order holds each vertex that reaches no cycle once, after
     every vertex it reaches, and reachable and reaching agree with the
-    oracle."""
+    oracle; the vertices that receive no edge, by a brute-force count, are
+    the sinks and open the peel order."""
     after, cyclic = reach_oracle(g)
     order = g.peel_order()
     assert len(set(order)) == len(order)
+    indegree = {v: sum(e.range == v for e in g.spec.edges) for v in g.vertices}
+    unreceived = [v for v in g.vertices if not indegree[v]]
+    assert unreceived == [v for v in g.vertices if not after[v]]
+    assert g.sinks() == sorted(unreceived)
+    assert list(order[:len(unreceived)]) == unreceived
     assert set(order) == set(g.vertices) - cyclic
     place = {v: i for i, v in enumerate(order)}
     for v in order:
@@ -705,19 +709,6 @@ def test_peel_order_on_random_graphs():
     # odd seeds are acyclic, even ones mostly cyclic (see random_one_graph)
     for seed in range(100):
         _check_peel_order(random_one_graph(seed))
-
-
-def test_sinks_and_first_peeled_match_in_degrees():
-    # the graph keeps the number of edges each vertex receives; the
-    # vertices that receive none are the sinks, and they open the peel order
-    graphs = [build() for build in {**ORACLE_GRAPHS, **CYCLE_GRAPHS}.values()]
-    for g in graphs + [random_one_graph(seed) for seed in range(100)]:
-        after, _ = reach_oracle(g)
-        indegree = {v: sum(e.range == v for e in g.spec.edges) for v in g.vertices}
-        unreceived = [v for v in g.vertices if not indegree[v]]
-        assert unreceived == [v for v in g.vertices if not after[v]]
-        assert g.sinks() == sorted(unreceived)
-        assert list(g.peel_order()[:len(unreceived)]) == unreceived
 
 
 def test_predicates(lambda2, omega13, point):
