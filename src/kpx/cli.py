@@ -12,7 +12,11 @@ plain parse first.  Anything else (help, abbreviations, ``--opt=value``,
 ``--``, values starting with '-', every usage error) goes to argparse, whose
 parser is built from the same rows on first use, and which writes every
 usage error and help text.  Both paths give the same namespace.
-:func:`main` then loads the graph once and hands it to its handler.
+:func:`main` then loads the graph once and hands it to its handler.  When
+the command is done, errors included, it empties the graph's path caches
+(``KGraph._release``): each path refers to its graph and those caches refer
+to the paths, so without that the graph would wait for the cyclic garbage
+collector, while with it reference counting frees the graph at once.
 """
 
 import argparse
@@ -402,8 +406,10 @@ def main(argv=None):
     args = _parse_plain(argv)
     if args is None:
         args = _parser().parse_args(argv, argparse.Namespace(**_DEFAULTS))
+    g = None
     try:
-        code, payload, lines = _GRAMMAR[args.command][0](_load(args), args)
+        g = _load(args)
+        code, payload, lines = _GRAMMAR[args.command][0](g, args)
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
@@ -416,6 +422,9 @@ def main(argv=None):
     except Exception as exc:  # a fault in kpx itself, not in the input
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if g is not None:  # so reference counting frees it and its paths now
+            g._release()
 
 
 if __name__ == "__main__":

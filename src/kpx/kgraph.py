@@ -244,13 +244,15 @@ class KGraph:
             self._check_cubes(at)
 
         # (vertex, color) -> sorted edge ids with that range, and with that
-        # source; one pass over the sorted ids keeps each list sorted
-        self._out = out = {key: [] for key in itertools.product(self.vertices, range(1, k + 1))}
-        self._in = into = {key: [] for key in out}
+        # source; one pass over the sorted ids keeps each list sorted, and
+        # every key with no edge shares the empty tuple
+        out, into = {}, {}
         for eid in sorted(edges):
             e = edges[eid]
-            out[e.range, e.color].append(eid)
-            into[e.source, e.color].append(eid)
+            out.setdefault((e.range, e.color), []).append(eid)
+            into.setdefault((e.source, e.color), []).append(eid)
+        none = dict.fromkeys(itertools.product(self.vertices, range(1, k + 1)), ())
+        self._out, self._in = {**none, **out}, {**none, **into}
         # derived caches, which live as long as the graph
         self._paths = {}  # (range, normal-form word) -> the one Path (see _path)
         self._composed = {}  # (lam, mu) -> compose(lam, mu), composable pairs only
@@ -259,6 +261,18 @@ class KGraph:
         self._counts = {}  # vertex u -> [N(u, 1), ..., N(u, k)] (see count_paths_to)
         self._mce = {}  # (lam, mu) -> minimal_common_extensions(lam, mu)
         self._move_table = {}  # (mu, colour) -> _moves(mu, colour)
+
+    def _release(self):
+        """Empty every cache that holds a path, so that reference counting
+        frees the graph and its paths once the caller drops them: each path
+        refers to its graph, and these caches refer to the paths.  The graph
+        must not be used afterwards, since a path built then would not be the
+        interned one that an older path compares equal to."""
+        self._paths.clear()
+        self._composed.clear()
+        self._mce.clear()
+        self._move_table.clear()
+        self._all_paths_cache = None
 
     @property
     def spec(self):
@@ -826,6 +840,8 @@ def omega_graph(m):
     itertools.product lists the points in lexicographic order, so p + e_i
     comes stride[i] places after p: stride[i] counts the points that share
     p's first i + 1 coordinates."""
+    if min(m, default=0) < 0:
+        raise DegreeOutOfRange(f"degree {m} is not in N^{len(m)}")
     if math.prod(c + 1 for c in m) > sys.maxsize:  # no Python sequence is that long
         raise DegreeOutOfRange(f"degree {m} spans more than {sys.maxsize} vertices")
     k = len(m)

@@ -3,12 +3,14 @@
 import argparse
 import ast
 import contextlib
+import gc
 import io as stdio
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -714,6 +716,56 @@ def test_output_is_deterministic(capsys):
     c = run(capsys, "--graph", L2, "eval", "s(e1)+s(e3)+s(v1)")[1]
     d = run(capsys, "--graph", L2, "eval", "s(v1)+s(e3)+s(e1)")[1]
     assert c == d
+
+
+# one plain argv per subcommand on each graph where it succeeds, then input
+# errors that a handler raises after it has built paths
+GARBAGE_ARGVS = [(["--graph", L2, *argv], code) for argv, code in [
+    (["validate"], 0), (["info"], 0), (["paths", "--from", "v1", "--degree", "1,1", "--leq"], 0),
+    (["mce", "e1", "f1"], 0), (["exhaustive", "--vertex", "v1", "e1"], 1),
+    (["boundary", "--orbits"], 0), (["eval", "s(e1)*g(e1)", "--grade"], 0),
+    (["zero", "s(v1) - s(e1)*g(e1)"], 1), (["equal", "s(e1)*g(e1)", "s(e1)*g(e1)"], 0),
+    (["refine", "e1*e1", "v1*v1"], 0), (["analyze"], 0), (["dim"], 0),
+]] + [(["--graph", LOOP, *argv], code) for argv, code in [
+    (["validate"], 0), (["info"], 0), (["paths", "--from", "v", "--degree", "3"], 0),
+    (["mce", "e", "e.e"], 0), (["exhaustive", "--vertex", "v", "e.e"], 0),
+    (["eval", "s(e)*g(e)"], 0), (["zero", "s(v) - s(e)*g(e)"], 0), (["equal", "s(e)", "s(e)"], 0),
+    (["refine", "e*e", "v*v"], 0), (["analyze"], 0),
+]] + [(["--omega", "2,2", *argv], code) for argv, code in [
+    (["validate"], 0), (["info"], 0), (["paths", "--from", "0,0", "--degree", "1,1"], 0),
+    (["mce", "0,0>1,0", "0,0>0,1"], 0), (["exhaustive", "--vertex", "0,0", "0,0>1,0"], 0),
+    (["boundary"], 0), (["eval", "s(0,0>1,0)"], 0), (["zero", "s(0,0)"], 1),
+    (["equal", "s(0,0)", "s(0,0)"], 0), (["refine", "0,0*0,0"], 0), (["analyze"], 0), (["dim"], 0),
+]] + [
+    (["--graph", L2, "exhaustive", "--vertex", "v2", "e1"], 2),
+    (["--graph", L2, "eval", "s(e1)*g(zz)"], 2),
+    (["--graph", LOOP, "boundary"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", GARBAGE_ARGVS,
+                         ids=[" ".join(argv) for argv, _ in GARBAGE_ARGVS])
+def test_a_command_leaves_no_cyclic_garbage(capsys, monkeypatch, argv, code):
+    # each path refers to its graph and the graph's caches refer to the
+    # paths; main empties those caches when the command is done, so
+    # reference counting frees the graph at once and the collector finds
+    # nothing to free among the objects the command made (the youngest
+    # generation, as no collection runs while gc is disabled)
+    loaded = []
+    load = cli._load
+    monkeypatch.setattr(cli, "_load", lambda args: loaded.append(weakref.ref(g := load(args))) or g)
+    gc.disable()
+    try:
+        gc.collect(0)
+        assert main(argv) == code, capsys.readouterr()
+        assert len(loaded) == 1 and loaded[0]() is None
+        assert gc.collect(0) == 0
+    finally:
+        gc.enable()
+
+
+def test_garbage_argvs_cover_every_subcommand():
+    assert {argv[2] for argv, code in GARBAGE_ARGVS if code != 2} == set(cli._GRAMMAR)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))

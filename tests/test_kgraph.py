@@ -1,7 +1,9 @@
 """Skeleton validation, path arithmetic, common extensions, exhaustivity."""
 
+import gc
 import itertools
 import random
+import weakref
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
@@ -410,6 +412,13 @@ def test_omega_graph_is_the_box_downset(m):
     assert got.squares == want.squares
 
 
+@pytest.mark.parametrize("m", [(-1,), (2, 2, -1), (-1, 3), (0, -2)])
+def test_omega_graph_refuses_a_negative_entry(m):
+    # a negative entry spans no point, but it is no degree either
+    with pytest.raises(errors.DegreeOutOfRange):
+        omega_graph(m)
+
+
 # --------------------------------------------------------- path arithmetic
 
 
@@ -462,6 +471,29 @@ def test_paths_are_interned():
         with pytest.raises(AttributeError):
             setattr(p, name, ())
     assert p.range == "0,0" and p.edges == ("0,0>1,0",)
+
+
+def test_release_leaves_the_graph_to_reference_counting():
+    # each path refers to its graph and the graph's caches refer to the
+    # paths, a cycle only the collector frees; _release empties every cache
+    # that holds a path, so the graph dies with the last outside reference
+    # (with gc disabled, what the test builds stays in the youngest generation)
+    gc.disable()
+    try:
+        gc.collect(0)
+        g = presets.lambda2()
+        e1, f1 = g.parse_path("e1"), g.parse_path("f1")
+        g.mce(e1, g.compose(e1, f1))
+        g.exhaustiveness_witness("v1", [e1])
+        g.all_paths()
+        assert g._paths and g._composed and g._mce and g._move_table and g._all_paths_cache
+        ref = weakref.ref(g)
+        g._release()
+        del g, e1, f1
+        assert ref() is None
+        assert gc.collect(0) == 0
+    finally:
+        gc.enable()
 
 
 def _check_compose(g, box):
