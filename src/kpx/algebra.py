@@ -93,8 +93,6 @@ class SpanForm:
     def scale(self, coeff):
         if type(coeff) not in self.ring.value_types:  # as in _add_term
             raise CoefficientNotInRing(f"{coeff!r} is not a value of {self.ring}")
-        if coeff == self.ring.zero:
-            return SpanForm(self.ring)
         return SpanForm(self.ring, {k: coeff * c for k, c in self._terms.items()})
 
     def __eq__(self, other):

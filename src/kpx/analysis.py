@@ -78,6 +78,15 @@ def check_aperiodic(g):
     the first lasso.  The tangled vertices, those that reach a vertex
     receiving two edges of one colour, are one backward walk; those that
     reach a cycle stay unresolved.
+
+    On a cyclic graph the answer is never "aperiodic": say no vertex that
+    reaches a cycle is tangled, take a cycle w_0 ... w_n = w_0 (g_i from
+    w_{i+1} into w_i) and c the lowest colour w_0 receives.  If w_{i+1}
+    receives a colour-c edge h, w_i does too (g_i, or the square of g_i.h),
+    and no lower one (it would pass back to w_0), so each w_i receives one
+    colour-c edge h_i, and that square (or h_{i+1} if g_i = h_i) runs from
+    s(h_i) to s(h_{i+1}).  So the staircase sends cycle vertices to cycle
+    vertices, and the first walk to meet one closes a lasso.
     """
     if g.is_acyclic():
         return AperiodicityVerdict(status="aperiodic", note="acyclic graph")
@@ -92,13 +101,10 @@ def check_aperiodic(g):
             witness=(mu, nu, alpha),
             note="deterministic region closes a cycle",
         )
-    unresolved = tangled - set(g.peel_order())
-    if unresolved:
-        return AperiodicityVerdict(
-            status="unknown",
-            note=f"cyclic non-deterministic region at {sorted(unresolved)}",
-        )
-    return AperiodicityVerdict(status="aperiodic", note="all regions resolve")
+    return AperiodicityVerdict(
+        status="unknown",
+        note=f"cyclic non-deterministic region at {sorted(tangled - set(g.peel_order()))}",
+    )
 
 
 # ----------------------------------------------------------------------

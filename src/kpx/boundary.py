@@ -233,9 +233,7 @@ def boundary_rep(a, vec):
             y = apply_ghost(mu, x)
             if y is None:
                 continue
-            z = apply_path(lam, y)
-            if z is None:
-                continue
+            z = prepend(lam, y)  # y is a path at s(mu) = s(lam)
             new = out.get(z, None)
             new = coeff * c if new is None else new + coeff * c
             if new == 0:

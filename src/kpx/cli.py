@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / property holds, 1 property is false, 2 input
-error or internal error (reported on stderr, never as a traceback), 3 a
-three-valued verdict came back unknown.
+error, an answer too large for memory, or internal error (reported on
+stderr, never as a traceback), 3 a three-valued verdict came back unknown.
 
 The grammar is written once, as data (``_SHARED`` and ``_GRAMMAR``).  At
 import it builds the tables of a parse of the plain form of a command line:
@@ -13,10 +13,10 @@ plain parse first.  Anything else (help, abbreviations, ``--opt=value``,
 parser is built from the same rows on first use, and which writes every
 usage error and help text.  Both paths give the same namespace.
 :func:`main` then loads the graph once and hands it to its handler.  When
-the command is done, errors included, it empties the graph's path caches
-(``KGraph._release``): each path refers to its graph and those caches refer
-to the paths, so without that the graph would wait for the cyclic garbage
-collector, while with it reference counting frees the graph at once.
+the command is done, errors included, it releases the graph
+(``KGraph._release``): each path refers to its graph and the graph's caches
+refer to the paths, so without that the graph would wait for the cyclic
+garbage collector, while with it reference counting frees the graph at once.
 """
 
 import argparse
@@ -416,6 +416,8 @@ def main(argv=None):
             for line in lines:
                 print(line)
         return code
+    except MemoryError:  # reported below, once the clause has dropped the
+        pass  # traceback and with it the partial answer its frames hold
     except (KpxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -425,6 +427,8 @@ def main(argv=None):
     finally:
         if g is not None:  # so reference counting frees it and its paths now
             g._release()
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

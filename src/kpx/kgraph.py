@@ -263,16 +263,11 @@ class KGraph:
         self._move_table = {}  # (mu, colour) -> _moves(mu, colour)
 
     def _release(self):
-        """Empty every cache that holds a path, so that reference counting
+        """Drop every attribute, caches included, so that reference counting
         frees the graph and its paths once the caller drops them: each path
-        refers to its graph, and these caches refer to the paths.  The graph
-        must not be used afterwards, since a path built then would not be the
-        interned one that an older path compares equal to."""
-        self._paths.clear()
-        self._composed.clear()
-        self._mce.clear()
-        self._move_table.clear()
-        self._all_paths_cache = None
+        refers to its graph, and the caches refer to the paths.  Any later
+        use of the graph raises AttributeError."""
+        vars(self).clear()
 
     @property
     def spec(self):
@@ -377,6 +372,9 @@ class KGraph:
         ``keys[i]`` belongs to ``word[i]`` and moves with it.  The keys of
         the edges of one color must already be in order, so only edges of
         different colors are swapped and edges of one color keep their order.
+        Every caller's word is composable (``_normalize_word``, ``_split``,
+        ``_moves``) and a swap keeps it so, so each pair swapped is a
+        composable bicolored pair, which the coverage scan put in ``_swap``.
         """
         w = list(word)
         keys = list(keys)
@@ -386,13 +384,7 @@ class KGraph:
             for i in range(len(w) - 1):
                 if keys[i] <= keys[i + 1]:
                     continue
-                pair = (w[i], w[i + 1])
-                try:
-                    w[i], w[i + 1] = self._swap[pair]
-                except KeyError:
-                    raise NotBijective(
-                        f"no square covers the edge pair {pair}"
-                    ) from None
+                w[i], w[i + 1] = self._swap[w[i], w[i + 1]]
                 keys[i], keys[i + 1] = keys[i + 1], keys[i]
                 changed = True
         return w

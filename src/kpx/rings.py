@@ -39,7 +39,7 @@ class ModInt:
         return ModInt(self.modulus, (-self.value) % self.modulus)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, ModInt) else ModInt(self.modulus, -other))
+        return self + (-other)
 
     def __mul__(self, other):
         v = self._check(other)

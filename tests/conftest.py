@@ -230,6 +230,36 @@ def product_graph(a, b):
     return KGraph(KGraphSpec(k=2, vertices=vertices, edges=tuple(edges), squares=tuple(squares)))
 
 
+def random_two_graph(seed):
+    """A seeded random 2-graph that need not be a product.  A 2-coloured
+    skeleton on 2 to 4 vertices with 1 to 6 edges (e<i> of colour 1, f<i>
+    of colour 2, loops and parallel edges allowed) is drawn again until
+    each (u, w) block, the bicoloured paths from range u to source w, holds
+    as many colour-(1, 2) words as colour-(2, 1) words; a random bijection
+    per block gives the squares.  For k = 2 any such choice is a 2-graph
+    (Kumjian-Pask, NYJM 2000)."""
+    rng = random.Random(seed)
+    while True:
+        names = [f"v{i}" for i in range(rng.randint(2, 4))]
+        edges = []
+        for i in range(rng.randint(1, 6)):
+            c = rng.randint(1, 2)
+            edges.append(Edge(f"{'ef'[c - 1]}{i}", c, rng.choice(names), rng.choice(names)))
+        blocks = {}  # (u, w) -> ([(1, 2) words], [(2, 1) words])
+        for a in edges:
+            for b in edges:
+                if a.source == b.range and a.color != b.color:
+                    words = blocks.setdefault((a.range, b.source), ([], []))
+                    words[a.color - 1].append((a.id, b.id))
+        if all(len(lo) == len(hi) for lo, hi in blocks.values()):
+            break
+    squares = []
+    for lo, hi in blocks.values():
+        rng.shuffle(hi)
+        squares += [Square(first, second) for first, second in zip(lo, hi)]
+    return KGraph(KGraphSpec(2, tuple(names), tuple(edges), tuple(squares)))
+
+
 # two disjoint loops, and a chain that runs into a loop with a sink s off
 # its first vertex
 CYCLE_GRAPHS = {

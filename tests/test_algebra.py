@@ -238,6 +238,28 @@ def test_span_form_normalises_coefficients(lambda2):
     assert SpanForm(z6, {(v, v): 6}).is_structurally_zero()
 
 
+def test_span_form_pairs_share_a_source(lambda2):
+    e1, e2 = P(lambda2, "e1"), P(lambda2, "e2")
+    with pytest.raises(errors.NotComposable, match=r"^pair \(Path\(e1\), Path\(e2\)\) has"):
+        SpanForm(QQ, {(e1, e2): 1})
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+def test_scaling_by_zero_gives_the_zero_form(lambda2, ring):
+    a = parse_element(lambda2, ring, "s(e1)*g(e1) + 2*s(f2.e2)*g(f1) + s(v1)")
+    assert len(a) == 3 and a.scale(ring.zero) == SpanForm(ring)
+    assert a.scale(ring.zero).is_structurally_zero() and a.scale(ring.one) == a
+
+
+def test_generator_and_span_form_reprs(lambda2):
+    e1 = P(lambda2, "e1.f1")
+    assert repr(PathSym(e1)) == "s(e1.f1)" and repr(GhostSym(e1)) == "g(e1.f1)"
+    a = parse_element(lambda2, QQ, "s(e1) - 1/2*s(f2.e2)*g(f1)")
+    assert repr(a) == "SpanForm(1*s(e1)g(v2) + -1/2*s(e1.f1)g(f1))"
+    assert a.graph() is lambda2
+    assert repr(SpanForm(QQ)) == "SpanForm(0)" and SpanForm(QQ).graph() is None
+
+
 def test_grade(lambda2):
     a = parse_element(lambda2, QQ, "s(e1) + s(v1) + 3*s(e1.f1)*g(e2)")
     parts = grade(a)
@@ -345,6 +367,8 @@ def test_kp4_defect(lambda2):
     assert not is_zero(kp4_defect(QQ, g, "v1", [e1]))
     # a one-shot iterable gives the same element as a list
     assert kp4_defect(QQ, g, "v1", iter([e1, e3])) == kp4_defect(QQ, g, "v1", [e1, e3])
+    with pytest.raises(errors.RangeMismatch, match=r"^Path\(e2\) is not a path at 'v1'$"):
+        kp4_defect(QQ, g, "v1", [e1, P(g, "e2")])
 
 
 # ------------------------------------------------------------ zero tests

@@ -1,5 +1,7 @@
 """Aperiodicity, cofinality, faithfulness, and the simplicity report."""
 
+import collections
+
 import pytest
 
 from kpx import analysis as ana
@@ -22,6 +24,7 @@ from conftest import (
     periodicity_kernel,
     product_graph,
     random_one_graph,
+    random_two_graph,
     reach_oracle,
     verdict_oracle,
 )
@@ -168,6 +171,27 @@ def test_verdicts_against_reference():
         assert got == verdict_oracle(g), name
         statuses |= {v.status for v in got}
     assert statuses == {"aperiodic", "periodic", "cofinal", "not_cofinal", "unknown"}
+
+
+def test_cyclic_two_graphs_are_never_found_aperiodic():
+    # the lemma in check_aperiodic's docstring: when no vertex that reaches
+    # a cycle reaches a vertex receiving two edges of one colour, some
+    # staircase closes a lasso, so a cyclic graph is periodic or unknown,
+    # and periodic in that case; gated on seeded non-product 2-graphs
+    seen = collections.Counter()
+    for seed in range(600):
+        g = random_two_graph(seed)
+        after, cyclic = reach_oracle(g)
+        if not cyclic:
+            continue
+        received = collections.Counter((e.range, e.color) for e in g.spec.edges)
+        branching = {v for (v, _), n in received.items() if n > 1}
+        resolved = not any(after[v] & branching or v in branching for v in cyclic)
+        got = ana.check_aperiodic(g)
+        assert got.status in (("periodic",) if resolved else ("periodic", "unknown")), seed
+        assert (got, ana.check_cofinal(g)) == verdict_oracle(g), seed
+        seen[resolved, got.status] += 1
+    assert set(seen) == {(True, "periodic"), (False, "periodic"), (False, "unknown")}
 
 
 # the oracle graphs with a boundary path that some vertex cannot reach

@@ -13,7 +13,7 @@ from kpx.groupoid import dim_over_field
 from kpx.kgraph import Path, omega_graph
 from kpx.rings import QQ
 
-from conftest import ACYCLIC_ORACLE_GRAPHS, boundary_oracle, paths_oracle
+from conftest import ACYCLIC_ORACLE_GRAPHS, CYCLE_GRAPHS, boundary_oracle, paths_oracle
 
 # lattice segments, named by rank and corner, the first three among the
 # acyclic oracle graphs; the sweep of boundary_oracle takes seconds on
@@ -88,6 +88,12 @@ def test_boundary_matches_definition_oracle_downsets(downset):
 def test_boundary_is_what_the_definition_accepts(name):
     g, want = swept_boundary(name)
     assert bnd.enumerate_boundary(g) == [bnd.finite(p) for p in want]
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+def test_finite_membership_is_what_the_definition_accepts(name):
+    g, paths = every_path(name)
+    assert [p for p in paths if bnd.is_boundary_finite(p)] == swept_boundary(name)[1]
 
 
 @pytest.mark.parametrize("name", sorted(SWEPT))
@@ -201,6 +207,26 @@ def test_lasso_shift_prefix(cloops):
     assert bnd.shift(x, (0, 1)) == bnd.lasso(v, e)
     assert bnd.has_path_prefix(x, cloops.parse_path("e.e.f1"))
     assert not bnd.has_path_prefix(x, cloops.parse_path("f2"))
+
+
+def test_path_operations_refuse_what_does_not_compose(lambda2, loop):
+    v, e = loop.vertex("v"), loop.parse_path("e")
+    with pytest.raises(errors.DegreeOutOfRange, match="^lasso cycle must be non-trivial$"):
+        bnd.lasso(e, v)
+    e1 = lambda2.parse_path("e1")
+    with pytest.raises(errors.NotComposable, match=r"^Path\(e1\) is not a cycle$"):
+        bnd.lasso(lambda2.vertex("v1"), e1)
+    loops = CYCLE_GRAPHS["twoloops"]()
+    with pytest.raises(errors.NotComposable,
+                       match=r"^Path\(a\) does not compose with Path\(e1\)$"):
+        bnd.lasso(loops.vertex("a"), loops.parse_path("e1"))
+    with pytest.raises(errors.NotComposable,
+                       match=r"^Path\(e1\) does not compose with BoundaryPath\(v1\)$"):
+        bnd.prepend(e1, bnd.finite(lambda2.vertex("v1")))
+    x = bnd.finite(lambda2.parse_path("e1.f1"))
+    with pytest.raises(errors.DegreeOutOfRange,
+                       match=r"^\(2, 0\) exceeds the degree of BoundaryPath\(e1.f1\)$"):
+        bnd.prefix(x, (2, 0))
 
 
 def test_infinite_path_has_no_source(loop):

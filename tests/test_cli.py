@@ -805,6 +805,83 @@ def test_parse_error_has_location(tmp_path, capsys):
     assert capsys.readouterr().err == "error: bad path 'zz': unknown edge id 'zz' (column 11)\n"
 
 
+# each way the element parser fails: (expression, message, 1-based column)
+ELEMENT_PARSE_ERRORS = [
+    ("2 s(v1)", "expected '*', got 's'", 3),
+    ("s", "expected '(', got 'end of input'", 2),
+    ("1/x*s(v1)", "expected an integer", 3),
+    ("s(v1))", "trailing input ')'", 6),
+    ("s(v1", "unclosed generator parenthesis", 3),
+]
+
+
+@pytest.mark.parametrize("expr, message, column", ELEMENT_PARSE_ERRORS)
+def test_element_parse_errors_are_located(capsys, expr, message, column):
+    from kpx import errors
+    from kpx.elements import parse_element
+    from kpx.rings import QQ
+
+    with pytest.raises(errors.ParseError) as exc:
+        parse_element(presets.lambda2(), QQ, expr)
+    assert exc.value.column == column
+    assert str(exc.value) == f"{message} (column {column})"
+    assert main(["--graph", L2, "eval", expr]) == 2
+    assert capsys.readouterr() == ("", f"error: {message} (column {column})\n")
+
+
+def test_input_guards(capsys):
+    # a bad ring name and a zero denominator are input errors, a difference
+    # that cancels prints 0, and an unknown subcommand is argparse's to refuse
+    assert main(["--graph", L2, "--ring", "zmod:x", "eval", "s(v1)"]) == 2
+    assert capsys.readouterr() == ("", "error: bad modulus in 'zmod:x'\n")
+    assert main(["--graph", L2, "--ring", "z", "eval", "1/0*s(v1)"]) == 2
+    assert capsys.readouterr() == ("", "error: zero denominator\n")
+    assert run(capsys, "--graph", L2, "eval", "s(e1) - s(e1)") == (0, "0\n")
+    argv = ["--omega", "1", "nosuch"]
+    assert cli._parse_plain(argv) is None
+    code, out, err = outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(USAGE + "kpx: error: argument command: invalid choice: 'nosuch'")
+
+
+# a child that caps its own address space 32 MiB above what it holds once
+# kpx is imported, then runs main; the test runner itself is never capped.
+# Its stderr needs 16 MiB free to write, so a message written while the
+# partial answer is still held fails as a print under memory pressure may
+CAPPED_MAIN = """\
+import resource, sys
+from kpx.cli import main
+class Stderr:
+    def write(self, text):
+        bytearray(16 << 20)
+        return sys.__stderr__.write(text)
+    def flush(self):
+        sys.__stderr__.flush()
+sys.stderr = Stderr()
+held = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (held + (32 << 20),) * 2)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS via /proc")
+def test_an_answer_too_large_for_memory_is_an_input_error():
+    # paths of a loop up to a degree no memory holds; the traceback's frames
+    # hold the partial answer, so main can print only once it has dropped them
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kpx.__file__))}
+    argv = [sys.executable, "-c", CAPPED_MAIN, "--graph", LOOP, "paths", "--from", "v",
+            "--degree", "99999999999999999999"]
+    children = [subprocess.Popen(argv + extra, env=env, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True)
+                for extra in ([], ["--leq"])]
+    try:
+        got = [(*child.communicate(timeout=60), child.returncode) for child in children]
+    finally:
+        for child in children:
+            child.kill()  # a no-op once the child has exited
+    assert got == [("", "error: out of memory\n", 2)] * 2
+
+
 # ----------------------------------------------------------------------
 # argparse owns help, usage errors and every form the plain-form parse
 # (cli._parse_plain) leaves to it; these outcomes are pinned byte for byte

@@ -103,6 +103,27 @@ def test_cell_split_frozen(lambda2):
     assert a2 is None and t2.label() == "e1.f1*e1.f1"
 
 
+def test_cells_refuse_a_path_at_another_vertex(lambda2):
+    g = lambda2
+    v1, e2 = g.vertex("v1"), P(g, "e2")
+    with pytest.raises(errors.RangeMismatch, match=r"^Path\(e2\) is not a path at 'v1'$"):
+        gpd.make_cell(v1, v1, [e2])
+    c = gpd.make_cell(v1, v1)
+    with pytest.raises(errors.RangeMismatch, match=r"^Path\(e2\) is not a path at 'v1'$"):
+        gpd.cell_split(c, e2)
+    with pytest.raises(errors.DegreeOutOfRange, match="^cannot split along a trivial direction$"):
+        gpd.cell_split(c, v1)
+
+
+def test_cell_and_function_reprs(lambda2):
+    g = lambda2
+    c = gpd.make_cell(g.vertex("v1"), g.vertex("v1"), [P(g, "f2"), P(g, "e1")])
+    assert repr(c) == "Cell(v1*v1\\e1;f2)"
+    f = gpd.func_from_terms(QQ, [(QQ.from_int(2), gpd.make_cell(P(g, "e1"), P(g, "e1")))])
+    assert repr(f) == "SteinbergFunction(2*1[e1*e1])"
+    assert repr(gpd.func_from_terms(QQ, [])) == "SteinbergFunction(0)"
+
+
 def assert_partition(pieces, want, pts):
     """The pieces are pairwise disjoint and cover exactly the set want."""
     union = set()

@@ -304,6 +304,52 @@ def test_first_validation_error(name):
     assert got == FIRST_ERRORS[name]
 
 
+def _lambda2_square(first, second):
+    """lambda2's spec with its one square, e1.f1 = f2.e2, replaced."""
+    return replace(presets.lambda2().spec, squares=(Square(first, second),))
+
+
+# each check of a square reports the side at fault: lambda2 with its square
+# edited on one side, a rank-3 square whose sides use different colour
+# pairs, and two squares sharing a second side (FIRST_ERRORS has a first
+# side that lists the higher colour first, and one in two squares)
+SQUARE_ERRORS = {
+    "first side not a pair": (_lambda2_square(("e1",), ("f2", "e2")), "BadSquare",
+                              "square side ('e1',) is not a pair of edge ids"),
+    "second side not a pair": (_lambda2_square(("e1", "f1"), ("f2",)), "BadSquare",
+                               "square side ('f2',) is not a pair of edge ids"),
+    "first side unknown edge": (_lambda2_square(("e1", "zz"), ("f2", "e2")), "BadSquare",
+                                "square Square(first=('e1', 'zz'), second=('f2', 'e2')) "
+                                "refers to unknown edge"),
+    "second side unknown edge": (_lambda2_square(("e1", "f1"), ("zz", "e2")), "BadSquare",
+                                 "square Square(first=('e1', 'f1'), second=('zz', 'e2')) "
+                                 "refers to unknown edge"),
+    "first side not composable": (_lambda2_square(("e3", "f1"), ("f2", "e2")), "BadSquare",
+                                  "square side ('e3', 'f1') is not composable"),
+    "second side not composable": (_lambda2_square(("e1", "f1"), ("f1", "e2")), "BadSquare",
+                                   "square side ('f1', 'e2') is not composable"),
+    "second side lower colour first": (_lambda2_square(("e1", "f1"), ("e1", "f1")), "BadSquare",
+                                       "square side ('e1', 'f1') must list the higher color first"),
+    "sides mix colour pairs": (
+        KGraphSpec(3, ("v",), (Edge("a", 1, "v", "v"), Edge("b", 2, "v", "v"),
+                               Edge("c", 3, "v", "v")), (Square(("a", "b"), ("c", "a")),)),
+        "BadSquare", "square Square(first=('a', 'b'), second=('c', 'a')) mixes color pairs"),
+    "second side in two squares": (
+        KGraphSpec(2, ("v",), (Edge("a", 1, "v", "v"), Edge("b", 1, "v", "v"),
+                               Edge("f", 2, "v", "v")),
+                   (Square(("a", "f"), ("f", "a")), Square(("b", "f"), ("f", "a")))),
+        "NotBijective", "edge pair ('f', 'a') appears in two squares"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SQUARE_ERRORS))
+def test_each_square_check_names_the_side_at_fault(label):
+    spec, kind, message = SQUARE_ERRORS[label]
+    with pytest.raises(errors.InvalidSpec) as exc:
+        KGraph(spec)
+    assert (type(exc.value).__name__, str(exc.value)) == (kind, message)
+
+
 # two commuting loops at one vertex, valid as it stands
 LOOPS = KGraphSpec(2, ("v",), (Edge("e", 1, "v", "v"), Edge("f", 2, "v", "v")),
                    (Square(("e", "f"), ("f", "e")),))
@@ -391,6 +437,9 @@ def test_reachable_unknown_vertex(lambda2):
         g.edge(["x"])
     with pytest.raises(errors.UnknownId):
         g.path([["x"]])
+    for word in ([], (), iter(())):
+        with pytest.raises(errors.UnknownId, match="^empty edge word; use vertex"):
+            g.path(word)
     with pytest.raises(errors.UnknownId):
         g.out_edges("zz")
     with pytest.raises(errors.DegreeOutOfRange):
@@ -494,6 +543,18 @@ def test_release_leaves_the_graph_to_reference_counting():
         assert gc.collect(0) == 0
     finally:
         gc.enable()
+
+
+def test_a_released_graph_refuses_use():
+    # the release drops every attribute, so a later call fails loudly
+    # rather than building a path that is not the interned one
+    g = presets.lambda2()
+    e1 = g.parse_path("e1")
+    g._release()
+    for use in (lambda: g.vertex("v1"), lambda: g.parse_path("e1"), lambda: e1.source,
+                lambda: g.compose(e1, e1), lambda: g.k):
+        with pytest.raises(AttributeError):
+            use()
 
 
 def _check_compose(g, box):
@@ -668,6 +729,8 @@ def test_degrees_of_the_wrong_rank_raise(lambda2, cloops):
         lambda2.segment(lam, (0,), (1, 0))
     with pytest.raises(errors.DegreeOutOfRange):
         lambda2.segment(lam, (0, 0), (1, 0, 5))
+    with pytest.raises(errors.DegreeOutOfRange, match=r"^segment needs \(1, 0\) <= \(0, 1\)$"):
+        lambda2.segment(lam, (1, 0), (0, 1))
     x = bnd.lasso(cloops.vertex("v"), cloops.parse_path("e"))
     for m in ((1,), (1, 0, 5)):
         for cut in (bnd.prefix, bnd.shift):
@@ -762,6 +825,8 @@ def test_mce_lambda2_frozen(lambda2):
     assert lambda2.mce(e1, f2) == [lambda2.parse_path("e1.f1")]
     assert lambda2.mce(e3, f2) == []
     assert lambda2.ext(e1, [f2]) == {lambda2.parse_path("f1")}
+    with pytest.raises(errors.RangeMismatch, match=r"^Path\(e2\) does not share range with Path\(e1\)$"):
+        lambda2.ext(e1, [f2, lambda2.parse_path("e2")])
 
 
 def test_mce_against_oracle(acyclic_graph):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpx import errors
+from kpx import degrees, errors
 from kpx.algebra import SpanForm
 from kpx.elements import parse_cell, parse_element
-from kpx.rings import QQ, ZZ, IntegersMod, _is_prime, parse_ring
+from kpx.rings import QQ, ZZ, IntegersMod, ModInt, Ring, _is_prime, parse_ring
 
 
 def test_integers():
@@ -70,6 +70,41 @@ def test_modint_ring_laws(n, a, b):
     assert x + (-x) == r.zero
     assert x * r.one == x
     assert (x + y) * x == x * x + y * x
+
+
+def test_modint_arithmetic_with_ints_and_other_moduli():
+    x = ModInt(6, 5)
+    assert x - 2 == ModInt(6, 3) and x - ModInt(6, 5) == ModInt(6, 0)
+    assert 2 + x == ModInt(6, 1) and 2 * x == ModInt(6, 4)
+    # an int compares as its residue, and equal residues hash alike
+    assert x == 11 and x == -1 and x != 4 and x != ModInt(7, 5)
+    assert len({x, ModInt(6, 5), ModInt(6, 11 % 6), ModInt(7, 5)}) == 2
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a - b):
+        with pytest.raises(errors.CoefficientNotInRing, match="^mixed moduli in arithmetic$"):
+            op(x, ModInt(7, 1))
+        with pytest.raises(TypeError):
+            op(x, 0.5)
+
+
+def test_a_ring_must_define_its_constructors():
+    with pytest.raises(NotImplementedError):
+        Ring()
+
+    class Ints(Ring):
+        def from_int(self, n):
+            return n
+
+    with pytest.raises(NotImplementedError):
+        Ints().from_fraction(1, 2)
+
+
+def test_degree_arithmetic_refuses_what_it_cannot_form():
+    assert degrees.unit(3, 2) == (0, 1, 0) and degrees.sub((2, 1), (1, 1)) == (1, 0)
+    for i in (0, 4):
+        with pytest.raises(errors.DegreeOutOfRange, match=f"^color {i} out of range 1..3$"):
+            degrees.unit(3, i)
+    with pytest.raises(errors.DegreeOutOfRange, match=r"^cannot subtract \(0, 2\) from \(1, 1\)$"):
+        degrees.sub((1, 1), (0, 2))
 
 
 def test_is_prime_matches_trial_division():
