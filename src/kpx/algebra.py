@@ -51,17 +51,20 @@ class SpanForm:
         # the exact type: isinstance would let a bool in as an int
         if type(coeff) not in self.ring.value_types:
             raise CoefficientNotInRing(f"{coeff!r} is not a value of {self.ring}")
-        self._accumulate(key, self.ring.zero + coeff)
+        self._add(((key, self.ring.zero + coeff),))
 
-    def _accumulate(self, key, coeff):
-        """Add the ring value coeff to the term at key, whose pair is known
-        to share a source."""
-        cur = self._terms.get(key)
-        new = coeff if cur is None else cur + coeff
-        if new == self.ring.zero:
-            self._terms.pop(key, None)
-        else:
-            self._terms[key] = new
+    def _add(self, pairs):
+        """The one accumulator: add each (key, ring value) pair, drop the zero
+        terms and return self.  Unlike _add_term it checks nothing."""
+        terms, zero = self._terms, self.ring.zero
+        for key, coeff in pairs:
+            cur = terms.get(key)
+            new = coeff if cur is None else cur + coeff
+            if new == zero:
+                terms.pop(key, None)
+            else:
+                terms[key] = new
+        return self
 
     def items(self):
         return sorted(
@@ -79,13 +82,12 @@ class SpanForm:
         return len(self._terms)
 
     def __add__(self, other):
-        out = SpanForm(self.ring, self._terms)
-        for key, coeff in other._terms.items():
-            out._accumulate(key, coeff)
-        return out
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise CoefficientNotInRing(f"a form over {self.ring} plus one over {other.ring}")
+        return SpanForm(self.ring)._add(self._terms.items())._add(other._terms.items())
 
     def __neg__(self):
-        return SpanForm(self.ring, {k: -c for k, c in self._terms.items()})
+        return SpanForm(self.ring)._add((k, -c) for k, c in self._terms.items())
 
     def __sub__(self, other):
         return self + (-other)
@@ -93,12 +95,12 @@ class SpanForm:
     def scale(self, coeff):
         if type(coeff) not in self.ring.value_types:  # as in _add_term
             raise CoefficientNotInRing(f"{coeff!r} is not a value of {self.ring}")
-        return SpanForm(self.ring, {k: coeff * c for k, c in self._terms.items()})
+        return SpanForm(self.ring)._add((k, coeff * c) for k, c in self._terms.items())
 
     def __eq__(self, other):
         return (
             isinstance(other, SpanForm)
-            and self.ring is other.ring
+            and self.ring == other.ring
             and self._terms == other._terms
         )
 
@@ -153,31 +155,32 @@ def reduce(ring, weighted_words):
             v = p.graph.vertex(p.source)
             key = (p, v) if isinstance(f, PathSym) else (v, p)
             if product is None:
-                product = SpanForm(ring, {key: coeff})
+                product = SpanForm(ring, {key: coeff})  # the caller's value
             else:
-                product = multiply(product, SpanForm(ring, {key: ring.one}))
+                product = multiply(product, SpanForm(ring)._add([(key, ring.one)]))
             if not product._terms:
                 break
-        for key, c in product._terms.items():
-            out._accumulate(key, c)
+        out._add(product._terms.items())
     return out
 
 
 def multiply(a, b):
     """The product of two span forms via minimal common extensions."""
-    ring = a.ring
-    out = SpanForm(ring)
+    if a.ring is not b.ring and a.ring != b.ring:
+        raise CoefficientNotInRing(f"a form over {a.ring} times one over {b.ring}")
     # mu and rho have no common extension unless r(mu) = r(rho)
     by_range = {}
     for (rho, tau), s in b._terms.items():
         by_range.setdefault(rho.range, []).append((rho, tau, s))
+    products = []
     for (lam, mu), r in a._terms.items():
         g = lam.graph
         for rho, tau, s in by_range.get(mu.range, ()):
             for m1, r1 in g.minimal_common_extensions(mu, rho):
                 # lam.m1 and tau.r1 both end at s(m1) = s(r1)
-                out._accumulate((g.compose(lam, m1), g.compose(tau, r1)), r * s)
-    return out
+                products.append(((g.compose(lam, m1), g.compose(tau, r1)), r * s))
+    # a list, not a generator: cheaper on the many one-term products
+    return SpanForm(a.ring)._add(products)
 
 
 def grade(a):
@@ -185,7 +188,8 @@ def grade(a):
     parts = {}
     for (lam, mu), coeff in a._terms.items():
         key = degrees.diff(lam.degree, mu.degree)
-        parts.setdefault(key, SpanForm(a.ring))._accumulate((lam, mu), coeff)
+        # the keys of a are distinct and its values non-zero
+        parts.setdefault(key, SpanForm(a.ring))._terms[lam, mu] = coeff
     return parts
 
 

@@ -99,7 +99,10 @@ def lasso(head, cycle):
 
 
 def _primitive_root(cycle):
-    """The shortest cycle p with cycle a positive power of p."""
+    """The shortest cycle p with cycle a positive power of p.  q falls, so
+    the first p with p^q = cycle has the largest q, and p is primitive: were
+    p = s^j with j >= 2, then cycle = s^(jq) with jq <= max d(cycle) dividing
+    d(cycle), and the earlier iteration at jq would have returned s."""
     g = cycle.graph
     d = cycle.degree
     n = max(d)
@@ -114,7 +117,7 @@ def _primitive_root(cycle):
         for _ in range(q - 1):
             power = g.compose(power, p)
         if power == cycle:
-            return _primitive_root(p)
+            return p
     return cycle
 
 

@@ -91,8 +91,8 @@ def cmd_validate(g, args):
         "squares": len(g.squares),
     }
     return EXIT_OK, payload, [
-        f"ok: rank {g.k}, {len(g.vertices)} vertices, "
-        f"{len(g.edge_ids())} edges, {len(g.squares)} squares"
+        f"ok: rank {g.k}, {payload['vertices']} vertices, "
+        f"{payload['edges']} edges, {payload['squares']} squares"
     ]
 
 
@@ -106,7 +106,7 @@ def cmd_info(g, args):
     }
     lines = [f"rank: {g.k}",
              f"vertices: {' '.join(sorted(g.vertices))}",
-             f"edges: {' '.join(g.edge_ids())}"]
+             f"edges: {' '.join(payload['edges'])}"]
     lines += [f"{name}: {value}" for name, value in sorted(preds.items())]
     return EXIT_OK, payload, lines
 
@@ -152,14 +152,10 @@ def cmd_exhaustive(g, args):
 
 def cmd_boundary(g, args):
     if args.orbits:
-        orbs = boundary.orbits(g)
-        payload = {"orbits": [[x.label() for x in orb] for orb in orbs]}
-        lines = [" ".join(x.label() for x in orb) for orb in orbs]
-    else:
-        paths = boundary.enumerate_boundary(g)
-        payload = {"boundary": [x.label() for x in paths]}
-        lines = [x.label() for x in paths]
-    return EXIT_OK, payload, lines
+        orbs = [[x.label() for x in orb] for orb in boundary.orbits(g)]
+        return EXIT_OK, {"orbits": orbs}, [" ".join(orb) for orb in orbs]
+    labels = [x.label() for x in boundary.enumerate_boundary(g)]
+    return EXIT_OK, {"boundary": labels}, labels
 
 
 def cmd_eval(g, args):

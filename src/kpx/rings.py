@@ -1,9 +1,11 @@
 """Exact coefficient rings: integers, rationals, and integers mod n.
 
 Elements are plain Python values (int, Fraction, or ModInt); the ring
-objects provide construction, parsing, and metadata.  A rational is an
-int when it is integral and a Fraction otherwise: the two compare and hash
-alike, and int arithmetic is much cheaper.
+objects provide construction, parsing, and metadata.  A rational that QQ
+makes (from_int, from_fraction) is an int when integral and a Fraction
+otherwise, as int arithmetic is much cheaper.  Sums and products are not
+normalised: 1/2 + 1/2 is Fraction(1, 1), which compares, hashes and prints
+like 1.
 """
 
 from dataclasses import dataclass
@@ -89,6 +91,13 @@ class Ring:
     def one(self):
         return self._one
 
+    def __eq__(self, other):
+        # by value, so that two parses of zmod:6 are one ring
+        return type(other) is type(self) and other.name == self.name
+
+    def __hash__(self):
+        return hash((type(self), self.name))
+
     def __repr__(self):
         return self.name
 
@@ -109,8 +118,8 @@ class IntegerRing(Ring):
 
 
 class RationalField(Ring):
-    """QQ: its values are int when integral and Fraction otherwise; nothing
-    is a float."""
+    """QQ: the values it makes are int when integral and Fraction
+    otherwise; nothing is a float."""
 
     name = "Q"
     is_field = True

@@ -7,6 +7,7 @@ import pytest
 from kpx import algebra as alg
 from kpx import boundary as bnd
 from kpx import errors, presets
+from kpx.degrees import diff
 from kpx.algebra import (
     GhostSym,
     PathSym,
@@ -180,6 +181,76 @@ def test_multiply_matches_oracle(name, ring):
         assert len(ranges) > 1 and crossed > 0
 
 
+def termwise(ring, *pairs):
+    """The form with the given (key, ring value) pairs summed, built through
+    the checking constructor."""
+    terms = {}
+    for key, c in pairs:
+        terms[key] = terms.get(key, ring.zero) + c
+    return SpanForm(ring, terms)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_derived_forms_are_new_and_termwise(name, ring):
+    # every derived form is a new form equal to the one the constructor builds
+    # from the same terms, and its operands are left as they were: the one
+    # accumulator must never write into an operand
+    g = ORACLE_GRAPHS[name]()
+    pool = oracle_pool(g)
+    rng = random.Random(f"derived {name} {ring}")
+    two = ring.from_int(2)
+
+    def span():  # over QQ, the values of a and b mix int and Fraction
+        one_over = ring.from_fraction(1, rng.choice(DENOMINATORS[ring.name]))
+        return random_span(g, ring, rng, pool, nterms=4).scale(one_over)
+
+    for _ in range(20):
+        a, b = span(), span()
+        before = (dict(a._terms), dict(b._terms))
+        ta, tb = list(a._terms.items()), list(b._terms.items())
+        parts = grade(a)
+        derived = {
+            "a + b": (a + b, termwise(ring, *ta, *tb)),
+            "a - b": (a - b, termwise(ring, *ta, *((k, -c) for k, c in tb))),
+            "-a": (-a, termwise(ring, *((k, -c) for k, c in ta))),
+            "a + 0": (a + SpanForm(ring), termwise(ring, *ta)),
+            "2a": (a.scale(two), termwise(ring, *((k, two * c) for k, c in ta))),
+            "ab": (multiply(a, b), multiply_oracle(a, b)),
+            **{f"grade {key}": (part, termwise(ring, *((k, c) for k, c in ta
+                                                         if diff(k[0].degree, k[1].degree) == key)))
+               for key, part in parts.items()},
+        }
+        assert (dict(a._terms), dict(b._terms)) == before
+        for what, (got, want) in derived.items():
+            assert got == want, what
+            assert got is not a and got is not b, what
+        assert len({id(part) for part in parts.values()}) == len(parts)
+        assert termwise(ring, *((k, c) for part in parts.values() for k, c in part._terms.items())) == a
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+def test_derived_operations_check_nothing(lambda2, ring, monkeypatch):
+    # _add_term checks the values that come from outside; every derived form
+    # is summed from values already checked, so none of them reaches it
+    a = parse_element(lambda2, ring, "s(e1)*g(e1) + 2*s(f2.e2)*g(f1) + s(v1)")
+    b = parse_element(lambda2, ring, "3*s(v1) - s(e1.f1)*g(f1) + s(e1)")
+    checked = []
+    add_term = SpanForm._add_term
+    monkeypatch.setattr(SpanForm, "_add_term",
+                        lambda self, key, coeff: checked.append(key) or add_term(self, key, coeff))
+    derived = [a + b, a - b, -a, a.scale(ring.from_int(5)), multiply(a, b), *grade(a).values()]
+    is_zero(a), equals(a, b)
+    assert checked == []
+    assert all(not f.is_structurally_zero() for f in derived)
+    # reduce checks each word's coefficient, once, and none of its factors
+    e1, f1 = P(lambda2, "e1"), P(lambda2, "f1")
+    del checked[:]
+    reduce(ring, [(ring.one, [PathSym(e1), PathSym(f1), GhostSym(f1)]),
+                  (ring.from_int(2), [GhostSym(e1), PathSym(e1), GhostSym(e1)])])
+    assert len(checked) == 2
+
+
 def test_reduce_vertex_then_deep_path():
     # the product s(f1)*s(f2^12) takes the minimal common extensions of the
     # vertex s(f1) and f2^12: the only one is f2^12 itself, so none of the
@@ -249,6 +320,19 @@ def test_scaling_by_zero_gives_the_zero_form(lambda2, ring):
     a = parse_element(lambda2, ring, "s(e1)*g(e1) + 2*s(f2.e2)*g(f1) + s(v1)")
     assert len(a) == 3 and a.scale(ring.zero) == SpanForm(ring)
     assert a.scale(ring.zero).is_structurally_zero() and a.scale(ring.one) == a
+    assert (a - a).is_structurally_zero() and (a + -a) == SpanForm(ring)
+
+
+def test_zero_divisors_leave_no_terms(lambda2):
+    # over Z/6, 2 * 3 = 0: a product or scale with a zero coefficient keeps
+    # no term
+    z6 = IntegersMod(6)
+    v = lambda2.vertex("v1")
+    two, three = SpanForm(z6, {(v, v): 2}), SpanForm(z6, {(v, v): 3})
+    assert two.scale(3).is_structurally_zero() and two.scale(z6.from_int(3)) == SpanForm(z6)
+    assert multiply(two, three).is_structurally_zero() and multiply(three, two)._terms == {}
+    assert (two - two).is_structurally_zero() and (three + three)._terms == {}
+    assert len(two + three) == 1 and (two + three).coefficient(v, v) == z6.from_int(5)
 
 
 def test_generator_and_span_form_reprs(lambda2):

@@ -198,6 +198,30 @@ def test_lasso_canonical_form(loop):
     assert bnd.shift(x, (3,)) == x
 
 
+@pytest.mark.parametrize("graph, top", [
+    (presets.single_loop, (12,)), (lambda: presets.commuting_loops(2), (4, 4)),
+    (lambda: presets.commuting_loops(3), (3, 3)),
+    (CYCLE_GRAPHS["twoloops"], (8,)), (CYCLE_GRAPHS["chain_to_loop"], (8,))],
+    ids=["single_loop", "commuting_loops2", "commuting_loops3", "twoloops", "chain_to_loop"])
+def test_primitive_root_by_brute_force(graph, top):
+    # p^q = c for some q >= 1, and p is no power s^j (j >= 2) of any cycle s
+    g = graph()
+
+    def power(s, j):
+        return functools.reduce(g.compose, [s] * j)
+
+    for v in g.vertices:
+        cycles = [c for c in g.paths_upto(v, top) if c.source == v and not c.is_vertex()]
+        for c in cycles:
+            p = bnd._primitive_root(c)
+            assert p.source == p.range == v
+            q = max(c.degree) // max(p.degree)
+            assert power(p, q) == c
+            assert not any(power(s, j) == p
+                           for s in cycles for j in range(2, max(p.degree) + 1)
+                           if all(x * j == y for x, y in zip(s.degree, p.degree)))
+
+
 def test_lasso_shift_prefix(cloops):
     v = cloops.vertex("v")
     e = cloops.parse_path("e")

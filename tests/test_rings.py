@@ -1,5 +1,6 @@
 """Coefficient rings and the element/cell text grammar."""
 
+import operator
 from fractions import Fraction
 from math import isqrt
 
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kpx import degrees, errors
-from kpx.algebra import SpanForm
+from kpx.algebra import SpanForm, equals, multiply
 from kpx.elements import parse_cell, parse_element
 from kpx.rings import QQ, ZZ, IntegersMod, ModInt, Ring, _is_prime, parse_ring
 
@@ -131,6 +132,10 @@ def test_parse_ring():
     assert parse_ring("q") is QQ
     assert parse_ring("z") is ZZ
     assert parse_ring("zmod:5").n == 5
+    # rings compare by value: two parses of zmod:6 are one ring
+    assert parse_ring("zmod:6") == parse_ring("zmod:6") == IntegersMod(6)
+    assert hash(parse_ring("zmod:6")) == hash(IntegersMod(6))
+    assert parse_ring("zmod:6") != parse_ring("zmod:7") and ZZ != QQ != IntegersMod(6)
     with pytest.raises(errors.KpxError):
         parse_ring("gf:8")
 
@@ -153,6 +158,23 @@ def test_span_form_rejects_values_outside_the_ring(lambda2, ring, value):
         SpanForm(ring, {(v, v): value})
     with pytest.raises(errors.CoefficientNotInRing):
         one.scale(value)
+
+
+def test_forms_over_two_rings_do_not_combine(lambda2):
+    # a sum, difference or product of forms over different rings would hold
+    # values of neither, such as 3/2 in a form over Z
+    z, q = parse_element(lambda2, ZZ, "s(v1)"), parse_element(lambda2, QQ, "1/2*s(v1)")
+    z6 = parse_element(lambda2, IntegersMod(6), "s(v1)")
+    for a, b in ((z, q), (q, z), (q, z6), (z6, q), (z, z6)):
+        for combine in (operator.add, operator.sub, multiply, equals):
+            with pytest.raises(errors.CoefficientNotInRing, match=r"^a form over "):
+                combine(a, b)
+    assert z != parse_element(lambda2, QQ, "s(v1)")
+    # two parses of one ring are one ring, so their forms combine and compare
+    a = parse_element(lambda2, parse_ring("zmod:6"), "2*s(e1) + s(v1)")
+    b = parse_element(lambda2, parse_ring("zmod:6"), "2*s(e1) + s(v1)")
+    assert a.ring is not b.ring and a == b and equals(a, b)
+    assert (a - b).is_structurally_zero() and a + b == a.scale(2) and multiply(a, b) == multiply(a, a)
 
 
 # ------------------------------------------------------------- grammar
