@@ -3,8 +3,7 @@ the tests named with it must catch it.
 
 Run from any directory, with pytest installed:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the mutants whose names contain NAME
+    python tests/mutants.py
 
 For each mutant the runner copies src/ to a temporary directory, makes the
 one edit there, and runs only the named tests against the copy.  A mutant is
@@ -68,16 +67,10 @@ MUTANTS = (
         (TEST_ALGEBRA + "test_grade",
          TEST_ALGEBRA + "test_derived_forms_are_new_and_termwise")),
     Mutant(
-        "the ring check of + dropped", ALGEBRA,
-        "        if self.ring is not other.ring and self.ring != other.ring:\n"
-        '            raise CoefficientNotInRing(f"a form over {self.ring} plus one over {other.ring}")\n',
-        "",
-        (TEST_RINGS + "test_forms_over_two_rings_do_not_combine",)),
-    Mutant(
-        "the ring check of multiply dropped", ALGEBRA,
+        "the ring check dropped", ALGEBRA,
         "    if a.ring is not b.ring and a.ring != b.ring:\n"
-        '        raise CoefficientNotInRing(f"a form over {a.ring} times one over {b.ring}")\n',
-        "",
+        '        raise CoefficientNotInRing(f"a form over {a.ring} {op} one over {b.ring}")\n',
+        "    pass\n",
         (TEST_RINGS + "test_forms_over_two_rings_do_not_combine",)),
     Mutant(
         "rings compare by identity", RINGS,
@@ -125,17 +118,16 @@ def fresh_copy(tmp):
     return src
 
 
-def main(argv):
-    chosen = [m for m in MUTANTS if not argv or any(a in m.name for a in argv)]
+def main():
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="kpx-mutants-") as tmp:
-        every = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        every = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         code = run_tests(fresh_copy(tmp), every)
         if code != 0:
             print(f"the named tests fail on the unedited code (pytest exit {code})")
             return 1
         killed, bad = 0, 0
-        for m in chosen:
+        for m in MUTANTS:
             src = fresh_copy(tmp)
             try:
                 mutate(src, m)
@@ -151,10 +143,10 @@ def main(argv):
             print(f"{status:9} {m.name} ({time.perf_counter() - t0:.1f} s)")
             killed += status == "killed"
             bad += status != "killed"
-    print(f"{killed} of {len(chosen)} mutants killed, {bad} not, "
+    print(f"{killed} of {len(MUTANTS)} mutants killed, {bad} not, "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
