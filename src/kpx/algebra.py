@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import degrees, groupoid
 from .errors import CoefficientNotInRing, NotComposable, RangeMismatch
+from .rings import text
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,7 @@ class SpanForm:
         lam, mu = key
         if lam.source != mu.source:
             raise NotComposable(f"pair ({lam!r}, {mu!r}) has mismatched sources")
-        # the exact type: isinstance would let a bool in as an int
-        if type(coeff) not in self.ring.value_types:
-            raise CoefficientNotInRing(f"{coeff!r} is not a value of {self.ring}")
-        self._add(((key, self.ring.zero + coeff),))
+        self._add(((key, self.ring.value(coeff)),))
 
     def _add(self, pairs):
         """The one accumulator: add each (key, ring value) pair, drop the zero
@@ -92,8 +90,7 @@ class SpanForm:
         return self + (-other)
 
     def scale(self, coeff):
-        if type(coeff) not in self.ring.value_types:  # as in _add_term
-            raise CoefficientNotInRing(f"{coeff!r} is not a value of {self.ring}")
+        coeff = self.ring.value(coeff)
         return SpanForm(self.ring)._add((k, coeff * c) for k, c in self._terms.items())
 
     def __eq__(self, other):
@@ -107,7 +104,7 @@ class SpanForm:
         if not self._terms:
             return "SpanForm(0)"
         bits = [
-            f"{c}*s({l.label()})g({m.label()})" for (l, m), c in self.items()
+            f"{text(c)}*s({l.label()})g({m.label()})" for (l, m), c in self.items()
         ]
         return "SpanForm(" + " + ".join(bits) + ")"
 

@@ -24,10 +24,8 @@ import functools
 import json
 import re
 import sys
-from decimal import Decimal
-from fractions import Fraction
 
-from . import algebra, analysis, boundary, elements, groupoid, io
+from . import algebra, analysis, boundary, elements, groupoid, io, rings
 from .errors import KpxError
 from .kgraph import omega_graph
 from .rings import QQ, parse_ring
@@ -58,18 +56,9 @@ def _load(args):
     raise KpxError("no graph given: use --graph FILE or --omega M")
 
 
-def _coeff_text(c):
-    """Every digit of a coefficient: str() refuses an int past the process's
-    digit limit, Decimal() converts any int exactly."""
-    if not isinstance(c, (int, Fraction)):
-        return str(c)
-    num = Decimal(c.numerator)
-    return str(num) if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
-
-
 def _span_terms(a):
     return [
-        {"lam": lam.label(), "mu": mu.label(), "coeff": _coeff_text(c)}
+        {"lam": lam.label(), "mu": mu.label(), "coeff": rings.text(c)}
         for (lam, mu), c in a.items()
     ]
 
@@ -78,7 +67,7 @@ def _span_text(a):
     if a.is_structurally_zero():
         return "0"
     return " + ".join(
-        f"{_coeff_text(c)}*s({l.label()})*g({m.label()})" for (l, m), c in a.items()
+        f"{rings.text(c)}*s({l.label()})*g({m.label()})" for (l, m), c in a.items()
     )
 
 

@@ -20,6 +20,14 @@ from .errors import KpxError, ParseError
 _INT = re.compile(r"\d+")
 
 
+def _path(g, literal, column):
+    """The path a literal names; any error in it is a ParseError at column."""
+    try:
+        return g.parse_path(literal)
+    except KpxError as exc:
+        raise ParseError(f"bad path {literal!r}: {exc}", column=column) from exc
+
+
 class _Parser:
     def __init__(self, g, ring, text):
         self.g = g
@@ -100,11 +108,7 @@ class _Parser:
         if end < 0:
             raise ParseError("unclosed generator parenthesis", column=self.pos + 1)
         start, self.pos = self.pos, end + 1
-        literal = self.text[start:end].strip()
-        try:
-            path = self.g.parse_path(literal)
-        except KpxError as exc:
-            raise ParseError(f"bad path {literal!r}: {exc}", column=start + 1) from exc
+        path = _path(self.g, self.text[start:end].strip(), start + 1)
         return algebra.PathSym(path) if kind == "s" else algebra.GhostSym(path)
 
 
@@ -125,11 +129,7 @@ def parse_cell(g, text):
     for i, part in enumerate([lam_text, mu_text, *avoid_text.split(";")]):
         literal = part.strip()
         if i < 2 or literal:  # empty avoid paths are skipped
-            try:
-                paths.append(g.parse_path(literal))
-            except KpxError as exc:
-                column = offset + len(part) - len(part.lstrip()) + 1
-                raise ParseError(f"bad path {literal!r}: {exc}", column=column) from exc
+            paths.append(_path(g, literal, offset + len(part) - len(part.lstrip()) + 1))
         offset += len(part) + 1
     lam, mu, *avoid = paths
     return groupoid.make_cell(lam, mu, avoid)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import degrees
 from .errors import DegreeOutOfRange, NotAcyclic, NotField, RangeMismatch
 from .kgraph import Path
-from .rings import ZZ
+from .rings import ZZ, text
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ class SteinbergFunction:
     def label(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*1[{cell.label()}]" for c, cell in self.terms)
+        return " + ".join(f"{text(c)}*1[{cell.label()}]" for c, cell in self.terms)
 
     def __repr__(self):
         return f"SteinbergFunction({self.label()})"
@@ -183,7 +183,8 @@ class SteinbergFunction:
 def func_from_terms(ring, weighted_cells):
     """Canonicalize a combination of cell indicators into disjoint form.  Cells
     differing in shift degree, r(lam) or r(mu) are disjoint, so each such
-    bucket is refined on its own."""
+    bucket is refined on its own.  No coefficient is checked (Ring.value):
+    pi_t and disjointify pass ring values only, and is_zero would pay twice."""
     buckets = {}  # (shift degree, r(lam), r(mu)) -> disjoint (coeff, cell) pairs
     for coeff, cell in weighted_cells:
         if cell is None or coeff == ring.zero:

@@ -9,6 +9,7 @@ like 1.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -70,7 +71,6 @@ class ModInt:
 class Ring:
     name = "?"
     is_field = False
-    value_types = ()  # the exact types of the values a caller may pass in
 
     def __init__(self):
         # built once: every value is immutable, so callers can share them
@@ -82,6 +82,13 @@ class Ring:
 
     def from_fraction(self, num, den):
         raise NotImplementedError
+
+    def value(self, x):
+        """x as a value of the ring, or CoefficientNotInRing naming it.  Every
+        ring takes an int, by exact type: isinstance would let a bool in."""
+        if type(x) is not int:
+            raise CoefficientNotInRing(f"{x!r} is not a value of {self}")
+        return self._zero + x
 
     @property
     def zero(self):
@@ -104,7 +111,6 @@ class Ring:
 
 class IntegerRing(Ring):
     name = "Z"
-    value_types = (int,)
 
     def from_int(self, n):
         return int(n)
@@ -123,7 +129,9 @@ class RationalField(Ring):
 
     name = "Q"
     is_field = True
-    value_types = (int, Fraction)
+
+    def value(self, x):
+        return x if type(x) is Fraction else super().value(x)
 
     def from_int(self, n):
         return int(n)
@@ -136,9 +144,9 @@ class RationalField(Ring):
 
 
 class IntegersMod(Ring):
-    value_types = (int, ModInt)  # an int is read mod n
-
     def __init__(self, n):
+        if type(n) is not int:
+            raise CoefficientNotInRing(f"modulus must be an int, got {n!r}")
         if n < 2:
             raise CoefficientNotInRing(f"modulus must be >= 2, got {n}")
         if n >= _MODULUS_BOUND:
@@ -155,6 +163,12 @@ class IntegersMod(Ring):
         if gcd(den, self.n) != 1:
             raise CoefficientNotInRing(f"denominator {den} not invertible mod {self.n}")
         return self.from_int(num * pow(den, -1, self.n))
+
+    def value(self, x):
+        """An int, or a ModInt of modulus n, is read mod n."""
+        if type(x) is ModInt and x.modulus != self.n:
+            raise CoefficientNotInRing(f"{x!r} mod {x.modulus} is not a value of {self}")
+        return self._zero + x if type(x) is ModInt else super().value(x)
 
 
 # Miller-Rabin to these bases is exact below _MODULUS_BOUND, itself a strong
@@ -176,6 +190,15 @@ def _is_prime(n):
         if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
     return True
+
+
+def text(c):
+    """Every digit of a ring value: str() refuses an int past the process's
+    digit limit, Decimal() converts any int exactly."""
+    if not isinstance(c, (int, Fraction)):
+        return str(c)
+    num = Decimal(c.numerator)
+    return str(num) if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
 
 
 ZZ = IntegerRing()

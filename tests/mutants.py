@@ -36,7 +36,10 @@ class Mutant(NamedTuple):
 
 
 ALGEBRA, RINGS, BOUNDARY = "kpx/algebra.py", "kpx/rings.py", "kpx/boundary.py"
+KGRAPH, GROUPOID, ANALYSIS, CLI = "kpx/kgraph.py", "kpx/groupoid.py", "kpx/analysis.py", "kpx/cli.py"
 TEST_ALGEBRA, TEST_RINGS = "tests/test_algebra.py::", "tests/test_rings.py::"
+TEST_KGRAPH, TEST_GROUPOID = "tests/test_kgraph.py::", "tests/test_groupoid.py::"
+TEST_ANALYSIS, TEST_CLI = "tests/test_analysis.py::", "tests/test_cli.py::"
 
 MUTANTS = (
     Mutant(
@@ -86,6 +89,118 @@ MUTANTS = (
         "            return cycle\n",
         ("tests/test_boundary.py::test_primitive_root_by_brute_force",
          "tests/test_boundary.py::test_lasso_canonical_form")),
+    Mutant(
+        "a residue of another modulus taken", RINGS,
+        "        if type(x) is ModInt and x.modulus != self.n:\n",
+        "        if False:\n",
+        (TEST_RINGS + "test_span_form_takes_residues_of_its_modulus_only",)),
+    Mutant(
+        "a residue of modulus n taken unreduced", RINGS,
+        "        return self._zero + x if type(x) is ModInt else super().value(x)\n",
+        "        return x if type(x) is ModInt else super().value(x)\n",
+        (TEST_RINGS + "test_span_form_takes_residues_of_its_modulus_only",)),
+    Mutant(
+        "Ring.value lets a bool in", RINGS,
+        "        if type(x) is not int:\n",
+        "        if not isinstance(x, int):\n",
+        (TEST_RINGS + "test_span_form_rejects_values_outside_the_ring",)),
+    Mutant(
+        "text writes an int with str", RINGS,
+        "    if not isinstance(c, (int, Fraction)):\n",
+        "    if not isinstance(c, Fraction):\n",
+        (TEST_CLI + "test_reprs_print_coefficients_past_the_digit_limit",
+         TEST_CLI + "test_eval_prints_coefficients_past_the_digit_limit")),
+    Mutant(
+        "compose skips the normal form", KGRAPH,
+        "            word = tuple(self._normalize_word(lam.edges + mu.edges))\n",
+        "            word = lam.edges + mu.edges\n",
+        (TEST_KGRAPH + "test_normal_form_is_color_major",
+         TEST_KGRAPH + "test_compose_against_oracle")),
+    Mutant(
+        "paths not interned", KGRAPH,
+        "        lam = self._paths.get((v, word))\n",
+        "        lam = None\n",
+        (TEST_KGRAPH + "test_paths_are_interned",
+         TEST_KGRAPH + "test_unknown_vertex")),
+    Mutant(
+        # MCE is symmetric up to swapping each pair, so one memo entry per
+        # unordered pair hands back unswapped pairs for the second order
+        "the MCE memo keyed by the unordered pair", KGRAPH,
+        "        key = (lam, mu)\n"
+        "        out = self._mce.get(key)\n",
+        "        key = frozenset((lam, mu))\n"
+        "        out = self._mce.get(key)\n",
+        (TEST_KGRAPH + "test_mce_both_orders_against_oracle",)),
+    Mutant(
+        "_moves keeps only the last cut per edge", KGRAPH,
+        "            out[a] = out[a] | {rho} if a in out else frozenset((rho,))\n",
+        "            out[a] = frozenset((rho,))\n",
+        (TEST_KGRAPH + "test_move_table_matches_oracle",
+         TEST_KGRAPH + "test_witness_matches_search_by_ext")),
+    Mutant(
+        "_moves skips the sort for j == 1", KGRAPH,
+        "            if j:  # move w[j] to the front\n",
+        "            if j > 1:  # move w[j] to the front\n",
+        (TEST_KGRAPH + "test_exhaustive_against_oracle",
+         TEST_KGRAPH + "test_exhaustive_cyclic")),
+    Mutant(
+        "the goal test reads the state it expands", KGRAPH,
+        "                        if not nxt[1]:  # a witness: walk the parent pointers back\n",
+        "                        if not S:  # a witness: walk the parent pointers back\n",
+        (TEST_KGRAPH + "test_exhaustive_frozen_lambda2",
+         TEST_KGRAPH + "test_exhaustive_against_oracle")),
+    Mutant(
+        "the empty-E return dropped", KGRAPH,
+        "        if not E:\n"
+        "            return root\n",
+        "",
+        (TEST_KGRAPH + "test_exhaustive_frozen_lambda2",
+         TEST_KGRAPH + "test_exhaustive_reads_a_one_shot_iterable_once")),
+    Mutant(
+        "_cut drops what lies outside every common direction", GROUPOID,
+        "    if rem is not None:\n"
+        "        diff.append(rem)\n",
+        "",
+        (TEST_GROUPOID + "test_cell_subtract_pointwise",)),
+    Mutant(
+        "_cut counts the pieces c2 avoids as common", GROUPOID,
+        "                if through is not None:\n"
+        "                    diff.append(through)\n",
+        "                if through is not None:\n"
+        "                    inter.append(through)\n",
+        (TEST_GROUPOID + "test_cell_intersect_pointwise",
+         TEST_GROUPOID + "test_cell_subtract_pointwise")),
+    Mutant(
+        "peel_order joins a vertex one edge early", KGRAPH,
+        "                        waiting[r] -= 1\n"
+        "                        if not waiting[r]:\n",
+        "                        waiting[r] -= 1\n"
+        "                        if waiting[r] == 1:\n",
+        (TEST_KGRAPH + "test_peel_order_against_oracle",)),
+    Mutant(
+        "peel_order starts from the vertices reversed", KGRAPH,
+        "            order = [v for v in self.vertices if not waiting[v]]\n",
+        "            order = [v for v in reversed(self.vertices) if not waiting[v]]\n",
+        (TEST_KGRAPH + "test_peel_order_against_oracle",
+         TEST_KGRAPH + "test_peel_order_on_random_graphs")),
+    Mutant(
+        "reaching walks forward", KGRAPH,
+        "        return self._walk(targets, forward=False)\n",
+        "        return self._walk(targets, forward=True)\n",
+        (TEST_KGRAPH + "test_peel_order_against_oracle",
+         TEST_ANALYSIS + "test_verdicts_against_reference")),
+    Mutant(
+        "the staircase takes the last edge", ANALYSIS,
+        "            edges.append(g.out_edges(v)[0])\n",
+        "            edges.append(g.out_edges(v)[-1])\n",
+        (TEST_ANALYSIS + "test_verdicts_against_reference",
+         TEST_ANALYSIS + "test_cyclic_two_graphs_are_never_found_aperiodic")),
+    Mutant(
+        "the plain parse takes a broken run", CLI,
+        "        elif run and run_end != i - 1:  # argparse splits a broken run differently\n",
+        "        elif False:\n",
+        (TEST_CLI + "test_plain_parse_agrees_with_argparse",
+         TEST_CLI + "test_plain_parse_agrees_on_test_and_workload_argvs")),
 )
 
 

@@ -320,6 +320,19 @@ def test_eval_prints_coefficients_past_the_digit_limit(capsys):
     assert code == 0 and out == f"{total}/7*s(v1)*g(v1)\n"
 
 
+def test_reprs_print_coefficients_past_the_digit_limit(capsys):
+    # a form's repr and its function's label write every digit that eval
+    # prints, for a 4,301-digit integer and a 4,301-digit numerator
+    g, nines = io.load_graph(L2), "9" * 4300
+    for expr in (f"{nines}*s(v1) + {nines}*s(v1)", f"{nines}/7*s(v1) + {nines}/7*s(v1)"):
+        code, out = run(capsys, "--graph", L2, "eval", expr)
+        coeff = out.partition("*")[0]
+        assert code == 0 and len(coeff.partition("/")[0]) == 4301
+        a = kpx.elements.parse_element(g, kpx.rings.QQ, expr)
+        assert repr(a) == f"SpanForm({coeff}*s(v1)g(v1))"
+        assert kpx.groupoid.pi_t(a).label() == f"{coeff}*1[v1*v1]"
+
+
 def test_zero_exit_codes(capsys):
     assert run(capsys, "--graph", L2, "zero", "s(e1.f1) - s(f2.e2)")[0] == 0
     assert run(capsys, "--graph", L2, "zero", "s(v1)")[0] == 1

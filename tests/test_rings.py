@@ -60,6 +60,10 @@ def test_integers_mod():
         z6.from_fraction(1, 2)
     with pytest.raises(errors.CoefficientNotInRing):
         IntegersMod(1)
+    # a modulus is an int: not a float, a string, a Fraction or a bool
+    for n in (6.0, "6", Fraction(6), True):
+        with pytest.raises(errors.CoefficientNotInRing, match="^modulus must be an int, got "):
+            IntegersMod(n)
 
 
 @given(st.integers(2, 40), st.integers(-50, 50), st.integers(-50, 50))
@@ -109,10 +113,13 @@ def test_degree_arithmetic_refuses_what_it_cannot_form():
 
 
 def test_is_prime_matches_trial_division():
-    def trial(n):
-        return n >= 2 and all(n % p for p in range(2, isqrt(n) + 1))
-
-    assert all(_is_prime(n) == trial(n) for n in range(10 ** 5))
+    # the reference is a sieve of Eratosthenes: each composite is crossed out
+    # by trial division's smallest witness, a prime p <= isqrt(n)
+    prime = [n >= 2 for n in range(10 ** 5)]
+    for p in range(2, isqrt(10 ** 5 - 1) + 1):
+        if prime[p]:
+            prime[p * p :: p] = [False] * len(range(p * p, 10 ** 5, p))
+    assert all(_is_prime(n) == prime[n] for n in range(10 ** 5))
     assert _is_prime(1000000000000000003)
 
 
@@ -158,6 +165,23 @@ def test_span_form_rejects_values_outside_the_ring(lambda2, ring, value):
         SpanForm(ring, {(v, v): value})
     with pytest.raises(errors.CoefficientNotInRing):
         one.scale(value)
+
+
+def test_span_form_takes_residues_of_its_modulus_only(lambda2):
+    # Z/7's 3 is no value of Z/6: the constructor and scale, on an empty form
+    # and on a non-empty one, refuse it in words that name both moduli
+    v, z6 = lambda2.vertex("v1"), IntegersMod(6)
+    message = r"^3 mod 7 is not a value of Z/6$"
+    with pytest.raises(errors.CoefficientNotInRing, match=message):
+        SpanForm(z6, {(v, v): ModInt(7, 3)})
+    for form in (SpanForm(z6), SpanForm(z6, {(v, v): 1})):
+        with pytest.raises(errors.CoefficientNotInRing, match=message):
+            form.scale(ModInt(7, 3))
+    assert SpanForm(z6, {(v, v): ModInt(6, 3)}).scale(ModInt(6, 2)).is_structurally_zero()
+    # a ModInt of modulus 6 comes in reduced, whatever value it was built with
+    assert SpanForm(z6, {(v, v): ModInt(6, 7)}) == SpanForm(z6, {(v, v): 1})
+    assert SpanForm(z6, {(v, v): ModInt(6, 6)}).is_structurally_zero()
+    assert SpanForm(z6, {(v, v): 1}).scale(ModInt(6, -1)) == SpanForm(z6, {(v, v): 5})
 
 
 def test_forms_over_two_rings_do_not_combine(lambda2):
