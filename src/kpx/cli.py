@@ -26,7 +26,7 @@ import re
 import sys
 
 from . import algebra, analysis, boundary, elements, groupoid, io, rings
-from .errors import KpxError
+from .errors import KpxError, ParseError
 from .kgraph import omega_graph
 from .rings import QQ, parse_ring
 
@@ -38,7 +38,9 @@ EXIT_UNKNOWN = 3
 
 def _parse_degree(text, k=None):
     try:
-        deg = tuple(int(p) for p in text.split(","))
+        deg = tuple(rings.integer(p) for p in text.split(","))
+    except ParseError as exc:  # a literal too long to echo back
+        raise KpxError(f"bad degree literal: {exc}") from None
     except ValueError:
         raise KpxError(f"bad degree literal {text!r}") from None
     if any(c < 0 for c in deg):
@@ -229,7 +231,7 @@ def cmd_analyze(g, args):
     lines.append(f"simple: {rep.simple}")
     if rep.dimension is not None:
         payload["dimension"] = rep.dimension
-        lines.append(f"dimension: {rep.dimension}")
+        lines.append(f"dimension: {rings.text(rep.dimension)}")
     code = EXIT_UNKNOWN if rep.basically_simple == "unknown" else EXIT_OK
     return code, payload, lines
 
@@ -237,7 +239,7 @@ def cmd_analyze(g, args):
 def cmd_dim(g, args):
     ring = parse_ring(args.ring)
     dim = groupoid.dim_over_field(g, ring)
-    return EXIT_OK, {"dimension": dim}, [str(dim)]
+    return EXIT_OK, {"dimension": dim}, [rings.text(dim)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -395,8 +397,15 @@ def main(argv=None):
     try:
         g = _load(args)
         code, payload, lines = _GRAMMAR[args.command][0](g, args)
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+        if args.json:  # every digit of each int: the digit limit is lifted for this print only
+            # (Pythons before 3.10.7 have no limit, and int stands in as a no-op)
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            set_limit = getattr(sys, "set_int_max_str_digits", int)
+            try:
+                set_limit(0)
+                print(json.dumps(payload, indent=2, sort_keys=True))
+            finally:
+                set_limit(limit)
         else:
             for line in lines:
                 print(line)

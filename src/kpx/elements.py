@@ -14,7 +14,7 @@ parentheses a path literal is a vertex id or dot-joined edge ids.
 
 import re
 
-from . import algebra, groupoid
+from . import algebra, groupoid, rings
 from .errors import KpxError, ParseError
 
 _INT = re.compile(r"\d+")
@@ -56,11 +56,9 @@ class _Parser:
         if not m:
             raise ParseError("expected an integer", column=self.pos + 1)
         try:
-            value = int(m.group())
-        except ValueError:  # longer than the interpreter converts
-            raise ParseError(
-                f"integer of {len(m.group())} digits is too long", column=self.pos + 1
-            ) from None
+            value = rings.integer(m.group())
+        except ParseError as exc:  # longer than the interpreter converts
+            raise ParseError(str(exc), column=self.pos + 1) from None
         self.pos = m.end()
         return value
 

@@ -16,6 +16,7 @@ shape; the ``KGraph`` constructor checks the values, types included.
 import dataclasses
 import json
 
+from . import rings
 from .errors import ParseError
 from .kgraph import Edge, KGraph, KGraphSpec, Square
 
@@ -82,17 +83,11 @@ def load_graph(path):
     except RecursionError:
         raise ParseError(f"invalid graph file {path}: nested too deeply") from None
     except ValueError:  # an integer longer than int() converts: a second reading names it
-        data = json.loads(text, parse_int=lambda literal: _int(path, literal))
+        try:
+            data = json.loads(text, parse_int=rings.integer)
+        except ParseError as exc:
+            raise ParseError(f"invalid graph file {path}: {exc}") from None
     return KGraph.validate(spec_from_dict(data))
-
-
-def _int(path, literal):
-    """int(literal), or a ParseError if the literal is too long to convert."""
-    try:
-        return int(literal)
-    except ValueError:
-        raise ParseError(f"invalid graph file {path}: integer of "
-                         f"{len(literal.lstrip('-'))} digits is too long") from None
 
 
 def graph_to_dict(g):

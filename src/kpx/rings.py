@@ -8,18 +8,22 @@ normalised: 1/2 + 1/2 is Fraction(1, 1), which compares, hashes and prints
 like 1.
 """
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
-from .errors import CoefficientNotInRing
+from .errors import CoefficientNotInRing, ParseError
 
 
 @dataclass(frozen=True)
 class ModInt:
     modulus: int
     value: int
+
+    def __post_init__(self):  # one value per residue class: ModInt(6, 7) is ModInt(6, 1)
+        object.__setattr__(self, "value", self.value % self.modulus)
 
     def _check(self, other):
         if isinstance(other, ModInt):
@@ -34,12 +38,12 @@ class ModInt:
         v = self._check(other)
         if v is NotImplemented:
             return v
-        return ModInt(self.modulus, (self.value + v) % self.modulus)
+        return ModInt(self.modulus, self.value + v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ModInt(self.modulus, (-self.value) % self.modulus)
+        return ModInt(self.modulus, -self.value)
 
     def __sub__(self, other):
         return self + (-other)
@@ -48,7 +52,7 @@ class ModInt:
         v = self._check(other)
         if v is NotImplemented:
             return v
-        return ModInt(self.modulus, (self.value * v) % self.modulus)
+        return ModInt(self.modulus, self.value * v)
 
     __rmul__ = __mul__
 
@@ -60,9 +64,6 @@ class ModInt:
             and other.modulus == self.modulus
             and other.value == self.value
         )
-
-    def __hash__(self):
-        return hash((self.modulus, self.value))
 
     def __repr__(self):
         return f"{self.value}"
@@ -157,7 +158,7 @@ class IntegersMod(Ring):
         super().__init__()
 
     def from_int(self, m):
-        return ModInt(self.n, m % self.n)
+        return ModInt(self.n, m)
 
     def from_fraction(self, num, den):
         if gcd(den, self.n) != 1:
@@ -165,10 +166,10 @@ class IntegersMod(Ring):
         return self.from_int(num * pow(den, -1, self.n))
 
     def value(self, x):
-        """An int, or a ModInt of modulus n, is read mod n."""
+        """An int is read mod n; a ModInt of modulus n is one already."""
         if type(x) is ModInt and x.modulus != self.n:
             raise CoefficientNotInRing(f"{x!r} mod {x.modulus} is not a value of {self}")
-        return self._zero + x if type(x) is ModInt else super().value(x)
+        return x if type(x) is ModInt else super().value(x)
 
 
 # Miller-Rabin to these bases is exact below _MODULUS_BOUND, itself a strong
@@ -190,6 +191,18 @@ def _is_prime(n):
         if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
     return True
+
+
+def integer(literal):
+    """int(literal).  Digits that int() refuses are too many to convert: a ParseError
+    says how many; any other bad literal stays a ValueError, for the caller to word."""
+    try:
+        return int(literal)
+    except ValueError:
+        digits = re.fullmatch(r"\s*[-+]?(\d+)\s*", literal)  # as int() reads them
+        if digits is None:
+            raise
+        raise ParseError(f"integer of {len(digits[1])} digits is too long") from None
 
 
 def text(c):
@@ -214,7 +227,9 @@ def parse_ring(text):
         return QQ
     if t.startswith("zmod:"):
         try:
-            return IntegersMod(int(t.split(":", 1)[1]))
+            return IntegersMod(integer(t.split(":", 1)[1]))
+        except ParseError as exc:
+            raise CoefficientNotInRing(f"bad modulus: {exc}") from None
         except ValueError:
             raise CoefficientNotInRing(f"bad modulus in {text!r}") from None
     raise CoefficientNotInRing(f"unknown ring {text!r}")

@@ -96,14 +96,23 @@ MUTANTS = (
         (TEST_RINGS + "test_span_form_takes_residues_of_its_modulus_only",)),
     Mutant(
         "a residue of modulus n taken unreduced", RINGS,
-        "        return self._zero + x if type(x) is ModInt else super().value(x)\n",
-        "        return x if type(x) is ModInt else super().value(x)\n",
-        (TEST_RINGS + "test_span_form_takes_residues_of_its_modulus_only",)),
+        '        object.__setattr__(self, "value", self.value % self.modulus)\n',
+        '        object.__setattr__(self, "value", self.value)\n',
+        (TEST_RINGS + "test_modint_values_are_canonical",
+         TEST_RINGS + "test_span_form_takes_residues_of_its_modulus_only")),
     Mutant(
         "Ring.value lets a bool in", RINGS,
         "        if type(x) is not int:\n",
         "        if not isinstance(x, int):\n",
         (TEST_RINGS + "test_span_form_rejects_values_outside_the_ring",)),
+    Mutant(
+        "the reader re-raises ValueError for a long literal of digits", RINGS,
+        "        if digits is None:\n"
+        "            raise\n",
+        "        raise\n",
+        (TEST_RINGS + "test_integer_measures_only_literals_too_long_to_convert",
+         TEST_CLI + "test_over_long_literals_are_measured_not_echoed",
+         TEST_CLI + "test_malformed_document_says_what_is_wrong")),
     Mutant(
         "text writes an int with str", RINGS,
         "    if not isinstance(c, (int, Fraction)):\n",
@@ -111,11 +120,35 @@ MUTANTS = (
         (TEST_CLI + "test_reprs_print_coefficients_past_the_digit_limit",
          TEST_CLI + "test_eval_prints_coefficients_past_the_digit_limit")),
     Mutant(
+        "cmd_dim writes with str", CLI,
+        '    return EXIT_OK, {"dimension": dim}, [rings.text(dim)]\n',
+        '    return EXIT_OK, {"dimension": dim}, [str(dim)]\n',
+        (TEST_CLI + "test_dim_counts_large_graphs",)),
+    Mutant(
+        "the JSON print keeps the digit limit", CLI,
+        "                set_limit(0)\n",
+        "",
+        (TEST_CLI + "test_dim_counts_large_graphs",)),
+    Mutant(
         "compose skips the normal form", KGRAPH,
         "            word = tuple(self._normalize_word(lam.edges + mu.edges))\n",
         "            word = lam.edges + mu.edges\n",
         (TEST_KGRAPH + "test_normal_form_is_color_major",
          TEST_KGRAPH + "test_compose_against_oracle")),
+    Mutant(
+        # a prefix keeps m[c-1] + 1 edges of each color c the word holds more of
+        "_split keys seen > m", KGRAPH,
+        "            keys.append((seen[c - 1] >= m[c - 1], c))\n",
+        "            keys.append((seen[c - 1] > m[c - 1], c))\n",
+        (TEST_KGRAPH + "test_factor_compose_roundtrip_all",
+         TEST_KGRAPH + "test_vertex_at_matches_factor")),
+    Mutant(
+        # N(r(e), k) also counts the words whose colors exceed color(e)
+        "count_paths_to reads N(r(e), k)", KGRAPH,
+        "rows[edges[eid].range][c - 1]",
+        "rows[edges[eid].range][-1]",
+        ("tests/test_boundary.py::test_paths_to_and_its_count",
+         "tests/test_boundary.py::test_dim_is_sum_of_squared_source_classes")),
     Mutant(
         "paths not interned", KGRAPH,
         "        lam = self._paths.get((v, word))\n",

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import weakref
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -563,19 +564,32 @@ def test_dim_counts_large_graphs(capsys, tmp_path):
     assert run_in_time(capsys, "--omega", "8,8,8", "dim") == (0, "531441\n")
     code, out = run_in_time(capsys, "--omega", "30,30", "boundary", "--orbits")
     assert code == 0 and [len(line.split()) for line in out.splitlines()] == [961]
-    # a chain of 2,000 steps with two parallel edges each has 2^2001 - 1
-    # paths with its one sink as source
-    n = 2000
-    doc = {
-        "k": 1,
-        "vertices": [f"v{i}" for i in range(n + 1)],
-        "edges": [{"id": f"{x}{i}", "color": 1, "range": f"v{i}", "source": f"v{i + 1}"}
-                  for i in range(n) for x in "ab"],
-        "squares": [],
-    }
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps(doc))
-    assert run_in_time(capsys, "--graph", str(path), "dim") == (0, f"{(2 ** (n + 1) - 1) ** 2}\n")
+    # a chain of n steps with two parallel edges each has 2^(n+1) - 1 paths
+    # with its one sink as source; Decimal writes every digit of the square
+    limit = sys.get_int_max_str_digits()
+    for n in (2000, 7199):
+        doc = {
+            "k": 1,
+            "vertices": [f"v{i}" for i in range(n + 1)],
+            "edges": [{"id": f"{x}{i}", "color": 1, "range": f"v{i}", "source": f"v{i + 1}"}
+                      for i in range(n) for x in "ab"],
+            "squares": [],
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        want = str(Decimal((2 ** (n + 1) - 1) ** 2))
+        assert run_in_time(capsys, "--graph", str(path), "dim") == (0, f"{want}\n")
+    # at 7,200 vertices the dimension has more digits than str(int) writes;
+    # dim and analyze print them all, in text and in JSON
+    assert len(want) == 4335
+    assert run_in_time(capsys, "--graph", str(path), "--json", "dim") == (
+        0, f'{{\n  "dimension": {want}\n}}\n')
+    code, out = run_in_time(capsys, "--graph", str(path), "analyze")
+    assert code == 0 and out.endswith(f"\nsimple: yes\ndimension: {want}\n")
+    code, out = run_in_time(capsys, "--graph", str(path), "--json", "analyze")
+    assert code == 0 and json.loads(out, parse_int=str)["dimension"] == want
+    # the JSON print lifts the digit limit for itself only
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_validate_and_info_on_large_graphs_in_time(capsys):
@@ -840,6 +854,23 @@ def test_element_parse_errors_are_located(capsys, expr, message, column):
     assert str(exc.value) == f"{message} (column {column})"
     assert main(["--graph", L2, "eval", expr]) == 2
     assert capsys.readouterr() == ("", f"error: {message} (column {column})\n")
+
+
+def test_over_long_literals_are_measured_not_echoed(capsys):
+    # a literal of more digits than int() converts is an input error that
+    # says how many, in one short line, wherever it comes in
+    digits = "1" * 5000
+    too_long = "integer of 5000 digits is too long"
+    for argv, message in (
+        (["--omega", digits, "dim"], f"bad degree literal: {too_long}"),
+        (["--graph", LOOP, "paths", "--from", "v", "--degree", digits],
+         f"bad degree literal: {too_long}"),
+        (["--graph", L2, "--ring", f"zmod:{digits}", "eval", "s(v1)"], f"bad modulus: {too_long}"),
+        (["--graph", L2, "eval", f"{digits}*s(v1)"], f"{too_long} (column 1)"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert len(f"error: {message}") < 100
 
 
 def test_input_guards(capsys):
@@ -1179,18 +1210,20 @@ def test_plain_parse_agrees_on_test_and_workload_argvs():
 # ----------------------------------------------------------------------
 # the exit-code contract: whatever the argv, kpx exits with 0-3 and reports
 # no fault of its own; argvs are drawn from the grammar rows, with literals
-# from small token sets and degrees of at most 3, so each one runs quickly
+# from small token sets and degrees of at most 3, so each one runs quickly.
+# LONG has more digits than int() converts, so a literal of it fails at once
+LONG = "1" * 5000
 
 FUZZ_GRAPHS = [["--graph", L2], ["--graph", LOOP], ["--omega", "1,1"]]
 VERTICES = ["v1", "v5", "v", "0,0", "1,1", "zz", ""]
 PATHS = ["v1", "e1", "f2", "e1.f1", "e3.f2", "e", "e.e", "0,0>1,0", "e1.e1", "zz", "", "-e1"]
 EXPRESSIONS = ["s(e1)*g(e1)", "s(v1) - s(e1)*g(e1) - s(e3)*g(e3)", "g(e1)*s(f2)", "s(e)*g(e)",
                "s(v) - s(e)*g(e)", "2*s(v)", "1/2*s(0,0)", "1/0*s(v1)", "s(zz)", "s(", "s(e1)+",
-               "", "-s(e)"]
+               "", "-s(e)", f"{LONG}*s(v1)"]
 FUZZ_TOKENS = {
     "--from": VERTICES, "--vertex": VERTICES,
-    "--degree": ["0", "3", "1,1", "0,3", "2,1", "3,3", "-1", "x", "1,2,3", ""],
-    "--ring": ["q", "z", "zmod:5", "zmod:4", "zmod:1", "zmod:0", "zmod:x", "r"],
+    "--degree": ["0", "3", "1,1", "0,3", "2,1", "3,3", "-1", "x", "1,2,3", "", LONG],
+    "--ring": ["q", "z", "zmod:5", "zmod:4", "zmod:1", "zmod:0", "zmod:x", "r", f"zmod:{LONG}"],
     "path1": PATHS, "path2": PATHS, "paths": PATHS,
     "expr": EXPRESSIONS, "expr1": EXPRESSIONS, "expr2": EXPRESSIONS,
     "cells": ["e1*e1", "f2*f2", "v1*v1\\e1;f2", "e1.f1*e3.f2", "e*e", "v*v\\e", "0,0*0,0",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpx import degrees, errors
+from kpx import degrees, errors, rings
 from kpx.algebra import SpanForm, equals, multiply
 from kpx.elements import parse_cell, parse_element
 from kpx.rings import QQ, ZZ, IntegersMod, ModInt, Ring, _is_prime, parse_ring
@@ -89,6 +89,28 @@ def test_modint_arithmetic_with_ints_and_other_moduli():
             op(x, ModInt(7, 1))
         with pytest.raises(TypeError):
             op(x, 0.5)
+
+
+def test_modint_values_are_canonical():
+    # a ModInt holds the least residue of its value, however it was built, so
+    # it compares, hashes and prints as one value of its class
+    x = ModInt(6, 7)
+    assert x == ModInt(6, 1) and x == 1 and x == 7 and x.value == 1
+    assert hash(x) == hash(ModInt(6, 1)) and len({x, ModInt(6, 1), ModInt(6, -5)}) == 1
+    assert rings.text(x) == "1" and repr(x) == "1"
+    assert ModInt(6, -1).value == 5 and ModInt(6, 6).value == 0
+
+
+def test_integer_measures_only_literals_too_long_to_convert():
+    # int()'s value; digits past the interpreter's limit are a ParseError
+    # that counts them, and any other bad literal stays int()'s ValueError
+    assert rings.integer(" -12 ") == -12 and rings.integer("+7") == 7
+    for literal, count in (("1" * 5000, 5000), (" -" + "9" * 4301 + "\n", 4301)):
+        with pytest.raises(errors.ParseError, match=f"^integer of {count} digits is too long$"):
+            rings.integer(literal)
+    for literal in ("--5", "- 5", "x", "", "1" * 5000 + "x"):
+        with pytest.raises(ValueError):
+            rings.integer(literal)
 
 
 def test_a_ring_must_define_its_constructors():
