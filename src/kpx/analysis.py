@@ -5,9 +5,9 @@ decided exactly, while on cyclic graphs the procedures are sound searches
 that may return "unknown".
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from . import boundary, groupoid
+from . import boundary, groupoid, rings
 from .rings import QQ
 
 
@@ -38,6 +38,12 @@ class SimplicityReport:
     basically_simple: str  # "yes" | "no" | "unknown"
     simple: str
     dimension: int | None = None
+
+    def __repr__(self):
+        # the generated repr, but with the dimension, the last field, written
+        # by rings.text, as repr() refuses an int past the digit limit
+        head = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)[:-1])
+        return f"SimplicityReport({head}, dimension={rings.text(self.dimension)})"
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ import re
 import sys
 
 from . import algebra, analysis, boundary, elements, groupoid, io, rings
-from .errors import KpxError, ParseError
+from .errors import KpxError, ParseError, quoted
 from .kgraph import omega_graph
 from .rings import QQ, parse_ring
 
@@ -42,11 +42,11 @@ def _parse_degree(text, k=None):
     except ParseError as exc:  # a literal too long to echo back
         raise KpxError(f"bad degree literal: {exc}") from None
     except ValueError:
-        raise KpxError(f"bad degree literal {text!r}") from None
+        raise KpxError(f"bad degree literal {quoted(text)}") from None
     if any(c < 0 for c in deg):
-        raise KpxError(f"degree {text!r} has a negative entry")
+        raise KpxError(f"degree {quoted(text)} has a negative entry")
     if k is not None and len(deg) != k:
-        raise KpxError(f"degree {text!r} has wrong rank (expected {k})")
+        raise KpxError(f"degree {quoted(text)} has wrong rank (expected {k})")
     return deg
 
 
@@ -384,7 +384,9 @@ def _parse_plain(argv):
     for g, (dest, nargs) in enumerate(positionals, 1):
         start, end = match.span(g)
         values[dest] = run[start] if nargs is None else run[start:end]
-    return argparse.Namespace(**{**top, "command": command, **defaults, **values})
+    args = argparse.Namespace()  # filled in one update, not one setattr per name
+    vars(args).update({**top, "command": command, **defaults, **values})
+    return args
 
 
 def main(argv=None):

@@ -15,7 +15,7 @@ parentheses a path literal is a vertex id or dot-joined edge ids.
 import re
 
 from . import algebra, groupoid, rings
-from .errors import KpxError, ParseError
+from .errors import KpxError, ParseError, quoted
 
 _INT = re.compile(r"\d+")
 
@@ -25,7 +25,7 @@ def _path(g, literal, column):
     try:
         return g.parse_path(literal)
     except KpxError as exc:
-        raise ParseError(f"bad path {literal!r}: {exc}", column=column) from exc
+        raise ParseError(f"bad path {quoted(literal)}: {exc}", column=column) from exc
 
 
 class _Parser:
@@ -76,7 +76,7 @@ class _Parser:
         self._skip()
         if self.pos != len(self.text):
             raise ParseError(
-                f"trailing input {self.text[self.pos:]!r}", column=self.pos + 1
+                f"trailing input {quoted(self.text[self.pos:])}", column=self.pos + 1
             )
         return algebra.reduce(self.ring, words)
 
@@ -122,7 +122,7 @@ def parse_cell(g, text):
     body, _, avoid_text = text.partition("\\")
     lam_text, sep, mu_text = body.partition("*")
     if not sep:
-        raise ParseError(f"cell literal {text!r} needs LAM*MU", column=len(body) + 1)
+        raise ParseError(f"cell literal {quoted(text)} needs LAM*MU", column=len(body) + 1)
     paths, offset = [], 0  # every separator is one character
     for i, part in enumerate([lam_text, mu_text, *avoid_text.split(";")]):
         literal = part.strip()

@@ -63,3 +63,12 @@ class ParseError(KpxError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def quoted(literal):
+    """repr(literal) for a message; a str of more than 32 characters gives
+    only the repr of its first 8 and its length, so that a long input
+    cannot make the message long (a path error quotes its literal twice)."""
+    if type(literal) is str and len(literal) > 32:
+        return f"{literal[:8]!r}... ({len(literal)} chars)"
+    return repr(literal)

@@ -68,12 +68,22 @@ def spec_from_dict(data):
 
 
 def load_graph(path):
-    """Read, parse, and validate a graph file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"invalid graph file {path}: not UTF-8 text") from exc
+    """Read, parse, and validate a graph file.
+
+    The file is read as bytes and decoded as UTF-8 once, which costs less
+    than a text-mode read's incremental decoder.  Text mode's newline
+    translation is kept: only a text that holds a carriage return has its
+    CR LF and lone CR line ends turned into LF, so the line and column of a
+    JSON error are those a text-mode read gives.  A byte-order mark is not
+    stripped, and JSON refuses it, as it does in text mode."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid graph file {path}: not UTF-8 text") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -8,6 +8,9 @@ rewriting rules that transport any edge word into that normal form.  Path
 sets by range (exact degree, degree box, relative boundary, all paths) all
 come from one enumerator that grows normal-form words one color at a time;
 the paths with a given source grow from that source, one edge at a time.
+The graph owns every derived cache; the source index (the edges by source
+and colour), the peel order, the path counts and the path list are each
+built on first use.
 """
 
 import collections
@@ -28,6 +31,7 @@ from .errors import (
     NotComposable,
     RangeMismatch,
     UnknownId,
+    quoted,
 )
 
 
@@ -187,11 +191,12 @@ class KGraph:
     """A validated finite rank-k graph.
 
     The constructor checks the specification while it builds the edge
-    table, the swap table and the edge index, so each is built once and
-    no unvalidated graph exists.  It checks types too (``int`` rank and
-    colours, not ``bool``; ``str`` ids; two-id square sides), so a spec read
-    from a file and one built in Python pass the same gate.  The graph owns
-    every derived cache.
+    table, the swap table and the range index (the edges by range and
+    colour), so each is built once and no unvalidated graph exists.  It
+    checks types too (``int`` rank and colours, not ``bool``; ``str`` ids;
+    two-id square sides), so a spec read from a file and one built in Python
+    pass the same gate.  The graph owns every derived cache, the source
+    index among them (see ``_source_index``).
     """
 
     def __init__(self, spec):
@@ -243,17 +248,10 @@ class KGraph:
         if k >= 3:
             self._check_cubes(at)
 
-        # (vertex, color) -> sorted edge ids with that range, and with that
-        # source; one pass over the sorted ids keeps each list sorted, and
-        # every key with no edge shares the empty tuple
-        out, into = {}, {}
-        for eid in sorted(edges):
-            e = edges[eid]
-            out.setdefault((e.range, e.color), []).append(eid)
-            into.setdefault((e.source, e.color), []).append(eid)
-        none = dict.fromkeys(itertools.product(self.vertices, range(1, k + 1)), ())
-        self._out, self._in = {**none, **out}, {**none, **into}
+        self._ids = tuple(sorted(edges))  # the edge ids, sorted
+        self._out = self._index(by_source=False)
         # derived caches, which live as long as the graph
+        self._in = None  # edges by source, as _out by range (see _source_index)
         self._paths = {}  # (range, normal-form word) -> the one Path (see _path)
         self._composed = {}  # (lam, mu) -> compose(lam, mu), composable pairs only
         self._all_paths_cache = None
@@ -261,6 +259,27 @@ class KGraph:
         self._counts = {}  # vertex u -> [N(u, 1), ..., N(u, k)] (see count_paths_to)
         self._mce = {}  # (lam, mu) -> minimal_common_extensions(lam, mu)
         self._move_table = {}  # (mu, colour) -> _moves(mu, colour)
+
+    def _index(self, by_source):
+        """(vertex, color) -> the sorted ids of the edges with that range, or
+        with that source if by_source; one pass over the sorted ids keeps
+        each list sorted, and every key with no edge shares the empty tuple.
+        The range index is built first, and its keys, every (vertex, color),
+        serve the source index."""
+        edges, index = self._edges, {}
+        for eid in self._ids:
+            e = edges[eid]
+            index.setdefault((e.source if by_source else e.range, e.color), []).append(eid)
+        keys = self._out if by_source else itertools.product(self.vertices, range(1, self.k + 1))
+        return {**dict.fromkeys(keys, ()), **index}
+
+    def _source_index(self):
+        """(vertex, color) -> the sorted ids of the edges with that source,
+        built on first use: only the walks from source to range (peel_order,
+        paths_to, count_paths_to, reaching) read it."""
+        if self._in is None:
+            self._in = self._index(by_source=True)
+        return self._in
 
     def _release(self):
         """Drop every attribute, caches included, so that reference counting
@@ -272,7 +291,7 @@ class KGraph:
     @property
     def spec(self):
         """The specification this graph was built from, edges sorted by id."""
-        edges = tuple(self._edges[eid] for eid in sorted(self._edges))
+        edges = tuple(self._edges[eid] for eid in self._ids)
         return KGraphSpec(self.k, self.vertices, edges, self.squares)
 
     # ------------------------------------------------------------------
@@ -319,10 +338,10 @@ class KGraph:
         try:
             return self._edges[eid]
         except (KeyError, TypeError):  # TypeError: an unhashable id
-            raise UnknownId(f"unknown edge id {eid!r}") from None
+            raise UnknownId(f"unknown edge id {quoted(eid)}") from None
 
     def edge_ids(self):
-        return sorted(self._edges)
+        return list(self._ids)
 
     def out_edges(self, v, color=None):
         colors = range(1, self.k + 1) if color is None else (color,)
@@ -336,7 +355,7 @@ class KGraph:
 
     def vertex(self, v):
         if type(v) is not str or v not in self._vset:  # ids are str, and a list is unhashable
-            raise UnknownId(f"unknown vertex id {v!r}")
+            raise UnknownId(f"unknown vertex id {quoted(v)}")
         return self._path(v, ())
 
     def _path(self, v, word):
@@ -367,26 +386,29 @@ class KGraph:
     # normal form machinery
 
     def _sort_word(self, word, keys):
-        """Bubble-sort an edge word into key order through the squares.
+        """Insertion-sort an edge word into key order through the squares;
+        a word of fewer than two edges comes back as it is.
 
         ``keys[i]`` belongs to ``word[i]`` and moves with it.  The keys of
         the edges of one color must already be in order, so only edges of
         different colors are swapped and edges of one color keep their order.
-        Every caller's word is composable (``_normalize_word``, ``_split``,
-        ``_moves``) and a swap keeps it so, so each pair swapped is a
-        composable bicolored pair, which the coverage scan put in ``_swap``.
+        Each step carries one edge left, one square at a time, past the
+        edges with a greater key, so the sort makes one swap per pair out of
+        order and no pass that swaps nothing.  Every caller's word is
+        composable (``_normalize_word``, ``_split``, ``_moves``) and a swap
+        keeps it so, so each pair swapped is a composable bicolored pair,
+        which the coverage scan put in ``_swap``.
         """
-        w = list(word)
-        keys = list(keys)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(w) - 1):
-                if keys[i] <= keys[i + 1]:
-                    continue
-                w[i], w[i + 1] = self._swap[w[i], w[i + 1]]
-                keys[i], keys[i + 1] = keys[i + 1], keys[i]
-                changed = True
+        if len(word) < 2:
+            return word
+        w, keys, swap = list(word), list(keys), self._swap
+        for i in range(1, len(w)):
+            key = keys[i]
+            while i and keys[i - 1] > key:
+                w[i - 1], w[i] = swap[w[i - 1], w[i]]
+                keys[i] = keys[i - 1]
+                i -= 1
+            keys[i] = key
         return w
 
     def _normalize_word(self, word):
@@ -394,15 +416,22 @@ class KGraph:
         return self._sort_word(word, [self.edge(eid).color for eid in word])
 
     def compose(self, lam, mu):
-        """The path lam*mu: the joined words sorted through the squares.
-        Memoized per graph; only composable pairs are stored, so each call
-        on a pair that does not compose raises NotComposable."""
+        """The path lam*mu: the joined words sorted through the squares, or
+        the other path when one side is a vertex.  Memoized per graph; only
+        composable pairs are stored, so each call on a pair that does not
+        compose raises NotComposable."""
         out = self._composed.get((lam, mu))
         if out is None:
             if lam.source != mu.range:
                 raise NotComposable(f"{lam!r} and {mu!r} do not compose")
-            word = tuple(self._normalize_word(lam.edges + mu.edges))
-            out = self._composed[(lam, mu)] = self._path(lam.range, word)
+            if not lam.edges:  # a vertex composes to the other path
+                out = mu
+            elif not mu.edges:
+                out = lam
+            else:
+                word = tuple(self._normalize_word(lam.edges + mu.edges))
+                out = self._path(lam.range, word)
+            self._composed[(lam, mu)] = out
         return out
 
     def _check_degree(self, m):
@@ -469,7 +498,7 @@ class KGraph:
         path exists.  When lo == hi the words come out sorted.
         """
         if type(v) is not str or v not in self._vset:
-            raise UnknownId(f"unknown vertex id {v!r}")
+            raise UnknownId(f"unknown vertex id {quoted(v)}")
         self._check_degree(hi)
         out, edges = self._out, self._edges
         # a word is a chain (last edge id, source, word before it), so one
@@ -540,7 +569,7 @@ class KGraph:
         within their level, and the levels come out shortest first.
         """
         self._require_acyclic(w)
-        edges, into = self._edges, self._in
+        edges, into = self._edges, self._source_index()
         level = [((), w, self.k)]  # (edge word, range, color of its first edge)
         paths = []
         while level:
@@ -569,7 +598,7 @@ class KGraph:
         self._require_acyclic(w)
         rows = self._counts
         if not rows:
-            edges, into = self._edges, self._in
+            edges, into = self._edges, self._source_index()
             for u in reversed(self.peel_order()):
                 row, n = [], 1
                 for c in range(1, self.k + 1):
@@ -655,6 +684,7 @@ class KGraph:
                 raise RangeMismatch(f"{mu!r} is not a path at {v!r}")
         if not E:
             return root
+        table = self._move_table  # read first: most moves are memo hits
         start = (v, frozenset(E))
         parent = {start: None}  # state -> (previous state, edge id)
         queue = collections.deque([start])
@@ -667,7 +697,7 @@ class KGraph:
                 eids = self._out[(w, c)]
                 if not eids:
                     continue
-                moves = [self._moves(mu, c) for mu in S]
+                moves = [table.get((mu, c)) or self._moves(mu, c) for mu in S]
                 for eid in eids:
                     nxt = (self._edges[eid].source,
                            frozenset().union(*[m.get(eid, ()) for m in moves]))
@@ -695,10 +725,13 @@ class KGraph:
         of mu*f and the rest.  By unique factorization each f gives one pair
         and every pair comes from one f, so one cut of mu, or one cut of mu*f
         per f, gives Ext(a; {mu}) for all the colour-c edges a at once.  A
-        cut moves the chosen colour-c edge to the front by one _sort_word,
-        or by none when it is in front already: every edge it passes has
-        another colour, and the rest keeps the colour order of the word, so
-        it is in normal form.
+        cut moves the chosen edge, the j-th, to the front in one step of
+        _sort_word: the key False, which only it has, carries it left in j
+        swaps through the squares, and no other edge moves.  Every edge it
+        passes has another colour, so the swaps exist, and the rest keeps the
+        colour order of the word, so it is in normal form.  By unique
+        factorization any sequence of swaps that sorts the keys gives the
+        same word.
         """
         out = self._move_table.get((mu, c))
         if out is not None:
@@ -750,7 +783,7 @@ class KGraph:
         that reaches a cycle never joins, and one that reaches none joins by
         induction on the longest path it ranges."""
         if self._peel is None:
-            edges, into = self._edges, self._in
+            edges, into = self._edges, self._source_index()
             waiting = dict(self._indegree)  # v -> the edges v receives whose source has not joined
             order = [v for v in self.vertices if not waiting[v]]
             for u in order:  # the list grows as vertices join
@@ -803,7 +836,7 @@ class KGraph:
         """The vertices joined to a start vertex by a path, start included,
         stepping from each edge's range to its source if forward, else back."""
         seen = {self.vertex(v).range for v in start}  # the ids, each checked
-        index = self._out if forward else self._in
+        index = self._out if forward else self._source_index()
         stack = list(seen)
         while stack:
             w = stack.pop()

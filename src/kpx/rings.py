@@ -14,7 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
-from .errors import CoefficientNotInRing, ParseError
+from .errors import CoefficientNotInRing, ParseError, quoted
 
 
 @dataclass(frozen=True)
@@ -231,5 +231,5 @@ def parse_ring(text):
         except ParseError as exc:
             raise CoefficientNotInRing(f"bad modulus: {exc}") from None
         except ValueError:
-            raise CoefficientNotInRing(f"bad modulus in {text!r}") from None
-    raise CoefficientNotInRing(f"unknown ring {text!r}")
+            raise CoefficientNotInRing(f"bad modulus in {quoted(text)}") from None
+    raise CoefficientNotInRing(f"unknown ring {quoted(text)}")

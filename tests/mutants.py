@@ -35,7 +35,7 @@ class Mutant(NamedTuple):
     tests: tuple  # pytest node ids, relative to the repository root
 
 
-ALGEBRA, RINGS, BOUNDARY = "kpx/algebra.py", "kpx/rings.py", "kpx/boundary.py"
+ALGEBRA, RINGS, BOUNDARY, IO = "kpx/algebra.py", "kpx/rings.py", "kpx/boundary.py", "kpx/io.py"
 KGRAPH, GROUPOID, ANALYSIS, CLI = "kpx/kgraph.py", "kpx/groupoid.py", "kpx/analysis.py", "kpx/cli.py"
 TEST_ALGEBRA, TEST_RINGS = "tests/test_algebra.py::", "tests/test_rings.py::"
 TEST_KGRAPH, TEST_GROUPOID = "tests/test_kgraph.py::", "tests/test_groupoid.py::"
@@ -131,10 +131,43 @@ MUTANTS = (
         (TEST_CLI + "test_dim_counts_large_graphs",)),
     Mutant(
         "compose skips the normal form", KGRAPH,
-        "            word = tuple(self._normalize_word(lam.edges + mu.edges))\n",
-        "            word = lam.edges + mu.edges\n",
+        "                word = tuple(self._normalize_word(lam.edges + mu.edges))\n",
+        "                word = lam.edges + mu.edges\n",
+        (TEST_KGRAPH + "test_compose_against_oracle_on_products",
+         TEST_KGRAPH + "test_compose_against_oracle")),
+    Mutant(
+        "compose's vertex shortcut returns the vertex", KGRAPH,
+        "            if not lam.edges:  # a vertex composes to the other path\n"
+        "                out = mu\n",
+        "            if not lam.edges:  # a vertex composes to the other path\n"
+        "                out = lam\n",
+        (TEST_KGRAPH + "test_compose_against_oracle",)),
+    Mutant(
+        "_sort_word returns early for words of fewer than three edges", KGRAPH,
+        "        if len(word) < 2:\n",
+        "        if len(word) < 3:\n",
         (TEST_KGRAPH + "test_normal_form_is_color_major",
          TEST_KGRAPH + "test_compose_against_oracle")),
+    Mutant(
+        # the insertion step is the move of _moves: the chosen edge stops
+        # second, behind the edge it should have passed last
+        "the move step stops one swap short", KGRAPH,
+        "            while i and keys[i - 1] > key:\n",
+        "            while i > 1 and keys[i - 1] > key:\n",
+        (TEST_KGRAPH + "test_move_table_matches_oracle",
+         TEST_KGRAPH + "test_exhaustive_against_oracle")),
+    Mutant(
+        "the source index keyed by range", KGRAPH,
+        "(e.source if by_source else e.range, e.color)",
+        "(e.range, e.color)",
+        (TEST_KGRAPH + "test_source_index_is_built_on_first_use",
+         TEST_KGRAPH + "test_peel_order_against_oracle")),
+    Mutant(
+        "the byte reader skips the carriage-return translation", IO,
+        '    if "\\r" in text:\n'
+        '        text = text.replace("\\r\\n", "\\n").replace("\\r", "\\n")\n',
+        "",
+        (TEST_CLI + "test_graph_files_read_as_text_mode_reads_them",)),
     Mutant(
         # a prefix keeps m[c-1] + 1 edges of each color c the word holds more of
         "_split keys seen > m", KGRAPH,

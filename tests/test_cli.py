@@ -557,6 +557,17 @@ def test_dim(capsys):
     assert run(capsys, "--graph", LOOP, "dim")[0] == 2
 
 
+def chain_doc(n):
+    """The graph document of a chain of n steps with two parallel edges each."""
+    return {
+        "k": 1,
+        "vertices": [f"v{i}" for i in range(n + 1)],
+        "edges": [{"id": f"{x}{i}", "color": 1, "range": f"v{i}", "source": f"v{i + 1}"}
+                  for i in range(n) for x in "ab"],
+        "squares": [],
+    }
+
+
 def test_dim_counts_large_graphs(capsys, tmp_path):
     # dim counts the paths with each sink as source instead of listing every
     # path, and boundary lists only those paths
@@ -568,15 +579,8 @@ def test_dim_counts_large_graphs(capsys, tmp_path):
     # with its one sink as source; Decimal writes every digit of the square
     limit = sys.get_int_max_str_digits()
     for n in (2000, 7199):
-        doc = {
-            "k": 1,
-            "vertices": [f"v{i}" for i in range(n + 1)],
-            "edges": [{"id": f"{x}{i}", "color": 1, "range": f"v{i}", "source": f"v{i + 1}"}
-                      for i in range(n) for x in "ab"],
-            "squares": [],
-        }
         path = tmp_path / "chain.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(chain_doc(n)))
         want = str(Decimal((2 ** (n + 1) - 1) ** 2))
         assert run_in_time(capsys, "--graph", str(path), "dim") == (0, f"{want}\n")
     # at 7,200 vertices the dimension has more digits than str(int) writes;
@@ -590,6 +594,18 @@ def test_dim_counts_large_graphs(capsys, tmp_path):
     assert code == 0 and json.loads(out, parse_int=str)["dimension"] == want
     # the JSON print lifts the digit limit for itself only
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_report_repr_writes_every_digit():
+    # the report's repr writes its dimension through rings.text, as dim and
+    # analyze print it: past the digit limit, repr(int) raises ValueError
+    g = kpx.kgraph.KGraph(io.spec_from_dict(chain_doc(7199)))
+    want = str(Decimal((2 ** 7200 - 1) ** 2))
+    assert len(want) == 4335
+    with within(10, "repr of the report"):
+        text = repr(kpx.analysis.report(g))
+    assert text.startswith("SimplicityReport(predicates={'acyclic': True, ")
+    assert text.endswith(f", basically_simple='yes', simple='yes', dimension={want})")
 
 
 def test_validate_and_info_on_large_graphs_in_time(capsys):
@@ -832,6 +848,65 @@ def test_parse_error_has_location(tmp_path, capsys):
     assert capsys.readouterr().err == "error: bad path 'zz': unknown edge id 'zz' (column 11)\n"
 
 
+def test_graph_files_read_as_text_mode_reads_them(tmp_path, capsys):
+    # the reader decodes the bytes once and turns CR LF and lone CR line
+    # ends into LF, as a text-mode read does: a JSON error after line 1 keeps
+    # its line and column, a CRLF file validates, and a byte-order mark and
+    # bytes that are not UTF-8 give the messages a text-mode read gives
+    path = tmp_path / "g.json"
+    for doc, err in (
+        (b'{\r\n  "k": 1,\r\n  "vertices": ]\r\n}', "Expecting value (line 3, column 15)"),
+        (b'{\r  "k": 1,\r  "vertices": ]\r}', "Expecting value (line 3, column 15)"),
+        (b'{\r\n "k": 1,\r "vertices":\n ["v"], x}',
+         "Expecting property name enclosed in double quotes (line 4, column 9)"),
+        (b'\xef\xbb\xbf{"k": 1, "vertices": ["v"]}',
+         "Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)"),
+        (b'{"k": 1, "vertices": ["\xe9"]}', "not UTF-8 text"),
+    ):
+        path.write_bytes(doc)
+        assert main(["--graph", str(path), "validate"]) == 2, doc
+        assert capsys.readouterr() == ("", f"error: invalid graph file {path}: {err}\n"), doc
+    path.write_bytes(b'{\r\n  "k": 1,\r\n  "vertices": ["v"],\r\n  "edges": [{"id": "e", '
+                     b'"color": 1, "range": "v", "source": "v"}]\r\n}\r\n')
+    assert run(capsys, "--graph", str(path), "validate") == (
+        0, "ok: rank 1, 1 vertices, 1 edges, 0 squares\n")
+
+
+# the commands that never walk an edge from source to range, on the acyclic
+# lambda2 and on the cyclic commuting_loops(2), whose one vertex is v
+NO_BACKWARD_WALK = [
+    (L2, ["validate"]), (L2, ["paths", "--from", "v1", "--degree", "1,1"]),
+    (L2, ["mce", "e1", "f2"]), (L2, ["exhaustive", "--vertex", "v1", "e1"]),
+    (L2, ["eval", "s(e1)*g(e1)"]), (L2, ["zero", "s(e1.f1) - s(f2.e2)"]),
+    (L2, ["equal", "s(v1)", "s(e1)*g(e1) + s(e3)*g(e3)"]), (L2, ["refine", "e1*e1", "v1*v1"]),
+    (None, ["paths", "--from", "v", "--degree", "1,1"]), (None, ["mce", "e", "f1"]),
+    (None, ["exhaustive", "--vertex", "v", "e"]), (None, ["zero", "s(v) - s(e)*g(e)"]),
+    (None, ["equal", "s(v)", "s(e)*g(e)"]), (None, ["refine", "e*e", "v*v"]),
+]
+
+
+@pytest.mark.parametrize("graph, argv", NO_BACKWARD_WALK, ids=[
+    f"{'lambda2' if graph else 'cloops'}-{argv[0]}" for graph, argv in NO_BACKWARD_WALK])
+def test_commands_that_walk_no_edge_backward_build_no_source_index(
+        capsys, monkeypatch, tmp_path, graph, argv):
+    # the source index (edges by source) is built on first use, and only the
+    # walks from source to range read it; each graph is checked as main
+    # releases it
+    if graph is None:
+        graph = tmp_path / "cloops.json"
+        graph.write_text(json.dumps(io.graph_to_dict(presets.commuting_loops(2))))
+    built, release = [], kpx.kgraph.KGraph._release
+
+    def checked_release(g):
+        built.append(g._in is not None)
+        release(g)
+
+    monkeypatch.setattr(kpx.kgraph.KGraph, "_release", checked_release)
+    assert main(["--graph", str(graph), *argv]) in (0, 1)
+    capsys.readouterr()
+    assert built == [False]
+
+
 # each way the element parser fails: (expression, message, 1-based column)
 ELEMENT_PARSE_ERRORS = [
     ("2 s(v1)", "expected '*', got 's'", 3),
@@ -871,6 +946,38 @@ def test_over_long_literals_are_measured_not_echoed(capsys):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert len(f"error: {message}") < 100
+
+
+def test_long_literals_are_quoted_by_a_prefix(capsys):
+    # a bad literal of more than 32 characters is quoted by its first 8 and
+    # its length, in one short line, wherever it comes in; the path error
+    # quotes it twice, once for the path and once for the unknown edge id
+    for argv, message in (
+        (["--omega", "x," + "1" * 5000, "dim"], "bad degree literal 'x,111111'... (5002 chars)"),
+        (["--graph", L2, "--ring", "zmod:" + "x" * 5000, "eval", "s(v1)"],
+         "bad modulus in 'zmod:xxx'... (5005 chars)"),
+        (["--graph", L2, "--ring", "y" * 5000, "eval", "s(v1)"],
+         "unknown ring 'yyyyyyyy'... (5000 chars)"),
+        (["--graph", L2, "eval", f"s({'z' * 5000})"],
+         "bad path 'zzzzzzzz'... (5000 chars): unknown edge id 'zzzzzzzz'... (5000 chars) "
+         "(column 3)"),
+        (["--graph", L2, "exhaustive", "--vertex", "w" * 5000],
+         "unknown vertex id 'wwwwwwww'... (5000 chars)"),
+        (["--graph", L2, "eval", "s(v1)" + ")" * 5000], "trailing input '))))))))'... "
+         "(5000 chars) (column 6)"),
+        (["--graph", L2, "refine", "v" * 5000], "cell literal 'vvvvvvvv'... (5000 chars) needs "
+         "LAM*MU (column 5001)"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert len(f"error: {message}") < 100
+    # a literal of 32 characters or fewer is quoted whole
+    for text, message in (
+        ("1," * 15 + "-1", f"degree '{'1,' * 15}-1' has a negative entry"),
+        ("1," * 16 + "1", "degree '1,1,1,1,'... (33 chars) has wrong rank (expected 2)"),
+    ):
+        assert main(["--graph", L2, "paths", "--from", "v1", "--degree", text]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_input_guards(capsys):

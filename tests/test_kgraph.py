@@ -806,6 +806,22 @@ def test_peel_order_on_random_graphs():
         _check_peel_order(random_one_graph(seed))
 
 
+@pytest.mark.parametrize("name", sorted({**ORACLE_GRAPHS, **CYCLE_GRAPHS}))
+def test_source_index_is_built_on_first_use(name):
+    # an exhaustiveness search reads no edge by its source, so it leaves the
+    # source index unbuilt; peel_order then builds the index the constructor
+    # once built: every (vertex, colour) key in that order, with the sorted
+    # ids of the edges with that source, or () where there are none
+    g = {**ORACLE_GRAPHS, **CYCLE_GRAPHS}[name]()
+    for v in g.vertices:
+        g.exhaustiveness_witness(v, g.paths_from(v, (1,) + (0,) * (g.k - 1)))
+    assert g._in is None
+    g.peel_order()
+    want = {(v, c): sorted(e.id for e in g.spec.edges if (e.source, e.color) == (v, c)) or ()
+            for v in g.vertices for c in range(1, g.k + 1)}
+    assert list(g._in.items()) == list(want.items())
+
+
 def test_predicates(lambda2, omega13, point):
     assert lambda2.has_sources() is True
     assert lambda2.is_locally_convex() is False
