@@ -11,7 +11,7 @@ factor with that same rule (:func:`reduce`).
 from dataclasses import dataclass
 
 from . import degrees, groupoid
-from .errors import CoefficientNotInRing, NotComposable, RangeMismatch
+from .errors import CoefficientNotInRing, NotComposable
 from .rings import text
 
 
@@ -199,10 +199,7 @@ def grade(a):
 def kp4_defect(ring, g, v, E):
     """The element prod_{lam in E} (s_v - s_lam s_lam^*); zero iff E is
     exhaustive at v (over any ring with 1 != 0)."""
-    E = tuple(E)  # E is read twice below, so a one-shot iterable is kept
-    for lam in E:
-        if lam.range != v:
-            raise RangeMismatch(f"{lam!r} is not a path at {v!r}")
+    E = g.at(v, E)
     acc = vertex_unit(ring, g, v)
     for lam in sorted(E, key=lambda p: p.sort_key()):
         acc = multiply(acc, vertex_unit(ring, g, v) - generator(ring, lam, lam))

@@ -65,10 +65,10 @@ class ParseError(KpxError):
         self.column = column
 
 
-def quoted(literal):
-    """repr(literal) for a message; a str of more than 32 characters gives
-    only the repr of its first 8 and its length, so that a long input
-    cannot make the message long (a path error quotes its literal twice)."""
+def quoted(literal, form=repr):
+    """form(literal) for a message; a str of more than 32 characters gives
+    only form(its first 8) and its length, so no long input makes a long
+    message (a path error quotes its literal twice; Path's repr uses str)."""
     if type(literal) is str and len(literal) > 32:
-        return f"{literal[:8]!r}... ({len(literal)} chars)"
-    return repr(literal)
+        return f"{form(literal[:8])}... ({len(literal)} chars)"
+    return form(literal)

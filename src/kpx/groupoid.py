@@ -59,21 +59,17 @@ def make_cell(lam, mu, avoid=()):
     g = lam.graph
     if lam.source != mu.source:
         raise RangeMismatch(f"cell base ({lam!r}, {mu!r}) has mismatched sources")
-    kept = []
-    for nu in avoid:
-        if nu.range != lam.source:
-            raise RangeMismatch(f"{nu!r} is not a path at {lam.source!r}")
-        if nu.is_vertex():
-            return None  # subtracting the whole cylinder
-        kept.append(nu)
+    avoid = g.at(lam.source, avoid)  # every path, before the vertex shortcut
+    if avoid and g.vertex(lam.source) in avoid:
+        return None  # subtracting the whole cylinder
     # drop members that extend other members: their cylinders are nested
     canonical = [
         nu
-        for nu in kept
-        if not any(o != nu and g.has_prefix(nu, o) for o in kept)
+        for nu in avoid
+        if not any(o != nu and g.has_prefix(nu, o) for o in avoid)
     ]
     canonical = frozenset(canonical)
-    if g.is_exhaustive(lam.source, canonical):
+    if canonical and g.is_exhaustive(lam.source, canonical):  # the empty set exhausts nothing
         return None
     return Cell(lam=lam, mu=mu, avoid=canonical)
 
@@ -85,11 +81,9 @@ def cell_split(cell, gamma):
     it, either of which may be None.
     """
     g = cell.graph
-    if gamma.range != cell.lam.source:
-        raise RangeMismatch(f"{gamma!r} is not a path at {cell.lam.source!r}")
+    avoiding = make_cell(cell.lam, cell.mu, cell.avoid | {gamma})  # checks r(gamma) first
     if gamma.is_vertex():
         raise DegreeOutOfRange("cannot split along a trivial direction")
-    avoiding = make_cell(cell.lam, cell.mu, cell.avoid | {gamma})
     through = make_cell(
         g.compose(cell.lam, gamma),
         g.compose(cell.mu, gamma),

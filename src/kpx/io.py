@@ -71,15 +71,15 @@ def load_graph(path):
     """Read, parse, and validate a graph file.
 
     The file is read as bytes and decoded as UTF-8 once, which costs less
-    than a text-mode read's incremental decoder.  Text mode's newline
-    translation is kept: only a text that holds a carriage return has its
-    CR LF and lone CR line ends turned into LF, so the line and column of a
-    JSON error are those a text-mode read gives.  A byte-order mark is not
-    stripped, and JSON refuses it, as it does in text mode."""
+    than a text-mode read's incremental decoder; a leading byte-order mark
+    is cut first, as RFC 8259 allows (utf-8-sig would cost several decodes).
+    Text mode's newline translation is kept: only a text that holds a
+    carriage return has its CR LF and lone CR line ends turned into LF, so
+    the line and column of a JSON error are those a text-mode read gives."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        text = raw.decode("utf-8")
+        text = raw.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid graph file {path}: not UTF-8 text") from exc
     if "\r" in text:

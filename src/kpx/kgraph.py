@@ -124,7 +124,7 @@ class Path:
         return self.range if not self.edges else ".".join(self.edges)
 
     def __repr__(self):
-        return f"Path({self.label()})"
+        return f"Path({quoted(self.label(), str)})"
 
     def sort_key(self):
         return (len(self.edges), self.edges, self.range)
@@ -358,6 +358,16 @@ class KGraph:
             raise UnknownId(f"unknown vertex id {quoted(v)}")
         return self._path(v, ())
 
+    def at(self, v, paths):
+        """The paths as a tuple, each checked to have range v: the one check
+        of a finite set E in v*Lambda.  One pass in the given order, so a
+        one-shot iterable is read once and the error names the first stray."""
+        paths = tuple(paths)
+        for mu in paths:
+            if mu.range != v:
+                raise RangeMismatch(f"{mu!r} is not a path at {v!r}")
+        return paths
+
     def _path(self, v, word):
         """The one Path of this graph with range v and normal-form word."""
         lam = self._paths.get((v, word))
@@ -497,8 +507,7 @@ class KGraph:
         stops once no word extends, so a huge bound costs nothing where no
         path exists.  When lo == hi the words come out sorted.
         """
-        if type(v) is not str or v not in self._vset:
-            raise UnknownId(f"unknown vertex id {quoted(v)}")
+        self.vertex(v)
         self._check_degree(hi)
         out, edges = self._out, self._edges
         # a word is a chain (last edge id, source, word before it), so one
@@ -651,9 +660,7 @@ class KGraph:
     def ext(self, lam, E):
         """Union of first components of minimal-extension pairs against E."""
         out = set()
-        for mu in E:  # one pass, so E may be a one-shot iterable
-            if mu.range != lam.range:
-                raise RangeMismatch(f"{mu!r} does not share range with {lam!r}")
+        for mu in self.at(lam.range, E):
             out.update(rho for rho, _ in self.minimal_common_extensions(lam, mu))
         return frozenset(out)
 
@@ -678,10 +685,7 @@ class KGraph:
         shortest witnesses (the vertex v when E is empty).
         """
         root = self.vertex(v)
-        E = tuple(E)  # E is read twice below, so a one-shot iterable is kept
-        for mu in E:  # in the given order, so the error names the first stray
-            if mu.range != v:
-                raise RangeMismatch(f"{mu!r} is not a path at {v!r}")
+        E = self.at(v, E)
         if not E:
             return root
         table = self._move_table  # read first: most moves are memo hits

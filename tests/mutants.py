@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 ALGEBRA, RINGS, BOUNDARY, IO = "kpx/algebra.py", "kpx/rings.py", "kpx/boundary.py", "kpx/io.py"
 KGRAPH, GROUPOID, ANALYSIS, CLI = "kpx/kgraph.py", "kpx/groupoid.py", "kpx/analysis.py", "kpx/cli.py"
+ERRORS = "kpx/errors.py"
 TEST_ALGEBRA, TEST_RINGS = "tests/test_algebra.py::", "tests/test_rings.py::"
 TEST_KGRAPH, TEST_GROUPOID = "tests/test_kgraph.py::", "tests/test_groupoid.py::"
 TEST_ANALYSIS, TEST_CLI = "tests/test_analysis.py::", "tests/test_cli.py::"
@@ -267,6 +268,42 @@ MUTANTS = (
         "        elif False:\n",
         (TEST_CLI + "test_plain_parse_agrees_with_argparse",
          TEST_CLI + "test_plain_parse_agrees_on_test_and_workload_argvs")),
+    Mutant(
+        "the range rule checks only the first path", KGRAPH,
+        "        for mu in paths:\n"
+        "            if mu.range != v:\n",
+        "        for mu in paths[:1]:\n"
+        "            if mu.range != v:\n",
+        (TEST_KGRAPH + "test_the_range_rule_reads_once_and_names_the_first_stray",
+         TEST_CLI + "test_exhaustive_unknown_vertex")),
+    Mutant(
+        "the range rule compares the source", KGRAPH,
+        "            if mu.range != v:\n",
+        "            if mu.source != v:\n",
+        (TEST_KGRAPH + "test_the_range_rule_reads_once_and_names_the_first_stray",
+         TEST_ALGEBRA + "test_kp4_defect")),
+    Mutant(
+        "_grow skips the vertex check", KGRAPH,
+        "        self.vertex(v)\n"
+        "        self._check_degree(hi)\n",
+        "        self._check_degree(hi)\n",
+        (TEST_KGRAPH + "test_unknown_vertex",)),
+    Mutant(
+        "make_cell's vertex shortcut runs before the range rule", GROUPOID,
+        "    avoid = g.at(lam.source, avoid)  # every path, before the vertex shortcut\n"
+        "    if avoid and g.vertex(lam.source) in avoid:\n"
+        "        return None  # subtracting the whole cylinder\n",
+        "    avoid = tuple(avoid)\n"
+        "    if avoid and g.vertex(lam.source) in avoid:\n"
+        "        return None  # subtracting the whole cylinder\n"
+        "    avoid = g.at(lam.source, avoid)\n",
+        (TEST_GROUPOID + "test_cells_refuse_a_path_at_another_vertex",
+         TEST_CLI + "test_refine_names_a_stray_avoid_path_in_either_order")),
+    Mutant(
+        "long labels start at 34 characters", ERRORS,
+        "    if type(literal) is str and len(literal) > 32:\n",
+        "    if type(literal) is str and len(literal) > 33:\n",
+        (TEST_KGRAPH + "test_path_repr_shortens_a_label_past_32_characters",)),
 )
 
 

@@ -233,6 +233,19 @@ def test_exhaustive_unknown_vertex(capsys):
         assert capsys.readouterr().err == f"error: Path({strays[0]}) is not a path at 'v1'\n"
 
 
+def test_exhaustive_names_a_long_stray_in_one_short_line(capsys, tmp_path):
+    # loop e at b and edge f from b into a: e^3000 is a path at b, not at a,
+    # and its 5,999-character label is shortened as a long literal is
+    graph = tmp_path / "two.json"
+    graph.write_text(json.dumps({"k": 1, "vertices": ["a", "b"], "edges": [
+        {"id": "e", "color": 1, "range": "b", "source": "b"},
+        {"id": "f", "color": 1, "range": "a", "source": "b"}]}))
+    assert main(["--graph", str(graph), "exhaustive", "--vertex", "a", ".".join("e" * 3000)]) == 2
+    err = "error: Path(e.e.e.e.... (5999 chars)) is not a path at 'a'\n"
+    assert capsys.readouterr() == ("", err)
+    assert len(err) < 100
+
+
 F1_12 = ".".join(["f1"] * 12)
 
 
@@ -452,6 +465,13 @@ def test_refine_parse_error_has_location(capsys):
     ]:
         assert main(["--graph", L2, "refine", "e1*e1", cell]) == 2, cell
         assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_refine_names_a_stray_avoid_path_in_either_order(capsys):
+    # every avoid path is checked before a vertex among them empties the cell
+    for cell in ("v1*v1\\v1;e2", "v1*v1\\e2;v1"):
+        assert main(["--graph", L2, "refine", cell]) == 2, cell
+        assert capsys.readouterr() == ("", "error: Path(e2) is not a path at 'v1'\n"), cell
 
 
 def test_analyze_exit_codes(capsys, tmp_path):
@@ -851,16 +871,15 @@ def test_parse_error_has_location(tmp_path, capsys):
 def test_graph_files_read_as_text_mode_reads_them(tmp_path, capsys):
     # the reader decodes the bytes once and turns CR LF and lone CR line
     # ends into LF, as a text-mode read does: a JSON error after line 1 keeps
-    # its line and column, a CRLF file validates, and a byte-order mark and
-    # bytes that are not UTF-8 give the messages a text-mode read gives
+    # its line and column, a CRLF file validates, and bytes that are not
+    # UTF-8 give the message a text-mode read gives; a leading byte-order
+    # mark is dropped (RFC 8259, section 8.1), so that file validates too
     path = tmp_path / "g.json"
     for doc, err in (
         (b'{\r\n  "k": 1,\r\n  "vertices": ]\r\n}', "Expecting value (line 3, column 15)"),
         (b'{\r  "k": 1,\r  "vertices": ]\r}', "Expecting value (line 3, column 15)"),
         (b'{\r\n "k": 1,\r "vertices":\n ["v"], x}',
          "Expecting property name enclosed in double quotes (line 4, column 9)"),
-        (b'\xef\xbb\xbf{"k": 1, "vertices": ["v"]}',
-         "Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)"),
         (b'{"k": 1, "vertices": ["\xe9"]}', "not UTF-8 text"),
     ):
         path.write_bytes(doc)
@@ -870,6 +889,11 @@ def test_graph_files_read_as_text_mode_reads_them(tmp_path, capsys):
                      b'"color": 1, "range": "v", "source": "v"}]\r\n}\r\n')
     assert run(capsys, "--graph", str(path), "validate") == (
         0, "ok: rank 1, 1 vertices, 1 edges, 0 squares\n")
+    for doc in (b'\xef\xbb\xbf{"k": 1, "vertices": ["v"]}',
+                b'\xef\xbb\xbf{\r\n  "k": 1,\r\n  "vertices": ["v"]\r\n}\r\n'):
+        path.write_bytes(doc)
+        assert run(capsys, "--graph", str(path), "validate") == (
+            0, "ok: rank 1, 1 vertices, 0 edges, 0 squares\n"), doc
 
 
 # the commands that never walk an edge from source to range, on the acyclic

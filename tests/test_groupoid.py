@@ -104,15 +104,23 @@ def test_cell_split_frozen(lambda2):
 
 
 def test_cells_refuse_a_path_at_another_vertex(lambda2):
+    # a vertex among the avoid paths empties the cell, but only once every
+    # avoid path is known to be at s(lam), so a stray after it is an error
     g = lambda2
-    v1, e2 = g.vertex("v1"), P(g, "e2")
-    with pytest.raises(errors.RangeMismatch, match=r"^Path\(e2\) is not a path at 'v1'$"):
-        gpd.make_cell(v1, v1, [e2])
-    c = gpd.make_cell(v1, v1)
-    with pytest.raises(errors.RangeMismatch, match=r"^Path\(e2\) is not a path at 'v1'$"):
-        gpd.cell_split(c, e2)
-    with pytest.raises(errors.DegreeOutOfRange, match="^cannot split along a trivial direction$"):
-        gpd.cell_split(c, v1)
+    v1, e1, e2 = g.vertex("v1"), P(g, "e1"), P(g, "e2")
+    for avoid in ([e2], [v1, e2], [e2, v1], [e1, v1, e2]):
+        with pytest.raises(errors.RangeMismatch, match=r"^Path\(e2\) is not a path at 'v1'$"):
+            gpd.make_cell(v1, v1, iter(avoid))
+    assert gpd.make_cell(v1, v1, [e1, v1]) is None
+    # a direction at another vertex is refused before a trivial one, even
+    # when it is a vertex, whatever the cell already avoids
+    for c in (gpd.make_cell(v1, v1), gpd.make_cell(v1, v1, [P(g, "f2")])):
+        for gamma in ("e2", "v2"):
+            stray = rf"^Path\({gamma}\) is not a path at 'v1'$"
+            with pytest.raises(errors.RangeMismatch, match=stray):
+                gpd.cell_split(c, P(g, gamma))
+        with pytest.raises(errors.DegreeOutOfRange, match="^cannot split along a trivial direction$"):
+            gpd.cell_split(c, v1)
 
 
 def test_cell_and_function_reprs(lambda2):

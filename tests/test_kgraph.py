@@ -841,7 +841,7 @@ def test_mce_lambda2_frozen(lambda2):
     assert lambda2.mce(e1, f2) == [lambda2.parse_path("e1.f1")]
     assert lambda2.mce(e3, f2) == []
     assert lambda2.ext(e1, [f2]) == {lambda2.parse_path("f1")}
-    with pytest.raises(errors.RangeMismatch, match=r"^Path\(e2\) does not share range with Path\(e1\)$"):
+    with pytest.raises(errors.RangeMismatch, match=r"^Path\(e2\) is not a path at 'v1'$"):
         lambda2.ext(e1, [f2, lambda2.parse_path("e2")])
 
 
@@ -1026,6 +1026,43 @@ def test_exhaustive_reads_a_one_shot_iterable_once():
     assert g.exhaustiveness_witness("v", iter([e])) is None
     assert g.ext(e, iter([e])) == g.ext(e, [e]) == {g.vertex("v")}
     assert g.exhaustiveness_witness("v", iter([])) == g.vertex("v")
+
+
+def test_the_range_rule_reads_once_and_names_the_first_stray(lambda2):
+    # at(v, E) is the one check of E in v*Lambda: it reads a one-shot
+    # iterable once and returns its paths in the given order, compares each
+    # path's range (e1's source is v2, and e1 is at v1) and names the first
+    # path at another vertex, however many come before or after it
+    g = lambda2
+    e1, e2, e3, f1, f2 = (g.parse_path(s) for s in ("e1", "e2", "e3", "f1", "f2"))
+    read = []
+
+    def once():
+        for p in (f2, e1, e3, g.vertex("v1")):
+            read.append(p)
+            yield p
+
+    assert g.at("v1", once()) == (f2, e1, e3, g.vertex("v1"))
+    assert read == [f2, e1, e3, g.vertex("v1")]
+    assert g.at("v1", ()) == ()
+    assert g.at("v2", [f1]) == (f1,)
+    for paths, stray in (([e1, e2], "e2"), ([e1, f1, e2], "f1"), ([e2, f1], "e2"),
+                         ([f2, g.vertex("v2")], "v2")):
+        with pytest.raises(errors.RangeMismatch, match=rf"^Path\({stray}\) is not a path at 'v1'$"):
+            g.at("v1", iter(paths))
+
+
+def test_path_repr_shortens_a_label_past_32_characters():
+    # the rule errors.quoted applies to literals: a label of 32 characters
+    # prints whole, one of 33 by its first 8 and its length
+    g = KGraph(KGraphSpec(k=1, vertices=("v" * 32, "w" * 33, "x"),
+                          edges=(Edge("e", 1, "x", "x"),), squares=()))
+    assert repr(g.vertex("v" * 32)) == f"Path({'v' * 32})"
+    assert repr(g.vertex("w" * 33)) == "Path(wwwwwwww... (33 chars))"
+    assert repr(g.path(["e"] * 16)) == f"Path({'.'.join('e' * 16)})"  # 31 characters
+    assert repr(g.path(["e"] * 17)) == "Path(e.e.e.e.... (33 chars))"
+    assert repr(g.path(["e"] * 3000)) == "Path(e.e.e.e.... (5999 chars))"
+    assert g.path(["e"] * 17).label() == ".".join("e" * 17)  # the label stays whole
 
 
 # rank-2 products of seeded random 1-graphs with cycles (even seeds), the
