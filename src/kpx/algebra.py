@@ -178,10 +178,22 @@ def multiply(a, b):
     products = []
     for (lam, mu), r in a._terms.items():
         g = lam.graph
+        # the graph's memos read inline, calling in only on a miss; a memoised
+        # empty frozenset is a hit, so the miss test is `is None`
+        mce, composed = g._mce, g._composed
         for rho, tau, s in by_range.get(mu.range, ()):
-            for m1, r1 in g.minimal_common_extensions(mu, rho):
+            exts = mce.get((mu, rho))
+            if exts is None:
+                exts = g.minimal_common_extensions(mu, rho)
+            for m1, r1 in exts:
                 # lam.m1 and tau.r1 both end at s(m1) = s(r1)
-                products.append(((g.compose(lam, m1), g.compose(tau, r1)), r * s))
+                left = composed.get((lam, m1))
+                if left is None:
+                    left = g.compose(lam, m1)
+                right = composed.get((tau, r1))
+                if right is None:
+                    right = g.compose(tau, r1)
+                products.append(((left, right), r * s))
     # a list: cheaper than a generator on one-term products, dearer in memory
     return SpanForm(a.ring)._add(products)
 

@@ -69,7 +69,8 @@ def make_cell(lam, mu, avoid=()):
         if not any(o != nu and g.has_prefix(nu, o) for o in avoid)
     ]
     canonical = frozenset(canonical)
-    if canonical and g.is_exhaustive(lam.source, canonical):  # the empty set exhausts nothing
+    # the search past the checks above; the empty set exhausts nothing
+    if canonical and g._witness(lam.source, canonical) is None:
         return None
     return Cell(lam=lam, mu=mu, avoid=canonical)
 
@@ -95,9 +96,11 @@ def cell_split(cell, gamma):
 def _common_directions(c1, c2):
     """Pairs (gamma, gamma') steering both bases to a common extension."""
     g = c1.graph
-    first = g.minimal_common_extensions(c1.lam, c2.lam)
-    second = g.minimal_common_extensions(c1.mu, c2.mu)
-    return sorted(first & second, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    common = (g.minimal_common_extensions(c1.lam, c2.lam)
+              & g.minimal_common_extensions(c1.mu, c2.mu))
+    if len(common) < 2:
+        return common
+    return sorted(common, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
 
 
 def _cut(c1, c2):
@@ -105,7 +108,15 @@ def _cut(c1, c2):
     a common direction (gamma, gamma') lies in c2 but for its pieces through
     ext(gamma', c2.avoid), peeled off into the difference (ext(gamma, c1.avoid)
     is already excluded).  A common direction forces equal shift degrees
-    (lam1.gamma = lam2.gamma', mu1.gamma = mu2.gamma'), so any pair works."""
+    (lam1.gamma = lam2.gamma', mu1.gamma = mu2.gamma'), so any pair works.
+
+    Equal cells answer ([c1], []) at once, which is what the loop yields:
+    MCE(lam, lam) = {(s(lam), s(lam))} and likewise for mu, so the one common
+    direction is the vertex pair and cur = c1; ext(s(lam); G) = G, and each
+    nu in G is skipped, as has_prefix(nu, nu) holds for nu in cur.avoid = G
+    (no nu is a vertex, or make_cell would have emptied the cell)."""
+    if c1 == c2:
+        return [c1], []
     g = c1.graph
     inter, diff = [], []
     rem = c1
@@ -116,7 +127,8 @@ def _cut(c1, c2):
             cur, rem = rem, None
         else:
             rem, cur = cell_split(rem, gamma)
-        for nu in sorted(g.ext(gamma2, c2.avoid), key=Path.sort_key):
+        peel = g.ext(gamma2, c2.avoid)
+        for nu in sorted(peel, key=Path.sort_key) if len(peel) > 1 else peel:
             if cur is None:
                 break
             if nu.is_vertex():

@@ -688,8 +688,13 @@ class KGraph:
         E = self.at(v, E)
         if not E:
             return root
+        return self._witness(v, frozenset(E))
+
+    def _witness(self, v, E):
+        """The search of exhaustiveness_witness for a non-empty frozenset E
+        of paths at the vertex v, both already checked by the caller."""
         table = self._move_table  # read first: most moves are memo hits
-        start = (v, frozenset(E))
+        start = (v, E)
         parent = {start: None}  # state -> (previous state, edge id)
         queue = collections.deque([start])
         while queue:
@@ -701,7 +706,9 @@ class KGraph:
                 eids = self._out[(w, c)]
                 if not eids:
                     continue
-                moves = [table.get((mu, c)) or self._moves(mu, c) for mu in S]
+                # a memoised empty table {} is a hit: the miss test is `is None`
+                moves = [self._moves(mu, c) if (t := table.get((mu, c))) is None else t
+                         for mu in S]
                 for eid in eids:
                     nxt = (self._edges[eid].source,
                            frozenset().union(*[m.get(eid, ()) for m in moves]))

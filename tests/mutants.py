@@ -300,6 +300,29 @@ MUTANTS = (
         (TEST_GROUPOID + "test_cells_refuse_a_path_at_another_vertex",
          TEST_CLI + "test_refine_names_a_stray_avoid_path_in_either_order")),
     Mutant(
+        "the identical-cell answer returns ([c1], [c1])", GROUPOID,
+        "    if c1 == c2:\n"
+        "        return [c1], []\n",
+        "    if c1 == c2:\n"
+        "        return [c1], [c1]\n",
+        (TEST_GROUPOID + "test_cut_of_equal_cells_is_the_cell",
+         TEST_GROUPOID + "test_refinement_of_repeated_and_cancelling_cells",
+         TEST_CLI + "test_refine_repeated_cells")),
+    Mutant(
+        # MCE(rho, mu) holds the pairs of MCE(mu, rho) swapped
+        "multiply reads the MCE memo under (rho, mu)", ALGEBRA,
+        "            exts = mce.get((mu, rho))\n",
+        "            exts = mce.get((rho, mu))\n",
+        (TEST_ALGEBRA + "test_multiply_answers_from_the_graph_memos",
+         TEST_ALGEBRA + "test_multiply_matches_oracle")),
+    Mutant(
+        # the same answer, since nested members add nothing to the union of
+        # cylinders, but a search over larger obligation sets
+        "make_cell passes the non-canonical avoid set to the search", GROUPOID,
+        "    if canonical and g._witness(lam.source, canonical) is None:\n",
+        "    if canonical and g._witness(lam.source, frozenset(avoid)) is None:\n",
+        (TEST_KGRAPH + "test_make_cell_searches_past_its_own_checks",)),
+    Mutant(
         "long labels start at 34 characters", ERRORS,
         "    if type(literal) is str and len(literal) > 32:\n",
         "    if type(literal) is str and len(literal) > 33:\n",

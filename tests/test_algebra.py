@@ -22,16 +22,19 @@ from kpx.algebra import (
     vertex_unit,
 )
 from kpx.elements import parse_element
+from kpx.kgraph import KGraph
 from kpx.rings import QQ, ZZ, IntegersMod, ModInt
 
 from conftest import (
     ORACLE_GRAPHS,
+    RANDOM_ACYCLIC_SEEDS,
     core_is_zero,
     eval_span_on_boundary,
     expand_core_in_theta,
     multiply_oracle,
     pi_closure,
     random_span,
+    random_two_graph,
     reduce_oracle,
     t_set,
     theta,
@@ -179,6 +182,44 @@ def test_multiply_matches_oracle(name, ring):
     assert nonzero >= 10
     if len(g.vertices) > 1:
         assert len(ranges) > 1 and crossed > 0
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+def test_products_match_oracles_on_random_two_graphs(ring):
+    # the acyclic graphs of the seeded family, through both engines of the
+    # one product rule against both oracles
+    nonzero = 0
+    for seed in RANDOM_ACYCLIC_SEEDS:
+        g = random_two_graph(seed)
+        pool = g.all_paths()
+        rng = random.Random(f"products {seed} {ring}")
+        for _ in range(8):
+            words = random_words(g, ring, rng, pool)
+            assert reduce(ring, words)._terms == reduce_oracle(ring, words)._terms, (seed, words)
+            a, b = (random_span(g, ring, rng, pool, nterms=4) for _ in range(2))
+            ab = multiply(a, b)
+            assert ab._terms == multiply_oracle(a, b)._terms, (seed, a, b)
+            nonzero += not ab.is_structurally_zero()
+    assert nonzero >= 4 * len(RANDOM_ACYCLIC_SEEDS)
+
+
+def test_multiply_answers_from_the_graph_memos(lambda2, monkeypatch):
+    # a product whose pairs the graph has met is read from its MCE and
+    # compose memos, a memoised empty MCE included, with no call into either
+    g = lambda2
+    a = parse_element(g, QQ, "s(e1)*g(e1) + s(f2)*g(f2) + 2*s(v1)")
+    b = parse_element(g, QQ, "s(e3) + s(e1.f1)*g(f1) - s(f2)")
+    want = multiply(a, b)
+    assert g._mce[(P(g, "e1"), P(g, "e3"))] == frozenset()
+
+    def refuse(*args):
+        raise AssertionError(f"a memo hit called in: {args}")
+
+    monkeypatch.setattr(KGraph, "minimal_common_extensions", refuse)
+    monkeypatch.setattr(KGraph, "compose", refuse)
+    assert multiply(a, b) == want
+    assert repr(want) == ("SpanForm(2*s(e3)g(v5) + -3*s(f2)g(v3) + -1*s(e1.f1)g(e2)"
+                          " + 4*s(e1.f1)g(f1))")
 
 
 def termwise(ring, *pairs):

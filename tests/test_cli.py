@@ -453,6 +453,13 @@ def test_refine(capsys):
     assert out.split() == ["e1.f1*e1.f1"]
 
 
+def test_refine_repeated_cells(capsys):
+    # a cell given twice is cut by its equal without a search; the output is
+    # the one printed before that shortcut
+    assert main(["--graph", L2, "refine", "e1*e1", "e1*e1", "f2*f2", "v1*v1"]) == 0
+    assert capsys.readouterr() == ("v1*v1\\e1.f1\ne1.f1*e1.f1\n", "")
+
+
 def test_refine_parse_error_has_location(capsys):
     # a cell literal reports the 1-based column of the path at fault, the
     # way an element expression does, and wraps an unknown id

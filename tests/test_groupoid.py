@@ -13,12 +13,13 @@ from kpx import errors, presets
 from kpx import groupoid as gpd
 from kpx.algebra import SpanForm, grade, is_zero, multiply
 from kpx.elements import parse_cell, parse_element
-from kpx.rings import QQ, ZZ
+from kpx.rings import QQ, ZZ, IntegersMod
 
 from conftest import (
     ACYCLIC_BUILDERS,
     ACYCLIC_ORACLE_GRAPHS,
     GroupoidElement,
+    RANDOM_ACYCLIC_SEEDS,
     cell_points,
     convolve,
     convolve_oracle,
@@ -31,6 +32,7 @@ from conftest import (
     pi_t_inv,
     random_cell,
     random_span,
+    random_two_graph,
     two_squares_graph,
 )
 
@@ -217,6 +219,93 @@ def test_disjointify_overlap_example(lambda2):
     c2 = gpd.make_cell(P(g, "f2"), P(g, "f2"))
     atoms = gpd.disjointify([c1, c2])
     assert [a.label() for a in atoms] == ["e1.f1*e1.f1"]
+
+
+def test_cut_of_equal_cells_is_the_cell(lambda2):
+    # equal cells built separately: the cut answers ([c], []) at once, which
+    # is what its general loop yields (see _cut)
+    g = lambda2
+    v1, f2 = g.vertex("v1"), P(g, "f2")
+    c = gpd.make_cell(v1, v1, [f2])
+    twin = gpd.make_cell(v1, v1, [P(g, "f2.e2"), f2])
+    assert twin == c and twin is not c
+    assert gpd._cut(c, twin) == ([c], [])
+    h = two_squares_graph()
+    for lam in h.all_paths():
+        exts = [p for p in h.paths_at(lam.source) if not p.is_vertex()]
+        for G in [()] + [[p] for p in exts] + [exts[:2]]:
+            c = gpd.make_cell(lam, lam, G)
+            if c is None:
+                continue
+            twin = gpd.make_cell(lam, lam, list(reversed(G)))
+            assert twin == c and twin is not c
+            assert gpd._cut(c, twin) == ([c], [])
+
+
+def weighted_points(ring, weighted, pts):
+    """The non-zero values of a combination of cell indicators, point by point."""
+    out = {}
+    for a in pts:
+        v = sum((c for c, cell in weighted if element_in_cell(a, cell)), ring.zero)
+        if v != ring.zero:
+            out[a] = v
+    return out
+
+
+# lambda2 cells with repeats (each literal parsed again, so equal cells are
+# distinct objects) and, under each ring's coefficients, sums that cancel
+REPEATED = ["e1*e1", "e1*e1", "f2*f2", "v1*v1", "e1.f1*e1.f1", "v1*v1\\e1", "v1*v1\\e1",
+            "e3*e3", "f2*f2"]
+REPEATED_COEFFS = {"Z": [1, 1, 1, 1, -3, 1, -1, 2, -1], "Z/6": [2, 4, 3, 1, 5, 3, 3, 1, 3]}
+
+
+def test_refinement_of_repeated_and_cancelling_cells(lambda2):
+    # the labels are pinned from the general loop, before equal cells had a
+    # shortcut in _cut
+    g = lambda2
+    pts = groupoid_points(g)
+    cells = [parse_cell(g, text) for text in REPEATED]
+    atoms = gpd.disjointify(cells)
+    assert [a.label() for a in atoms] == ["e3*e3", "e1.f1*e1.f1"]
+    assert_partition(atoms, set().union(*(cell_points(c, pts) for c in cells)), pts)
+    want = {"Z": "3*1[e3*e3]", "Z/6": "2*1[e3*e3]"}
+    for ring in (ZZ, IntegersMod(6)):
+        weighted = [(ring.value(c), cell) for c, cell in zip(REPEATED_COEFFS[ring.name], cells)]
+        f = gpd.func_from_terms(ring, weighted)
+        assert f.label() == want[ring.name]
+        assert func_points(f, pts) == weighted_points(ring, weighted, pts)
+    # the same on an acyclic seeded draw, each of three cells built twice
+    h = random_two_graph(27)
+    pts = groupoid_points(h)
+    rng = random.Random(27)
+    cells = [random_cell(h, rng) for _ in range(4)]
+    cells += [gpd.make_cell(c.lam, c.mu, c.avoid) for c in cells[:3]]
+    atoms = gpd.disjointify(cells)
+    assert [a.label() for a in atoms] == ["v0*v0\\e0;f1;f2", "e0*e0", "e0*f2", "f3*f2"]
+    assert_partition(atoms, set().union(*(cell_points(c, pts) for c in cells)), pts)
+    weighted = [(c, cell) for c, cell in zip([1, 2, -1, 1, -1, 1, 1], cells)]
+    f = gpd.func_from_terms(ZZ, weighted)
+    assert f.label() == "3*1[e0*e0] + 1*1[e0*f2]"
+    assert func_points(f, pts) == weighted_points(ZZ, weighted, pts)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+def test_refinement_pointwise_on_random_two_graphs(ring):
+    # the acyclic graphs of the seeded family; half the cells come twice,
+    # once built again, and some coefficients cancel
+    for seed in RANDOM_ACYCLIC_SEEDS:
+        g = random_two_graph(seed)
+        pts = groupoid_points(g)
+        rng = random.Random(f"refine {seed} {ring}")
+        for _ in range(6):
+            cells = [random_cell(g, rng) for _ in range(rng.randint(1, 4))]
+            cells += [gpd.make_cell(c.lam, c.mu, c.avoid) for c in cells[::2]]
+            weighted = [(ring.from_int(rng.randint(-2, 2)), c) for c in cells]
+            f = gpd.func_from_terms(ring, weighted)
+            assert func_points(f, pts) == weighted_points(ring, weighted, pts), (seed, weighted)
+            atoms = gpd.disjointify(cells)
+            assert all(cell_points(a, pts) for a in atoms)
+            assert_partition(atoms, set().union(*(cell_points(c, pts) for c in cells)), pts)
 
 
 # -------------------------------------------------------------- functions

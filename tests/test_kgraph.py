@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from kpx import boundary as bnd
 from kpx import errors, presets
+from kpx import groupoid as gpd
 from kpx.degrees import join, le, sub, zero
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 
@@ -1050,6 +1051,39 @@ def test_the_range_rule_reads_once_and_names_the_first_stray(lambda2):
                          ([f2, g.vertex("v2")], "v2")):
         with pytest.raises(errors.RangeMismatch, match=rf"^Path\({stray}\) is not a path at 'v1'$"):
             g.at("v1", iter(paths))
+
+
+def test_a_memoised_empty_move_table_is_a_hit(monkeypatch):
+    # on the downset of (2,0) and (0,1) some move tables are empty: once
+    # every search has run, running them again reads every table from the
+    # memo, the empty ones too
+    g = downset_graph(((2, 0), (0, 1)))
+    cases = [(v, [p]) for v in g.vertices for p in g.paths_upto(v, (2, 1)) if not p.is_vertex()]
+    first = [g.exhaustiveness_witness(v, E) for v, E in cases]
+    assert any(not table for table in g._move_table.values())
+
+    def refuse(mu, c):
+        raise AssertionError(f"the move table of {(mu, c)} is memoised")
+
+    monkeypatch.setattr(g, "_moves", refuse)
+    assert [g.exhaustiveness_witness(v, E) for v, E in cases] == first
+
+
+def test_make_cell_searches_past_its_own_checks(lambda2, monkeypatch):
+    # make_cell checks the avoid paths once, through at, and hands the
+    # search their canonical set: no member extends another
+    g = lambda2
+    v1, f2, e1, e3 = (g.parse_path(s) for s in ("v1", "f2", "e1", "e3"))
+    at, witness = KGraph.at, KGraph._witness
+    checked, searched = [], []
+    monkeypatch.setattr(KGraph, "at",
+                        lambda self, v, paths: checked.append(v) or at(self, v, paths))
+    monkeypatch.setattr(KGraph, "_witness",
+                        lambda self, v, E: searched.append((v, E)) or witness(self, v, E))
+    assert gpd.make_cell(v1, v1, [g.parse_path("f2.e2"), f2]).label() == "v1*v1\\f2"
+    assert gpd.make_cell(v1, v1, [e1, g.parse_path("e1.f1"), e3]) is None
+    assert checked == ["v1", "v1"]
+    assert searched == [("v1", frozenset({f2})), ("v1", frozenset({e1, e3}))]
 
 
 def test_path_repr_shortens_a_label_past_32_characters():
