@@ -35,23 +35,24 @@ class _Parser:
         self.text = text
         self.pos = 0
 
-    def _skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self):
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else None
+        """The next character past the whitespace, which is skipped, or None
+        at the end of the text."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos] if pos < len(text) else None
 
     def expect(self, lit):
-        self._skip()
+        self.peek()
         if not self.text.startswith(lit, self.pos):
             got = self.text[self.pos : self.pos + len(lit)] or "end of input"
             raise ParseError(f"expected {lit!r}, got {got!r}", column=self.pos + 1)
         self.pos += len(lit)
 
     def integer(self):
-        self._skip()
+        self.peek()
         m = _INT.match(self.text, self.pos)
         if not m:
             raise ParseError("expected an integer", column=self.pos + 1)
@@ -62,19 +63,19 @@ class _Parser:
         self.pos = m.end()
         return value
 
+    # A caller that has peeked a one-character token steps past it with
+    # pos += 1 rather than peeking it again through expect.
+
     def parse(self):
-        words = []
         sign = 1
         if self.peek() == "-":
-            self.expect("-")
-            sign = -1
-        words.append(self.term(sign))
-        while self.peek() in ("+", "-"):
-            sign = 1 if self.peek() == "+" else -1
             self.pos += 1
-            words.append(self.term(sign))
-        self._skip()
-        if self.pos != len(self.text):
+            sign = -1
+        words = [self.term(sign)]
+        while (c := self.peek()) in ("+", "-"):
+            self.pos += 1
+            words.append(self.term(1 if c == "+" else -1))
+        if c is not None:  # peek has skipped the whitespace after the last term
             raise ParseError(
                 f"trailing input {quoted(self.text[self.pos:])}", column=self.pos + 1
             )
@@ -82,17 +83,18 @@ class _Parser:
 
     def term(self, sign):
         coeff = self.ring.from_int(sign)
-        if self.peek() is not None and self.peek().isdigit():
+        c = self.peek()
+        if c is not None and c.isdigit():
             num = self.integer()
             den = 1
             if self.peek() == "/":
-                self.expect("/")
+                self.pos += 1
                 den = self.integer()
             coeff = coeff * self.ring.from_fraction(num, den)
             self.expect("*")
         factors = [self.factor()]
         while self.peek() == "*":
-            self.expect("*")
+            self.pos += 1
             factors.append(self.factor())
         return (coeff, factors)
 
@@ -100,7 +102,7 @@ class _Parser:
         kind = self.peek()
         if kind not in ("s", "g"):
             raise ParseError("expected a generator s(...) or g(...)", column=self.pos + 1)
-        self.expect(kind)
+        self.pos += 1
         self.expect("(")
         end = self.text.find(")", self.pos)
         if end < 0:

@@ -59,7 +59,13 @@ def make_cell(lam, mu, avoid=()):
     g = lam.graph
     if lam.source != mu.source:
         raise RangeMismatch(f"cell base ({lam!r}, {mu!r}) has mismatched sources")
-    avoid = g.at(lam.source, avoid)  # every path, before the vertex shortcut
+    return _cell(lam, mu, g.at(lam.source, avoid))  # every path, before the vertex shortcut
+
+
+def _cell(lam, mu, avoid):
+    """make_cell past its checks, for paths avoid that the caller has
+    checked to lie at s(lam) = s(mu), as refinement's are."""
+    g = lam.graph
     if avoid and g.vertex(lam.source) in avoid:
         return None  # subtracting the whole cylinder
     # drop members that extend other members: their cylinders are nested
@@ -69,7 +75,7 @@ def make_cell(lam, mu, avoid=()):
         if not any(o != nu and g.has_prefix(nu, o) for o in avoid)
     ]
     canonical = frozenset(canonical)
-    # the search past the checks above; the empty set exhausts nothing
+    # the search past the caller's checks; the empty set exhausts nothing
     if canonical and g._witness(lam.source, canonical) is None:
         return None
     return Cell(lam=lam, mu=mu, avoid=canonical)
@@ -82,14 +88,12 @@ def cell_split(cell, gamma):
     it, either of which may be None.
     """
     g = cell.graph
-    avoiding = make_cell(cell.lam, cell.mu, cell.avoid | {gamma})  # checks r(gamma) first
+    g.at(cell.lam.source, (gamma,))  # make_cell checked cell.avoid
     if gamma.is_vertex():
         raise DegreeOutOfRange("cannot split along a trivial direction")
-    through = make_cell(
-        g.compose(cell.lam, gamma),
-        g.compose(cell.mu, gamma),
-        g.ext(gamma, cell.avoid),
-    )
+    avoiding = _cell(cell.lam, cell.mu, cell.avoid | {gamma})
+    through = _cell(g.compose(cell.lam, gamma), g.compose(cell.mu, gamma),
+                    g._ext(gamma, cell.avoid))
     return avoiding, through
 
 
@@ -127,7 +131,7 @@ def _cut(c1, c2):
             cur, rem = rem, None
         else:
             rem, cur = cell_split(rem, gamma)
-        peel = g.ext(gamma2, c2.avoid)
+        peel = g._ext(gamma2, c2.avoid)  # r(gamma2) = s(lam2), where c2.avoid lies
         for nu in sorted(peel, key=Path.sort_key) if len(peel) > 1 else peel:
             if cur is None:
                 break

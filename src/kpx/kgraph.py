@@ -10,7 +10,8 @@ come from one enumerator that grows normal-form words one color at a time;
 the paths with a given source grow from that source, one edge at a time.
 The graph owns every derived cache; the source index (the edges by source
 and colour), the peel order, the path counts and the path list are each
-built on first use.
+built on first use, and the literal cache parses each path literal once
+(``parse_path``).
 """
 
 import collections
@@ -104,7 +105,7 @@ class Path:
     def source(self):
         if not self.edges:
             return self.range
-        return self.graph.edge(self.edges[-1]).source
+        return self.graph._edges[self.edges[-1]].source
 
     @property
     def degree(self):
@@ -253,6 +254,7 @@ class KGraph:
         # derived caches, which live as long as the graph
         self._in = None  # edges by source, as _out by range (see _source_index)
         self._paths = {}  # (range, normal-form word) -> the one Path (see _path)
+        self._literals = {}  # literal text -> the Path it names (see parse_path)
         self._composed = {}  # (lam, mu) -> compose(lam, mu), composable pairs only
         self._all_paths_cache = None
         self._peel = None  # see peel_order
@@ -387,10 +389,14 @@ class KGraph:
         return self._path(edges[0].range, tuple(self._normalize_word(ids)))
 
     def parse_path(self, text):
-        """Parse a path literal: a vertex id or dot-joined edge ids."""
-        if text in self._vset:
-            return self.vertex(text)
-        return self.path(text.split("."))
+        """Parse a path literal: a vertex id or dot-joined edge ids.
+        Memoized per graph by the literal's text; only a literal that
+        parses is stored, so a bad one raises on every call."""
+        lam = self._literals.get(text)
+        if lam is None:
+            lam = self._literals[text] = (
+                self.vertex(text) if text in self._vset else self.path(text.split(".")))
+        return lam
 
     # ------------------------------------------------------------------
     # normal form machinery
@@ -659,10 +665,12 @@ class KGraph:
 
     def ext(self, lam, E):
         """Union of first components of minimal-extension pairs against E."""
-        out = set()
-        for mu in self.at(lam.range, E):
-            out.update(rho for rho, _ in self.minimal_common_extensions(lam, mu))
-        return frozenset(out)
+        return self._ext(lam, self.at(lam.range, E))
+
+    def _ext(self, lam, E):
+        """ext past its range check, for paths E the caller has checked to
+        lie at r(lam), as refinement's canonical avoid sets are."""
+        return frozenset(rho for mu in E for rho, _ in self.minimal_common_extensions(lam, mu))
 
     # ------------------------------------------------------------------
     # exhaustive sets

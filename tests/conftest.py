@@ -261,8 +261,25 @@ def random_two_graph(seed):
 
 
 # the seeds below 40 whose draw is acyclic, for the oracles that enumerate the
-# groupoid or every path; no acyclic draw below 600 has a square
+# groupoid or every path; no acyclic draw below 600 has a square, so the
+# products below are the acyclic family with squares
 RANDOM_ACYCLIC_SEEDS = [s for s in range(40) if random_two_graph(s).is_acyclic()]
+
+
+def random_acyclic_product(seed):
+    """A seeded acyclic 2-graph with squares: the product of two acyclic
+    random_one_graphs (odd seeds), each drawn again until it has an edge,
+    so that every pair of their edges spans a commuting square."""
+    rng = random.Random(f"product {seed}")
+    factors = []
+    while len(factors) < 2:
+        g = random_one_graph(2 * rng.randrange(100) + 1)
+        if g.spec.edges:
+            factors.append(g)
+    return product_graph(*factors)
+
+
+RANDOM_PRODUCT_SEEDS = range(6)
 
 
 # two disjoint loops, and a chain that runs into a loop with a sink s off

@@ -37,7 +37,7 @@ class Mutant(NamedTuple):
 
 ALGEBRA, RINGS, BOUNDARY, IO = "kpx/algebra.py", "kpx/rings.py", "kpx/boundary.py", "kpx/io.py"
 KGRAPH, GROUPOID, ANALYSIS, CLI = "kpx/kgraph.py", "kpx/groupoid.py", "kpx/analysis.py", "kpx/cli.py"
-ERRORS = "kpx/errors.py"
+ERRORS, ELEMENTS = "kpx/errors.py", "kpx/elements.py"
 TEST_ALGEBRA, TEST_RINGS = "tests/test_algebra.py::", "tests/test_rings.py::"
 TEST_KGRAPH, TEST_GROUPOID = "tests/test_kgraph.py::", "tests/test_groupoid.py::"
 TEST_ANALYSIS, TEST_CLI = "tests/test_analysis.py::", "tests/test_cli.py::"
@@ -290,13 +290,11 @@ MUTANTS = (
         (TEST_KGRAPH + "test_unknown_vertex",)),
     Mutant(
         "make_cell's vertex shortcut runs before the range rule", GROUPOID,
-        "    avoid = g.at(lam.source, avoid)  # every path, before the vertex shortcut\n"
-        "    if avoid and g.vertex(lam.source) in avoid:\n"
-        "        return None  # subtracting the whole cylinder\n",
+        "    return _cell(lam, mu, g.at(lam.source, avoid))  # every path, before the vertex shortcut\n",
         "    avoid = tuple(avoid)\n"
         "    if avoid and g.vertex(lam.source) in avoid:\n"
         "        return None  # subtracting the whole cylinder\n"
-        "    avoid = g.at(lam.source, avoid)\n",
+        "    return _cell(lam, mu, g.at(lam.source, avoid))\n",
         (TEST_GROUPOID + "test_cells_refuse_a_path_at_another_vertex",
          TEST_CLI + "test_refine_names_a_stray_avoid_path_in_either_order")),
     Mutant(
@@ -327,6 +325,35 @@ MUTANTS = (
         "    if type(literal) is str and len(literal) > 32:\n",
         "    if type(literal) is str and len(literal) > 33:\n",
         (TEST_KGRAPH + "test_path_repr_shortens_a_label_past_32_characters",)),
+    Mutant(
+        "cell_split skips the range check of its direction", GROUPOID,
+        "    g.at(cell.lam.source, (gamma,))  # make_cell checked cell.avoid\n",
+        "",
+        (TEST_GROUPOID + "test_cells_refuse_a_path_at_another_vertex",)),
+    Mutant(
+        # a placeholder left by a parse that raised
+        "the literal cache stores a failed parse", KGRAPH,
+        "        lam = self._literals.get(text)\n",
+        "        lam = self._literals.setdefault(text, None)\n",
+        (TEST_KGRAPH + "test_a_bad_literal_raises_each_time_and_is_not_stored",)),
+    Mutant(
+        "the literal cache keyed by the first edge id", KGRAPH,
+        "        lam = self._literals.get(text)\n",
+        '        lam = self._literals.get(text.partition(".")[0])\n',
+        (TEST_KGRAPH + "test_parse_path_is_the_built_path_for_every_spelling[lambda2]",)),
+    Mutant(
+        "a '-' term's sign is flipped", ELEMENTS,
+        '            words.append(self.term(1 if c == "+" else -1))\n',
+        "            words.append(self.term(1))\n",
+        (TEST_CLI + "test_element_signs_and_whitespace",)),
+    Mutant(
+        # peek's skip stops before the last character, so the trailing-input
+        # check meets a trailing space, as does the check for an end of input
+        "the trailing-input check no longer skips whitespace", ELEMENTS,
+        "        while pos < len(text) and text[pos].isspace():\n",
+        "        while pos < len(text) - 1 and text[pos].isspace():\n",
+        (TEST_CLI + "test_element_signs_and_whitespace",
+         TEST_CLI + "test_element_parse_errors_around_whitespace")),
 )
 
 

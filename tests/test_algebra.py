@@ -28,11 +28,13 @@ from kpx.rings import QQ, ZZ, IntegersMod, ModInt
 from conftest import (
     ORACLE_GRAPHS,
     RANDOM_ACYCLIC_SEEDS,
+    RANDOM_PRODUCT_SEEDS,
     core_is_zero,
     eval_span_on_boundary,
     expand_core_in_theta,
     multiply_oracle,
     pi_closure,
+    random_acyclic_product,
     random_span,
     random_two_graph,
     reduce_oracle,
@@ -184,15 +186,13 @@ def test_multiply_matches_oracle(name, ring):
         assert len(ranges) > 1 and crossed > 0
 
 
-@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
-def test_products_match_oracles_on_random_two_graphs(ring):
-    # the acyclic graphs of the seeded family, through both engines of the
-    # one product rule against both oracles
+def products_match_oracles(ring, graphs, family):
+    """Both engines of the one product rule against both oracles on the
+    seeded graphs; the number of non-zero products."""
     nonzero = 0
-    for seed in RANDOM_ACYCLIC_SEEDS:
-        g = random_two_graph(seed)
+    for seed, g in graphs:
         pool = g.all_paths()
-        rng = random.Random(f"products {seed} {ring}")
+        rng = random.Random(f"{family} {seed} {ring}")
         for _ in range(8):
             words = random_words(g, ring, rng, pool)
             assert reduce(ring, words)._terms == reduce_oracle(ring, words)._terms, (seed, words)
@@ -200,7 +200,22 @@ def test_products_match_oracles_on_random_two_graphs(ring):
             ab = multiply(a, b)
             assert ab._terms == multiply_oracle(a, b)._terms, (seed, a, b)
             nonzero += not ab.is_structurally_zero()
-    assert nonzero >= 4 * len(RANDOM_ACYCLIC_SEEDS)
+    return nonzero
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+def test_products_match_oracles_on_random_two_graphs(ring):
+    # the acyclic graphs of the seeded family
+    graphs = [(seed, random_two_graph(seed)) for seed in RANDOM_ACYCLIC_SEEDS]
+    assert products_match_oracles(ring, graphs, "products") >= 4 * len(graphs)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+def test_products_match_oracles_on_random_products(ring):
+    # the acyclic family with squares, where words meet commuting squares
+    graphs = [(seed, random_acyclic_product(seed)) for seed in RANDOM_PRODUCT_SEEDS]
+    assert all(g.squares and g.is_acyclic() for _, g in graphs)
+    assert products_match_oracles(ring, graphs, "product graphs") >= 3 * len(graphs)
 
 
 def test_multiply_answers_from_the_graph_memos(lambda2, monkeypatch):

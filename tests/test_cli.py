@@ -962,6 +962,81 @@ def test_element_parse_errors_are_located(capsys, expr, message, column):
     assert capsys.readouterr() == ("", f"error: {message} (column {column})\n")
 
 
+# what may stand before an expression or between its terms: whitespace, a
+# leading sign, and a first term with either sign after it
+PARSE_PREFIXES = ["  ", "\t", "\n ", "-", "- ", " -\t", "s(v1) + ", "s(v1)-", "s(v1) -\n"]
+
+
+@pytest.mark.parametrize("prefix", PARSE_PREFIXES)
+@pytest.mark.parametrize("expr, message, column", ELEMENT_PARSE_ERRORS)
+def test_element_parse_errors_keep_message_and_column_behind_a_prefix(lambda2, prefix, expr,
+                                                                        message, column):
+    # the parser peeks each position once; the error behind a prefix is the
+    # same error, its column moved by the prefix
+    from kpx import errors
+    from kpx.elements import parse_element
+    from kpx.rings import QQ
+
+    with pytest.raises(errors.ParseError) as exc:
+        parse_element(lambda2, QQ, prefix + expr)
+    column += len(prefix)
+    assert (str(exc.value), exc.value.column) == (f"{message} (column {column})", column)
+
+
+# whitespace where the parser skips it, pinned from the parser that peeked
+# each position up to three times: (expression, message, 1-based column)
+WHITESPACE_PARSE_ERRORS = [
+    ("s ", "expected '(', got 'end of input'", 3),
+    ("s  ", "expected '(', got 'end of input'", 4),
+    ("s(v1)) ", "trailing input ') '", 6),
+    ("s(v1) x", "trailing input 'x'", 7),
+    ("s(v1 ", "unclosed generator parenthesis", 3),
+    ("2 s(v1) ", "expected '*', got 's'", 3),
+    ("1/x*s(v1) ", "expected an integer", 3),
+    ("", "expected a generator s(...) or g(...)", 1),
+    ("  ", "expected a generator s(...) or g(...)", 3),
+    ("- ", "expected a generator s(...) or g(...)", 3),
+    ("-  -s(v1)", "expected a generator s(...) or g(...)", 4),
+    ("s(v1) + ", "expected a generator s(...) or g(...)", 9),
+    ("s(v1)*", "expected a generator s(...) or g(...)", 7),
+    ("2* ", "expected a generator s(...) or g(...)", 4),
+    ("s( zz )", "bad path 'zz': unknown edge id 'zz'", 3),
+]
+
+
+@pytest.mark.parametrize("expr, message, column", WHITESPACE_PARSE_ERRORS)
+def test_element_parse_errors_around_whitespace(lambda2, expr, message, column):
+    from kpx import errors
+    from kpx.elements import parse_element
+    from kpx.rings import QQ
+
+    with pytest.raises(errors.ParseError) as exc:
+        parse_element(lambda2, QQ, expr)
+    assert (str(exc.value), exc.value.column) == (f"{message} (column {column})", column)
+
+
+def test_element_signs_and_whitespace(lambda2):
+    # each sign applies to its own term, and whitespace between tokens,
+    # trailing whitespace included, changes nothing
+    from fractions import Fraction
+    from kpx.elements import parse_element
+    from kpx.rings import QQ
+
+    def p(text):
+        return parse_element(lambda2, QQ, text)
+
+    x, y, z = p("s(v1)"), p("s(e1)*g(e1)"), p("2*s(e3)*g(e3)")
+    for text in (" s(v1) ", "\ts(v1)\n", "s (v1)", "s( v1 )", "1 * s(v1)", "1/1*s(v1)"):
+        assert p(text) == x, text
+    assert p("s(v1) - s(e1)*g(e1)") == p(" s(v1)-s(e1) * g(e1) ") == x - y
+    assert p("-s(v1) + s(e1)*g(e1)") == p("- s(v1)+s(e1)*g(e1)") == y - x
+    assert p("s(v1) - s(e1)*g(e1) - 2 * s(e3) * g(e3)") == x - y - z
+    assert p("-s(v1) - s(e1)*g(e1)") == -(x + y)
+    assert p("1/2 * s(v1) - 3/ 4*s(v1)") == p("- 1 /4*s(v1)") == x.scale(Fraction(-1, 4))
+    assert repr(p("s(v1) - s(e1)*g(e1) + s(e3)*g(e3)")) == (
+        "SpanForm(1*s(v1)g(v1) + -1*s(e1)g(e1) + 1*s(e3)g(e3))")
+
+
 def test_over_long_literals_are_measured_not_echoed(capsys):
     # a literal of more digits than int() converts is an input error that
     # says how many, in one short line, wherever it comes in

@@ -1,7 +1,9 @@
 """Skeleton validation, path arithmetic, common extensions, exhaustivity."""
 
+import collections
 import gc
 import itertools
+import math
 import random
 import weakref
 from dataclasses import FrozenInstanceError, asdict, replace
@@ -14,7 +16,7 @@ from kpx import boundary as bnd
 from kpx import errors, presets
 from kpx import groupoid as gpd
 from kpx.degrees import join, le, sub, zero
-from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
+from kpx.kgraph import Edge, KGraph, KGraphSpec, Path, Square, omega_graph
 
 from conftest import (
     CYCLE_GRAPHS,
@@ -26,11 +28,14 @@ from conftest import (
     downset_graph,
     exhaustive_oracle,
     exhaustive_oracle_bool,
+    RANDOM_PRODUCT_SEEDS,
     mce_oracle,
     paths_oracle,
     product_graph,
+    random_acyclic_product,
     random_one_graph,
     reach_oracle,
+    two_squares_graph,
     witness_oracle,
 )
 
@@ -484,6 +489,79 @@ def test_normal_form_is_color_major(lambda2):
     assert lambda2.parse_path("f2.e2") == lambda2.parse_path("e1.f1")
 
 
+def spellings(g):
+    """Every composable edge word of an acyclic graph, grown one edge at a
+    time from the spec, shortest first."""
+    by_range = collections.defaultdict(list)
+    for e in g.spec.edges:
+        by_range[e.range].append(e)
+    words, out = [(e,) for e in g.spec.edges], []
+    while words:
+        out += words
+        words = [w + (e,) for w in words for e in by_range[w[-1].source]]
+    return [tuple(e.id for e in w) for w in out]
+
+
+SPELLING_GRAPHS = {
+    "lambda2": presets.lambda2,
+    "twosquares": two_squares_graph,
+    **{f"product{seed}": (lambda seed=seed: random_acyclic_product(seed))
+       for seed in RANDOM_PRODUCT_SEEDS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPELLING_GRAPHS))
+def test_parse_path_is_the_built_path_for_every_spelling(name):
+    # a literal is parsed once per graph: its first parse and every repeat
+    # return the path g.path builds from its edge ids; every path is spelled,
+    # and by unique factorisation a path of degree (p, q) has C(p + q, p)
+    # spellings, each a key of its own
+    g = SPELLING_GRAPHS[name]()
+    spelled = collections.Counter()
+    for word in spellings(g):
+        literal = ".".join(word)
+        lam = g.parse_path(literal)
+        assert lam is g.path(word) is g.parse_path(literal) is g._literals[literal]
+        spelled[lam] += 1
+    for v in g.vertices:
+        assert g.parse_path(v) is g.vertex(v) is g.parse_path(v)
+    paths = [p for p in g.all_paths() if p.edges]
+    assert sorted(spelled, key=Path.sort_key) == paths
+    assert any(spelled[p] > 1 for p in paths)  # a square is met
+    for p in paths:
+        assert spelled[p] == math.comb(len(p.edges), p.degree[0])
+    assert len(g._literals) == sum(spelled.values()) + len(g.vertices)
+
+
+def test_a_bad_literal_raises_each_time_and_is_not_stored():
+    g = presets.lambda2()
+    for literal, error in (("zz", errors.UnknownId), ("", errors.UnknownId),
+                           ("e1..f1", errors.UnknownId), ("v1.e1", errors.UnknownId),
+                           ("e1.e3", errors.NotComposable), ("e1.f1.", errors.UnknownId)):
+        for _ in range(2):
+            with pytest.raises(error):
+                g.parse_path(literal)
+        assert literal not in g._literals
+    assert g._literals == {}
+    lam = g.parse_path("e1.f1")
+    assert g._literals == {"e1.f1": lam}
+
+
+def test_the_literal_cache_is_per_graph_and_released():
+    # two spellings of one path are two keys for the one path; a graph of
+    # the same spec has its own cache, and its own paths
+    g, twin = presets.lambda2(), presets.lambda2()
+    lam = g.parse_path("e1.f1")
+    assert g.parse_path("f2.e2") is lam and g._literals == {"e1.f1": lam, "f2.e2": lam}
+    assert twin._literals == {}
+    mu = twin.parse_path("f2.e2")
+    assert mu is not lam and mu is twin.path(["e1", "f1"])
+    assert twin._literals == {"f2.e2": mu}
+    g._release()
+    assert not hasattr(g, "_literals")
+    assert twin.parse_path("f2.e2") is mu
+
+
 def test_compose_not_composable(lambda2):
     e1 = lambda2.parse_path("e1")
     e3 = lambda2.parse_path("e3")
@@ -536,7 +614,8 @@ def test_release_leaves_the_graph_to_reference_counting():
         g.mce(e1, g.compose(e1, f1))
         g.exhaustiveness_witness("v1", [e1])
         g.all_paths()
-        assert g._paths and g._composed and g._mce and g._move_table and g._all_paths_cache
+        assert (g._paths and g._literals and g._composed and g._mce and g._move_table
+                and g._all_paths_cache)
         ref = weakref.ref(g)
         g._release()
         del g, e1, f1
