@@ -108,7 +108,9 @@ class _Parser:
         if end < 0:
             raise ParseError("unclosed generator parenthesis", column=self.pos + 1)
         start, self.pos = self.pos, end + 1
-        path = _path(self.g, self.text[start:end].strip(), start + 1)
+        literal = self.text[start:end]
+        # the column of the literal's first character, as in parse_cell
+        path = _path(self.g, literal.strip(), start + len(literal) - len(literal.lstrip()) + 1)
         return algebra.PathSym(path) if kind == "s" else algebra.GhostSym(path)
 
 

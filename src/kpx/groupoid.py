@@ -7,7 +7,9 @@ are finite combinations of cell indicators kept in refined (disjoint)
 form, which makes the zero test exact; pi_t carries a span-form element
 into this model.  One routine cuts a cell by another into intersection
 and difference; refinement runs it only within a bucket of cells sharing
-shift degree, r(lam) and r(mu), as cells of two are disjoint.
+shift degree, r(lam) and r(mu), as cells of two are disjoint.  The graph
+memoizes each cut of two unequal cells (KGraph._cuts), so a session that
+refines the same cells again repeats no search.
 """
 
 from dataclasses import dataclass
@@ -17,8 +19,10 @@ from .errors import DegreeOutOfRange, NotAcyclic, NotField, RangeMismatch
 from .kgraph import Path
 from .rings import ZZ, text
 
+_NO_AVOID = frozenset()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Cell:
     """The compact open bisection Z(lam * mu \\ G); always non-empty and
     canonical: build through make_cell."""
@@ -74,7 +78,9 @@ def _cell(lam, mu, avoid):
         for nu in avoid
         if not any(o != nu and g.has_prefix(nu, o) for o in avoid)
     ]
-    canonical = frozenset(canonical)
+    # every cell that avoids nothing shares one empty set, not a new one of
+    # some 200 bytes each, since the cut memo keeps cells alive
+    canonical = frozenset(canonical) if canonical else _NO_AVOID
     # the search past the caller's checks; the empty set exhausts nothing
     if canonical and g._witness(lam.source, canonical) is None:
         return None
@@ -108,7 +114,7 @@ def _common_directions(c1, c2):
 
 
 def _cut(c1, c2):
-    """(c1 & c2, c1 - c2) as lists of disjoint cells.  The part of c1 through
+    """(c1 & c2, c1 - c2) as sequences of disjoint cells.  The part of c1 through
     a common direction (gamma, gamma') lies in c2 but for its pieces through
     ext(gamma', c2.avoid), peeled off into the difference (ext(gamma, c1.avoid)
     is already excluded).  A common direction forces equal shift degrees
@@ -118,10 +124,17 @@ def _cut(c1, c2):
     MCE(lam, lam) = {(s(lam), s(lam))} and likewise for mu, so the one common
     direction is the vertex pair and cur = c1; ext(s(lam); G) = G, and each
     nu in G is skipped, as has_prefix(nu, nu) holds for nu in cur.avoid = G
-    (no nu is a vertex, or make_cell would have emptied the cell)."""
+    (no nu is a vertex, or make_cell would have emptied the cell).  That
+    answer comes first, as it needs no hash.  Any other pair is looked up in
+    the graph's memo, which stores each answer as two tuples, so no caller
+    can change it."""
     if c1 == c2:
         return [c1], []
     g = c1.graph
+    key = (c1, c2)
+    hit = g._cuts.get(key)
+    if hit is not None:
+        return hit
     inter, diff = [], []
     rem = c1
     for gamma, gamma2 in _common_directions(c1, c2):
@@ -147,17 +160,18 @@ def _cut(c1, c2):
             inter.append(cur)
     if rem is not None:
         diff.append(rem)
-    return inter, diff
+    out = g._cuts[key] = tuple(inter), tuple(diff)
+    return out
 
 
 def cell_intersect(c1, c2):
-    """The intersection of two cells as a list of disjoint cells."""
-    return _cut(c1, c2)[0]
+    """The intersection of two cells as a new list of disjoint cells."""
+    return list(_cut(c1, c2)[0])
 
 
 def cell_subtract(c1, c2):
-    """The difference c1 minus c2 as a list of disjoint cells."""
-    return _cut(c1, c2)[1]
+    """The difference c1 minus c2 as a new list of disjoint cells."""
+    return list(_cut(c1, c2)[1])
 
 
 def disjointify(cells):

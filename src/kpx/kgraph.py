@@ -197,7 +197,8 @@ class KGraph:
     checks types too (``int`` rank and colours, not ``bool``; ``str`` ids;
     two-id square sides), so a spec read from a file and one built in Python
     pass the same gate.  The graph owns every derived cache, the source
-    index among them (see ``_source_index``).
+    index (see ``_source_index``) and the memo of cell cuts (see
+    ``groupoid._cut``) among them.
     """
 
     def __init__(self, spec):
@@ -261,6 +262,7 @@ class KGraph:
         self._counts = {}  # vertex u -> [N(u, 1), ..., N(u, k)] (see count_paths_to)
         self._mce = {}  # (lam, mu) -> minimal_common_extensions(lam, mu)
         self._move_table = {}  # (mu, colour) -> _moves(mu, colour)
+        self._cuts = {}  # (c1, c2) -> groupoid._cut(c1, c2), unequal cells only
 
     def _index(self, by_source):
         """(vertex, color) -> the sorted ids of the edges with that range, or

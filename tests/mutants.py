@@ -307,6 +307,23 @@ MUTANTS = (
          TEST_GROUPOID + "test_refinement_of_repeated_and_cancelling_cells",
          TEST_CLI + "test_refine_repeated_cells")),
     Mutant(
+        "the cut memo is keyed by c1 alone", GROUPOID,
+        "    key = (c1, c2)\n",
+        "    key = c1\n",
+        (TEST_GROUPOID + "test_a_cut_from_the_memo_is_the_fresh_cut[lambda2]",)),
+    Mutant(
+        "a cut memo hit returns (diff, inter)", GROUPOID,
+        "        return hit\n",
+        "        return hit[1], hit[0]\n",
+        (TEST_GROUPOID + "test_a_cut_from_the_memo_is_the_fresh_cut[lambda2]",)),
+    Mutant(
+        # the same answer, as cells of two buckets are disjoint, but cuts
+        # that the bucket key exists to skip
+        "the refinement bucket key drops r(mu)", GROUPOID,
+        "        key = (cell.shift_degree, cell.lam.range, cell.mu.range)\n",
+        "        key = (cell.shift_degree, cell.lam.range)\n",
+        (TEST_GROUPOID + "test_pi_t_refines_each_bucket_alone",)),
+    Mutant(
         # MCE(rho, mu) holds the pairs of MCE(mu, rho) swapped
         "multiply reads the MCE memo under (rho, mu)", ALGEBRA,
         "            exts = mce.get((mu, rho))\n",

@@ -1000,7 +1000,7 @@ WHITESPACE_PARSE_ERRORS = [
     ("s(v1) + ", "expected a generator s(...) or g(...)", 9),
     ("s(v1)*", "expected a generator s(...) or g(...)", 7),
     ("2* ", "expected a generator s(...) or g(...)", 4),
-    ("s( zz )", "bad path 'zz': unknown edge id 'zz'", 3),
+    ("s( zz )", "bad path 'zz': unknown edge id 'zz'", 4),
 ]
 
 

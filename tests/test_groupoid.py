@@ -19,6 +19,7 @@ from conftest import (
     ACYCLIC_BUILDERS,
     ACYCLIC_ORACLE_GRAPHS,
     GroupoidElement,
+    ORACLE_GRAPHS,
     RANDOM_ACYCLIC_SEEDS,
     cell_points,
     convolve,
@@ -57,6 +58,10 @@ def test_make_cell_canonicalizes(lambda2):
     assert gpd.make_cell(v1, v1, [e1, e3]) is None
     with pytest.raises(errors.RangeMismatch):
         gpd.make_cell(e1, e3)
+    # cells that avoid nothing share one empty set, made or split
+    empty = gpd.make_cell(v1, v1).avoid
+    assert empty == frozenset() and gpd.make_cell(e1, e1).avoid is empty
+    assert gpd.cell_split(gpd.make_cell(v1, v1), e1)[1].avoid is empty
 
 
 def test_cell_membership_frozen(lambda2):
@@ -242,6 +247,72 @@ def test_cut_of_equal_cells_is_the_cell(lambda2):
             assert gpd._cut(c, twin) == ([c], [])
 
 
+def one_vertex_cell(rng, paths):
+    """A seeded non-empty cell on a one-vertex graph, built from paths."""
+    exts = [p for p in paths if not p.is_vertex()]
+    while True:
+        avoid = rng.sample(exts, rng.randint(0, 2))
+        cell = gpd.make_cell(rng.choice(paths), rng.choice(paths), avoid)
+        if cell is not None:
+            return cell
+
+
+def bucket_of(g, rng, cell, paths):
+    """cell and cells of its refinement bucket that meet it: its part
+    through a direction gamma, and the cell with one more avoid path."""
+    exts = [p for p in paths if p.range == cell.lam.source and not p.is_vertex()]
+    if not exts:
+        return [cell]
+    gamma = rng.choice(exts)
+    out = [cell, gpd.make_cell(g.compose(cell.lam, gamma), g.compose(cell.mu, gamma)),
+           gpd.make_cell(cell.lam, cell.mu, [*cell.avoid, rng.choice(exts)])]
+    return [c for c in out if c is not None]
+
+
+def labels(parts):
+    return [[c.label() for c in part] for part in parts]
+
+
+@pytest.mark.parametrize("name", [*ACYCLIC_ORACLE_NAMES, "loop", "cloops"])
+def test_a_cut_from_the_memo_is_the_fresh_cut(name):
+    # every ordered pair of seeded cells, each pair cut twice: the second
+    # cut, and the subtraction after an intersection, come from the graph's
+    # memo.  The cells come three to a refinement bucket, so that a cell
+    # meets some cells and misses others, and a key that missed the second
+    # cell would return a stale answer.  Each answer is the cut of the same
+    # cells on a graph that has cut nothing and, on an acyclic graph,
+    # partitions the intersection and the difference point by point
+    build = ORACLE_GRAPHS[name]
+    g = build()
+    rng = random.Random(f"cut memo {name}")
+    if g.is_acyclic():
+        pts, paths = groupoid_points(g), g.all_paths()
+        # bases whose source is no sink, where the graph has such paths
+        ranges = {p.range for p in paths if not p.is_vertex()}
+        starts = [p for p in paths if p.source in ranges] or paths
+        bases = [random_cell(g, rng, starts) for _ in range(3)]
+    else:
+        pts, paths = None, g.paths_upto("v", (2,) * g.k)
+        bases = [one_vertex_cell(rng, paths) for _ in range(3)]
+    cells = [c for base in bases for c in bucket_of(g, rng, base, paths)]
+    pairs = list(itertools.product(cells, repeat=2))
+    for c1, c2 in pairs + pairs:
+        inter, diff = gpd.cell_intersect(c1, c2), gpd.cell_subtract(c1, c2)
+        h = build()
+        fresh = gpd._cut(parse_cell(h, c1.label()), parse_cell(h, c2.label()))
+        assert labels([inter, diff]) == labels(fresh), (c1, c2)
+        if pts is not None:
+            both = cell_points(c1, pts), cell_points(c2, pts)
+            assert_partition(inter, both[0] & both[1], pts)
+            assert_partition(diff, both[0] - both[1], pts)
+        # the lists are the caller's: changing them changes no later answer
+        inter.append(c2)
+        diff.clear()
+    # only unequal cells are stored, each answer as two tuples
+    assert bool(g._cuts) == any(c1 != c2 for c1, c2 in pairs)
+    assert all(type(part) is tuple for out in g._cuts.values() for part in out)
+
+
 def weighted_points(ring, weighted, pts):
     """The non-zero values of a combination of cell indicators, point by point."""
     out = {}
@@ -359,7 +430,10 @@ def test_func_algebra_ops(lambda2):
 # ----------------------------------------------------- algebra transport
 
 
-def test_pi_t_refines_each_bucket_alone(lambda2, monkeypatch):
+def test_pi_t_refines_each_bucket_alone(monkeypatch):
+    # a graph of its own: on a shared one, a pair that an earlier test cut
+    # is answered from the graph's memo, which compares nothing
+    g = presets.lambda2()
     compared = []
     real = gpd._common_directions
 
@@ -369,13 +443,18 @@ def test_pi_t_refines_each_bucket_alone(lambda2, monkeypatch):
 
     monkeypatch.setattr(gpd, "_common_directions", counting)
     # two cells of one bucket are compared ...
-    gpd.pi_t(parse_element(lambda2, QQ, "s(e1)*g(e1) + s(f2)*g(f2)"))
+    gpd.pi_t(parse_element(g, QQ, "s(e1)*g(e1) + s(f2)*g(f2)"))
     assert compared
     compared.clear()
     # ... but Z(v1*v1), Z(v2*v2) and Z(v3*v3) differ in r(lam), so none is
     # ever compared with another
-    f = gpd.pi_t(parse_element(lambda2, QQ, "s(v1)*g(v1) + s(v2)*g(v2) + s(v3)*g(v3)"))
+    f = gpd.pi_t(parse_element(g, QQ, "s(v1)*g(v1) + s(v2)*g(v2) + s(v3)*g(v3)"))
     assert [cell.label() for _, cell in f.terms] == ["v1*v1", "v2*v2", "v3*v3"]
+    assert compared == []
+    # nor are Z(e1*v2) and Z(e3*v5), which share shift degree and r(lam)
+    # and differ in r(mu) alone
+    f = gpd.pi_t(parse_element(g, QQ, "s(e1) + s(e3)"))
+    assert [cell.label() for _, cell in f.terms] == ["e1*v2", "e3*v5"]
     assert compared == []
 
 

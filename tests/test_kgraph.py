@@ -610,15 +610,19 @@ def test_release_leaves_the_graph_to_reference_counting():
     try:
         gc.collect(0)
         g = presets.lambda2()
-        e1, f1 = g.parse_path("e1"), g.parse_path("f1")
+        e1, f1, f2 = g.parse_path("e1"), g.parse_path("f1"), g.parse_path("f2")
         g.mce(e1, g.compose(e1, f1))
         g.exhaustiveness_witness("v1", [e1])
         g.all_paths()
+        # a refinement cuts Z(e1*e1) and Z(f2*f2) by each other, which
+        # fills the cut memo with cells
+        atoms = gpd.disjointify([gpd.make_cell(e1, e1), gpd.make_cell(f2, f2)])
+        assert [c.label() for c in atoms] == ["e1.f1*e1.f1"]
         assert (g._paths and g._literals and g._composed and g._mce and g._move_table
-                and g._all_paths_cache)
+                and g._all_paths_cache and g._cuts)
         ref = weakref.ref(g)
         g._release()
-        del g, e1, f1
+        del g, e1, f1, f2, atoms
         assert ref() is None
         assert gc.collect(0) == 0
     finally:
