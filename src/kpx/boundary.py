@@ -239,7 +239,7 @@ def boundary_rep(a, vec):
             z = prepend(lam, y)  # y is a path at s(mu) = s(lam)
             new = out.get(z, None)
             new = coeff * c if new is None else new + coeff * c
-            if new == 0:
+            if new == a.ring.zero:
                 out.pop(z, None)
             else:
                 out[z] = new

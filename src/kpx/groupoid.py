@@ -59,17 +59,14 @@ class Cell:
 
 
 def make_cell(lam, mu, avoid=()):
-    """Canonicalize a cell; returns None when the set is empty."""
+    """Canonicalize a cell; returns None when the set is empty.  Every avoid
+    path is checked to lie at s(lam) before the vertex shortcut, and the
+    exhaustiveness search gets the canonical set, in which no member
+    extends another."""
     g = lam.graph
     if lam.source != mu.source:
         raise RangeMismatch(f"cell base ({lam!r}, {mu!r}) has mismatched sources")
-    return _cell(lam, mu, g.at(lam.source, avoid))  # every path, before the vertex shortcut
-
-
-def _cell(lam, mu, avoid):
-    """make_cell past its checks, for paths avoid that the caller has
-    checked to lie at s(lam) = s(mu), as refinement's are."""
-    g = lam.graph
+    avoid = g.at(lam.source, avoid)
     if avoid and g.vertex(lam.source) in avoid:
         return None  # subtracting the whole cylinder
     # drop members that extend other members: their cylinders are nested
@@ -81,8 +78,7 @@ def _cell(lam, mu, avoid):
     # every cell that avoids nothing shares one empty set, not a new one of
     # some 200 bytes each, since the cut memo keeps cells alive
     canonical = frozenset(canonical) if canonical else _NO_AVOID
-    # the search past the caller's checks; the empty set exhausts nothing
-    if canonical and g._witness(lam.source, canonical) is None:
+    if canonical and g.is_exhaustive(lam.source, canonical):  # the empty set exhausts nothing
         return None
     return Cell(lam=lam, mu=mu, avoid=canonical)
 
@@ -91,15 +87,15 @@ def cell_split(cell, gamma):
     """Partition a cell along an extension direction gamma.
 
     Returns (avoiding, through): the part missing gamma and the part through
-    it, either of which may be None.
+    it, either of which may be None.  make_cell checks r(gamma) before a
+    trivial direction is refused.
     """
     g = cell.graph
-    g.at(cell.lam.source, (gamma,))  # make_cell checked cell.avoid
+    avoiding = make_cell(cell.lam, cell.mu, cell.avoid | {gamma})
     if gamma.is_vertex():
         raise DegreeOutOfRange("cannot split along a trivial direction")
-    avoiding = _cell(cell.lam, cell.mu, cell.avoid | {gamma})
-    through = _cell(g.compose(cell.lam, gamma), g.compose(cell.mu, gamma),
-                    g._ext(gamma, cell.avoid))
+    through = make_cell(g.compose(cell.lam, gamma), g.compose(cell.mu, gamma),
+                        g.ext(gamma, cell.avoid))
     return avoiding, through
 
 
@@ -108,8 +104,6 @@ def _common_directions(c1, c2):
     g = c1.graph
     common = (g.minimal_common_extensions(c1.lam, c2.lam)
               & g.minimal_common_extensions(c1.mu, c2.mu))
-    if len(common) < 2:
-        return common
     return sorted(common, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
 
 
@@ -144,8 +138,7 @@ def _cut(c1, c2):
             cur, rem = rem, None
         else:
             rem, cur = cell_split(rem, gamma)
-        peel = g._ext(gamma2, c2.avoid)  # r(gamma2) = s(lam2), where c2.avoid lies
-        for nu in sorted(peel, key=Path.sort_key) if len(peel) > 1 else peel:
+        for nu in sorted(g.ext(gamma2, c2.avoid), key=Path.sort_key):
             if cur is None:
                 break
             if nu.is_vertex():

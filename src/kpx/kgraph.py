@@ -212,6 +212,8 @@ class KGraph:
                 raise InvalidSpec(f"vertex id {v!r} is not a str")
             if v in vset:
                 raise InvalidSpec(f"duplicate vertex id {v!r}")
+            if "." in v:  # parse_path reads a vertex id before edge ids joined by '.'
+                raise InvalidSpec(f"vertex id {v!r} contains '.'")
             vset.add(v)
         self._vset = vset = frozenset(vset)
         self._edges = edges = {}
@@ -666,13 +668,10 @@ class KGraph:
         return sorted(exts, key=Path.sort_key)
 
     def ext(self, lam, E):
-        """Union of first components of minimal-extension pairs against E."""
-        return self._ext(lam, self.at(lam.range, E))
-
-    def _ext(self, lam, E):
-        """ext past its range check, for paths E the caller has checked to
-        lie at r(lam), as refinement's canonical avoid sets are."""
-        return frozenset(rho for mu in E for rho, _ in self.minimal_common_extensions(lam, mu))
+        """Ext(lam; E): the first components of the minimal common
+        extensions of lam with the members of E, each checked to lie at r(lam)."""
+        return frozenset(rho for mu in self.at(lam.range, E)
+                         for rho, _ in self.minimal_common_extensions(lam, mu))
 
     # ------------------------------------------------------------------
     # exhaustive sets
@@ -692,19 +691,16 @@ class KGraph:
         out_edges order into a first-in first-out queue, so the first state
         without obligations to be generated would also be dequeued first: the
         search returns it at once, as the lexicographically first of the
-        shortest witnesses (the vertex v when E is empty).
+        shortest witnesses (the vertex v when E is empty).  The vertex v and
+        the range of each member of E are checked before the search, which
+        runs on frozenset(E) whatever iterable E is.
         """
         root = self.vertex(v)
         E = self.at(v, E)
         if not E:
             return root
-        return self._witness(v, frozenset(E))
-
-    def _witness(self, v, E):
-        """The search of exhaustiveness_witness for a non-empty frozenset E
-        of paths at the vertex v, both already checked by the caller."""
         table = self._move_table  # read first: most moves are memo hits
-        start = (v, E)
+        start = (v, frozenset(E))
         parent = {start: None}  # state -> (previous state, edge id)
         queue = collections.deque([start])
         while queue:
@@ -736,7 +732,8 @@ class KGraph:
     def _moves(self, mu, c):
         """The move table of (mu, c): a dict from each colour-c edge a at
         r(mu) with Ext(a; {mu}) non-empty to that frozenset of paths rho.
-        Memoized per graph, like minimal_common_extensions.
+        Memoized per graph in _move_table, which the one caller,
+        exhaustiveness_witness, reads first: this runs on a miss only.
 
         As d(a) = e_c, the common extensions a*rho = mu*tau have degree
         d(mu) when mu has a colour-c edge and d(mu) + e_c when it has none.
@@ -754,9 +751,6 @@ class KGraph:
         factorization any sequence of swaps that sorts the keys gives the
         same word.
         """
-        out = self._move_table.get((mu, c))
-        if out is not None:
-            return out
         edges, word = self._edges, mu.edges
         for j, eid in enumerate(word):  # the first colour-c edge of mu
             if edges[eid].color == c:

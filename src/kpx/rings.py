@@ -56,15 +56,6 @@ class ModInt:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return (
-            isinstance(other, ModInt)
-            and other.modulus == self.modulus
-            and other.value == self.value
-        )
-
     def __repr__(self):
         return f"{self.value}"
 

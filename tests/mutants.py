@@ -290,11 +290,13 @@ MUTANTS = (
         (TEST_KGRAPH + "test_unknown_vertex",)),
     Mutant(
         "make_cell's vertex shortcut runs before the range rule", GROUPOID,
-        "    return _cell(lam, mu, g.at(lam.source, avoid))  # every path, before the vertex shortcut\n",
+        "    avoid = g.at(lam.source, avoid)\n"
+        "    if avoid and g.vertex(lam.source) in avoid:\n"
+        "        return None  # subtracting the whole cylinder\n",
         "    avoid = tuple(avoid)\n"
         "    if avoid and g.vertex(lam.source) in avoid:\n"
         "        return None  # subtracting the whole cylinder\n"
-        "    return _cell(lam, mu, g.at(lam.source, avoid))\n",
+        "    avoid = g.at(lam.source, avoid)\n",
         (TEST_GROUPOID + "test_cells_refuse_a_path_at_another_vertex",
          TEST_CLI + "test_refine_names_a_stray_avoid_path_in_either_order")),
     Mutant(
@@ -334,18 +336,35 @@ MUTANTS = (
         # the same answer, since nested members add nothing to the union of
         # cylinders, but a search over larger obligation sets
         "make_cell passes the non-canonical avoid set to the search", GROUPOID,
-        "    if canonical and g._witness(lam.source, canonical) is None:\n",
-        "    if canonical and g._witness(lam.source, frozenset(avoid)) is None:\n",
-        (TEST_KGRAPH + "test_make_cell_searches_past_its_own_checks",)),
+        "    if canonical and g.is_exhaustive(lam.source, canonical):",
+        "    if canonical and g.is_exhaustive(lam.source, frozenset(avoid)):",
+        (TEST_KGRAPH + "test_make_cell_searches_the_canonical_set",)),
+    Mutant(
+        # a residue equals no int, so a cancelled term would stay as a zero
+        "boundary_rep tests a ring value against the int 0", BOUNDARY,
+        "            if new == a.ring.zero:\n",
+        "            if new == 0:\n",
+        ("tests/test_boundary.py::test_boundary_rep_drops_a_term_that_cancels_mod_n",)),
     Mutant(
         "long labels start at 34 characters", ERRORS,
         "    if type(literal) is str and len(literal) > 32:\n",
         "    if type(literal) is str and len(literal) > 33:\n",
         (TEST_KGRAPH + "test_path_repr_shortens_a_label_past_32_characters",)),
     Mutant(
+        # make_cell's range rule is the one check of the direction
         "cell_split skips the range check of its direction", GROUPOID,
-        "    g.at(cell.lam.source, (gamma,))  # make_cell checked cell.avoid\n",
-        "",
+        "    avoiding = make_cell(cell.lam, cell.mu, cell.avoid | {gamma})\n",
+        "    avoiding = Cell(cell.lam, cell.mu, cell.avoid | {gamma})\n",
+        (TEST_GROUPOID + "test_cells_refuse_a_path_at_another_vertex",)),
+    Mutant(
+        # v2 at v1 is a stray before it is a trivial direction
+        "cell_split refuses a trivial direction before its range check", GROUPOID,
+        "    avoiding = make_cell(cell.lam, cell.mu, cell.avoid | {gamma})\n"
+        "    if gamma.is_vertex():\n"
+        "        raise DegreeOutOfRange(\"cannot split along a trivial direction\")\n",
+        "    if gamma.is_vertex():\n"
+        "        raise DegreeOutOfRange(\"cannot split along a trivial direction\")\n"
+        "    avoiding = make_cell(cell.lam, cell.mu, cell.avoid | {gamma})\n",
         (TEST_GROUPOID + "test_cells_refuse_a_path_at_another_vertex",)),
     Mutant(
         # a placeholder left by a parse that raised

@@ -281,3 +281,17 @@ def test_boundary_rep_is_linear(lambda2):
     vec = {x: QQ.from_int(2), y: QQ.from_int(5)}
     out = bnd.boundary_rep(s_e1, vec)
     assert out == {bnd.finite(lambda2.parse_path("e1.f1")): QQ.from_int(2)}
+
+
+def test_boundary_rep_drops_a_term_that_cancels_mod_n(lambda2):
+    # p_v1 and s_e1 s_e1^* both fix e1.f1, so over Z/2 their sum sends it to
+    # 2 e1.f1 = 0, which is no term: a residue is compared with the ring's
+    # zero, as it equals no int
+    from kpx.elements import parse_element
+    from kpx.rings import IntegersMod
+
+    z2 = IntegersMod(2)
+    a = parse_element(lambda2, z2, "s(v1) + s(e1)*g(e1)")
+    x = bnd.finite(lambda2.parse_path("e1.f1"))
+    assert bnd.boundary_rep(a, {x: z2.one}) == {}
+    assert bnd.boundary_rep(parse_element(lambda2, z2, "s(v1)"), {x: z2.one}) == {x: z2.one}

@@ -246,7 +246,19 @@ def test_exhaustive_names_a_long_stray_in_one_short_line(capsys, tmp_path):
     assert len(err) < 100
 
 
-F1_12 = ".".join(["f1"] * 12)
+def test_a_dot_in_a_vertex_id_is_refused(capsys, tmp_path):
+    # a path literal names a vertex before edge ids joined by '.', so the
+    # vertex e.f would hide the path e.f, of the edges e and f
+    graph = tmp_path / "dotted.json"
+    graph.write_text(json.dumps({"k": 1, "vertices": ["a", "b", "c", "e.f"], "edges": [
+        {"id": "e", "color": 1, "range": "a", "source": "b"},
+        {"id": "f", "color": 1, "range": "b", "source": "c"}]}))
+    for argv in (["validate"], ["eval", "s(e)*s(f)"], ["mce", "e.f", "e"]):
+        assert main(["--graph", str(graph), *argv]) == 2, argv
+        assert capsys.readouterr() == ("", "error: vertex id 'e.f' contains '.'\n"), argv
+
+
+F1_12 =".".join(["f1"] * 12)
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from kpx import errors, presets
+from kpx import degrees, errors, presets
 from kpx import groupoid as gpd
 from kpx.algebra import SpanForm, grade, is_zero, multiply
 from kpx.elements import parse_cell, parse_element
@@ -149,13 +149,39 @@ def assert_partition(pieces, want, pts):
     assert union == want
 
 
+def bucket_bases(g):
+    """(shift degree, r(lam), r(mu)) -> the bases (lam, mu) of the cells in
+    that refinement bucket, on an acyclic graph."""
+    out = {}
+    for lam, mu in itertools.product(g.all_paths(), repeat=2):
+        if lam.source == mu.source:
+            key = (degrees.diff(lam.degree, mu.degree), lam.range, mu.range)
+            out.setdefault(key, []).append((lam, mu))
+    return out
+
+
+def cell_of_bucket(g, rng, cell, bases):
+    """A seeded cell other than cell in its refinement bucket, the only cells
+    that refinement cuts it by, with at most two avoid paths; cell itself
+    when 20 draws find no other."""
+    pairs = bases[(cell.shift_degree, cell.lam.range, cell.mu.range)]
+    for _ in range(20):
+        lam, mu = rng.choice(pairs)
+        exts = [p for p in g.paths_at(lam.source) if not p.is_vertex()]
+        other = gpd.make_cell(lam, mu, rng.sample(exts, rng.randint(0, min(2, len(exts)))))
+        if other not in (None, cell):
+            return other
+    return cell
+
+
 @pytest.mark.parametrize("name", ACYCLIC_ORACLE_NAMES)
 def test_cell_intersect_pointwise(name):
     g = ACYCLIC_ORACLE_GRAPHS[name]()
     rng = random.Random(43)
-    pts = groupoid_points(g)
+    pts, bases = groupoid_points(g), bucket_bases(g)
     for _ in range(200):
-        c1, c2 = random_cell(g, rng), random_cell(g, rng)
+        c1 = random_cell(g, rng)
+        c2 = cell_of_bucket(g, rng, c1, bases)
         want = cell_points(c1, pts) & cell_points(c2, pts)
         assert_partition(gpd.cell_intersect(c1, c2), want, pts)
 
@@ -164,9 +190,10 @@ def test_cell_intersect_pointwise(name):
 def test_cell_subtract_pointwise(name):
     g = ACYCLIC_ORACLE_GRAPHS[name]()
     rng = random.Random(47)
-    pts = groupoid_points(g)
+    pts, bases = groupoid_points(g), bucket_bases(g)
     for _ in range(200):
-        c1, c2 = random_cell(g, rng), random_cell(g, rng)
+        c1 = random_cell(g, rng)
+        c2 = cell_of_bucket(g, rng, c1, bases)
         want = cell_points(c1, pts) - cell_points(c2, pts)
         assert_partition(gpd.cell_subtract(c1, c2), want, pts)
 

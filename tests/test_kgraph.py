@@ -201,6 +201,7 @@ def spec_mutations(spec):
     yield "edge 0 from unknown vertex", replace(spec, edges=(replace(e0, source="nowhere"),) + rest)
     yield "dot in edge 0 id", replace(spec, edges=(replace(e0, id=e0.id + ".x"),) + rest)
     yield "repeat vertex 0", replace(spec, vertices=spec.vertices + spec.vertices[:1])
+    yield "dot in vertex 0 id", replace(spec, vertices=(spec.vertices[0] + ".x",) + spec.vertices[1:])
 
 
 MUTATION_SPECS = {
@@ -236,6 +237,7 @@ FIRST_ERRORS = {
          "edge 'a1' has unknown source 'nowhere'"),
         ("dot in edge 0 id", "InvalidSpec", "edge id 'a1.x' contains '.'"),
         ("repeat vertex 0", "InvalidSpec", "duplicate vertex id 'v'"),
+        ("dot in vertex 0 id", "InvalidSpec", "vertex id 'v.x' contains '.'"),
     ],
     "lambda2": [
         ("unchanged", None, None),
@@ -249,6 +251,7 @@ FIRST_ERRORS = {
          "edge 'e1' has unknown source 'nowhere'"),
         ("dot in edge 0 id", "InvalidSpec", "edge id 'e1.x' contains '.'"),
         ("repeat vertex 0", "InvalidSpec", "duplicate vertex id 'v1'"),
+        ("dot in vertex 0 id", "InvalidSpec", "vertex id 'v1.x' contains '.'"),
     ],
     "omega311": [
         ("unchanged", None, None),
@@ -294,6 +297,7 @@ FIRST_ERRORS = {
          "edge '0,0,0>0,0,1' has unknown source 'nowhere'"),
         ("dot in edge 0 id", "InvalidSpec", "edge id '0,0,0>0,0,1.x' contains '.'"),
         ("repeat vertex 0", "InvalidSpec", "duplicate vertex id '0,0,0'"),
+        ("dot in vertex 0 id", "InvalidSpec", "vertex id '0,0,0.x' contains '.'"),
     ],
 }
 
@@ -1152,20 +1156,21 @@ def test_a_memoised_empty_move_table_is_a_hit(monkeypatch):
     assert [g.exhaustiveness_witness(v, E) for v, E in cases] == first
 
 
-def test_make_cell_searches_past_its_own_checks(lambda2, monkeypatch):
-    # make_cell checks the avoid paths once, through at, and hands the
-    # search their canonical set: no member extends another
+def test_make_cell_searches_the_canonical_set(lambda2, monkeypatch):
+    # make_cell checks the avoid paths through at and hands the search their
+    # canonical set, in which no member extends another; the search checks
+    # that set again, as every caller's set is checked
     g = lambda2
     v1, f2, e1, e3 = (g.parse_path(s) for s in ("v1", "f2", "e1", "e3"))
-    at, witness = KGraph.at, KGraph._witness
+    at, witness = KGraph.at, KGraph.exhaustiveness_witness
     checked, searched = [], []
     monkeypatch.setattr(KGraph, "at",
                         lambda self, v, paths: checked.append(v) or at(self, v, paths))
-    monkeypatch.setattr(KGraph, "_witness",
+    monkeypatch.setattr(KGraph, "exhaustiveness_witness",
                         lambda self, v, E: searched.append((v, E)) or witness(self, v, E))
     assert gpd.make_cell(v1, v1, [g.parse_path("f2.e2"), f2]).label() == "v1*v1\\f2"
     assert gpd.make_cell(v1, v1, [e1, g.parse_path("e1.f1"), e3]) is None
-    assert checked == ["v1", "v1"]
+    assert checked == ["v1"] * 4
     assert searched == [("v1", frozenset({f2})), ("v1", frozenset({e1, e3}))]
 
 
