@@ -415,9 +415,10 @@ class KGraph:
         Each step carries one edge left, one square at a time, past the
         edges with a greater key, so the sort makes one swap per pair out of
         order and no pass that swaps nothing.  Every caller's word is
-        composable (``_normalize_word``, ``_split``, ``_moves``) and a swap
-        keeps it so, so each pair swapped is a composable bicolored pair,
-        which the coverage scan put in ``_swap``.
+        composable (``_normalize_word``; ``_split``, for factor and for the
+        partners in minimal_common_extensions; ``_moves``, for the move
+        tables) and a swap keeps it so, so each pair swapped is a composable
+        bicolored pair, which the coverage scan put in ``_swap``.
         """
         if len(word) < 2:
             return word
@@ -638,12 +639,12 @@ class KGraph:
     def minimal_common_extensions(self, lam, mu):
         """All pairs (rho, tau) with lam*rho = mu*tau of degree d(lam) v d(mu).
 
-        The equation is symmetric, so the search extends the side with the
-        shorter gap to d(lam) v d(mu), the longer path, by every path of
-        that gap and keeps the extensions whose prefix is the other path.
-        _split cuts each unsorted word in one keyed sort (see why there).
-        Memoized per graph for paths with one range: the result is an
-        immutable frozenset.
+        The rho are Ext(lam; {mu}), which ext walks along lam's edges
+        through the move tables.  By unique factorization each rho has one
+        partner: tau is the rest of lam*rho after its prefix of degree
+        d(mu), which is mu, so one _split of the unsorted word lam*rho gives
+        it (see why there).  Memoized per graph for paths with one range:
+        the result is an immutable frozenset.
         """
         if lam.range != mu.range:
             return frozenset()
@@ -651,15 +652,9 @@ class KGraph:
         out = self._mce.get(key)
         if out is not None:
             return out
-        flip = len(mu.edges) > len(lam.edges)
-        short, other = (mu, lam) if flip else (lam, mu)
-        d, m = short.degree, other.degree
-        out = set()
-        for rho in self.paths_from(short.source, degrees.sub(degrees.join(d, m), d)):
-            head, tau = self._split(short.range, short.edges + rho.edges, m)
-            if head == other:
-                out.add((tau, rho) if flip else (rho, tau))
-        out = self._mce[key] = frozenset(out)
+        v, word, m = lam.range, lam.edges, mu.degree
+        out = self._mce[key] = frozenset(
+            (rho, self._split(v, word + rho.edges, m)[1]) for rho in self.ext(lam, (mu,)))
         return out
 
     def mce(self, lam, mu):
@@ -669,9 +664,45 @@ class KGraph:
 
     def ext(self, lam, E):
         """Ext(lam; E): the first components of the minimal common
-        extensions of lam with the members of E, each checked to lie at r(lam)."""
-        return frozenset(rho for mu in self.at(lam.range, E)
-                         for rho, _ in self.minimal_common_extensions(lam, mu))
+        extensions of lam with the members of E, each checked to lie at r(lam).
+
+        A walk along lam's edges: it starts from E, and an edge a of colour
+        c takes the obligations S to Ext(a; S), the union over nu in S of
+        the move table of (nu, c) at a (see _moves).  That is Ext(lam; E) by
+        the rule Ext(lam*mu; E) = Ext(mu; Ext(lam; E)), as Ext(lam; E) is
+        the union over nu in E of Ext(lam; {nu}).  Proof, by unique
+        factorization alone:
+
+        - Take rho in Ext(lam*mu; {nu}), so lam*mu*rho = nu*tau has degree
+          d(lam*mu) v d(nu).  Cut lam*mu*rho at P = d(lam) v d(nu): its head
+          has the prefixes lam and nu, so it is lam*kappa with kappa in
+          Ext(lam; {nu}).
+        - Cancelling lam gives mu*rho = kappa*beta, of degree
+          d(mu) v (P - d(lam)) = d(mu) v d(kappa).  So rho is in
+          Ext(mu; {kappa}).
+        - Conversely, take kappa in Ext(lam; {nu}) and rho in
+          Ext(mu; {kappa}).  Then lam*mu*rho = lam*kappa*beta extends nu, and
+          its degree d(lam) + (d(mu) v d(kappa)) = d(lam*mu) v P equals
+          d(lam*mu) v d(nu), as P = d(lam) v d(nu) and d(lam) <= d(lam*mu).
+
+        An empty S stays empty, so the walk stops there.
+        """
+        S = frozenset(self.at(lam.range, E))
+        table, edges = self._move_table, self._edges
+        for eid in lam.edges:
+            if not S:
+                break
+            c, nxt = edges[eid].color, ()
+            for nu in S:
+                # a memoised empty table {} is a hit: the miss test is `is None`
+                moves = table.get((nu, c))
+                if moves is None:
+                    moves = self._moves(nu, c)
+                rhos = moves.get(eid)
+                if rhos:
+                    nxt = nxt | rhos if nxt else rhos
+            S = nxt
+        return frozenset(S)
 
     # ------------------------------------------------------------------
     # exhaustive sets
@@ -684,56 +715,69 @@ class KGraph:
         set).  A witness through a first edge a must avoid Ext(a; S), the
         paths rho with a*rho = mu*tau for an obligation mu in S.  That is
         the union over mu of Ext(a; {mu}), and the move table of (mu, c)
-        holds Ext(a; {mu}) for every colour-c edge a at r(mu) (see _moves),
-        so each successor is a few dict lookups and one union, with no MCE
-        search.  Degrees of obligations never increase, so the state space
-        is finite even on cyclic graphs.  Successors are generated in
-        out_edges order into a first-in first-out queue, so the first state
-        without obligations to be generated would also be dequeued first: the
-        search returns it at once, as the lexicographically first of the
-        shortest witnesses (the vertex v when E is empty).  The vertex v and
-        the range of each member of E are checked before the search, which
-        runs on frozenset(E) whatever iterable E is.
+        holds Ext(a; {mu}) for every colour-c edge a at r(mu) (see _moves).
+        So a state is expanded once per colour c: the move tables of its
+        obligations fold into one successor table, edge a -> Ext(a; S), and
+        each colour-c edge reads its successor there, with no MCE search.
+        Degrees of obligations never increase, so the state space is finite
+        even on cyclic graphs.  A state with a vertex obligation is dead, as
+        the vertex meets everything: it is recorded as seen and never
+        queued.  Successors are generated in out_edges order into a
+        first-in first-out queue, so the first state without obligations to
+        be generated would also be dequeued first: the search returns it at
+        once, as the lexicographically first of the shortest witnesses (the
+        vertex v when E is empty).  The vertex v and the range of each
+        member of E are checked before the search, which runs on
+        frozenset(E) whatever iterable E is.
         """
         root = self.vertex(v)
         E = self.at(v, E)
         if not E:
             return root
-        table = self._move_table  # read first: most moves are memo hits
+        if root in E:
+            return None  # dead from the start
+        table, edges, out, paths = self._move_table, self._edges, self._out, self._paths
         start = (v, frozenset(E))
         parent = {start: None}  # state -> (previous state, edge id)
         queue = collections.deque([start])
         while queue:
             state = queue.popleft()
             w, S = state
-            if any(p.is_vertex() for p in S):
-                continue  # dead: the vertex meets everything
             for c in range(1, self.k + 1):
-                eids = self._out[(w, c)]
+                eids = out[(w, c)]
                 if not eids:
                     continue
-                # a memoised empty table {} is a hit: the miss test is `is None`
-                moves = [self._moves(mu, c) if (t := table.get((mu, c))) is None else t
-                         for mu in S]
+                succ = {}  # edge id a -> Ext(a; S), where that is not empty
+                for mu in S:
+                    # a memoised empty table {} is a hit: the miss test is `is None`
+                    moves = table.get((mu, c))
+                    if moves is None:
+                        moves = self._moves(mu, c)
+                    for a, rhos in moves.items():
+                        succ[a] = succ[a] | rhos if a in succ else rhos
                 for eid in eids:
-                    nxt = (self._edges[eid].source,
-                           frozenset().union(*[m.get(eid, ()) for m in moves]))
+                    u, rhos = edges[eid].source, succ.get(eid, ())
+                    nxt = (u, rhos)
                     if nxt not in parent:
                         parent[nxt] = (state, eid)
-                        if not nxt[1]:  # a witness: walk the parent pointers back
+                        if not rhos:  # a witness: walk the parent pointers back
                             word = []
                             while parent[nxt] is not None:
                                 nxt, eid = parent[nxt]
                                 word.append(eid)
                             return self.path(word[::-1])
-                        queue.append(nxt)
+                        if paths.get((u, ())) not in rhos:  # no vertex obligation
+                            queue.append(nxt)
         return None
 
     def _moves(self, mu, c):
         """The move table of (mu, c): a dict from each colour-c edge a at
         r(mu) with Ext(a; {mu}) non-empty to that frozenset of paths rho.
-        Memoized per graph in _move_table, which the one caller,
-        exhaustiveness_witness, reads first: this runs on a miss only.
+        It is the one source of Ext: ext walks a path's edges through these
+        tables, minimal_common_extensions reads them through ext, and
+        exhaustiveness_witness folds them into its successor tables.
+        Memoized per graph in _move_table, which ext and the search read
+        first: this runs on a miss only.
 
         As d(a) = e_c, the common extensions a*rho = mu*tau have degree
         d(mu) when mu has a colour-c edge and d(mu) + e_c when it has none.

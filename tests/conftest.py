@@ -506,7 +506,7 @@ def reduce_oracle(ring, weighted_words):
                 rewritten = True
                 break
             if isinstance(a, GhostSym) and isinstance(b, PathSym):
-                pairs = g.minimal_common_extensions(a.path, b.path)
+                pairs = mce_pairs_oracle(g, a.path, b.path)
                 for rho, tau in pairs:
                     expansion = []
                     if not rho.is_vertex():
@@ -585,6 +585,13 @@ def mce_oracle(g, lam, mu):
     return frozenset(extensions(lam) & extensions(mu))
 
 
+def mce_pairs_oracle(g, lam, mu):
+    """The pairs (rho, tau) with lam*rho = mu*tau = p for each p that
+    mce_oracle finds, each tail read off by _tail: what
+    minimal_common_extensions returns, with no move table or walk."""
+    return frozenset((_tail(g, p, lam), _tail(g, p, mu)) for p in mce_oracle(g, lam, mu))
+
+
 def exhaustive_oracle(g, v, paths):
     """Definition of exhaustive: every path from v has a common extension
     with some member.  Returns the first path that has none, or None.
@@ -600,12 +607,13 @@ def exhaustive_oracle_bool(g, v, paths):
 
 
 def witness_oracle(g, v, E):
-    """The exhaustiveness search before move tables: a breadth-first search
-    over (vertex, obligation set) states whose successor along each edge a,
-    in out_edges order, is Ext(a; S) from g.ext, one minimal-common-extension
-    query per (edge, obligation).  Returns the lexicographically first of
-    the shortest witnesses, or None.  Unlike exhaustive_oracle it is exact
-    on cyclic graphs too."""
+    """The exhaustiveness search without move tables: a breadth-first
+    search over (vertex, obligation set) states whose successor along each
+    edge a, in out_edges order, is Ext(a; S), the tails past a of the
+    minimal common extensions that mce_oracle finds for a and each
+    obligation.  Returns the lexicographically first of the shortest
+    witnesses, or None.  Unlike exhaustive_oracle it is exact on cyclic
+    graphs too."""
     start = (v, frozenset(E))
     parent = {start: None}  # state -> (previous state, edge id)
     queue = collections.deque([start])
@@ -622,7 +630,7 @@ def witness_oracle(g, v, E):
             continue
         for eid in g.out_edges(w):
             a = g.path([eid])
-            nxt = (a.source, g.ext(a, S))
+            nxt = (a.source, frozenset(rho for mu in S for rho, _ in mce_pairs_oracle(g, a, mu)))
             if nxt not in parent:
                 parent[nxt] = (state, eid)
                 queue.append(nxt)
@@ -727,7 +735,7 @@ def pi_closure(g, E):
         ]
         for lam, mu in matched:
             for rho, tau in matched:
-                for alpha, beta in g.minimal_common_extensions(mu, rho):
+                for alpha, beta in mce_pairs_oracle(g, mu, rho):
                     for new in (g.compose(lam, alpha), g.compose(tau, beta)):
                         if new not in F:
                             F.add(new)

@@ -199,23 +199,68 @@ MUTANTS = (
         "        out = self._mce.get(key)\n",
         (TEST_KGRAPH + "test_mce_both_orders_against_oracle",)),
     Mutant(
+        # the move tables feed ext, MCE and the search, so the oracle gates
+        # of all three see it
         "_moves keeps only the last cut per edge", KGRAPH,
         "            out[a] = out[a] | {rho} if a in out else frozenset((rho,))\n",
         "            out[a] = frozenset((rho,))\n",
         (TEST_KGRAPH + "test_move_table_matches_oracle",
+         TEST_KGRAPH + "test_ext_against_oracle",
          TEST_KGRAPH + "test_witness_matches_search_by_ext")),
     Mutant(
         "_moves skips the sort for j == 1", KGRAPH,
         "            if j:  # move w[j] to the front\n",
         "            if j > 1:  # move w[j] to the front\n",
-        (TEST_KGRAPH + "test_exhaustive_against_oracle",
+        (TEST_KGRAPH + "test_mce_both_orders_against_oracle",
+         TEST_KGRAPH + "test_exhaustive_against_oracle",
          TEST_KGRAPH + "test_exhaustive_cyclic")),
     Mutant(
         "the goal test reads the state it expands", KGRAPH,
-        "                        if not nxt[1]:  # a witness: walk the parent pointers back\n",
+        "                        if not rhos:  # a witness: walk the parent pointers back\n",
         "                        if not S:  # a witness: walk the parent pointers back\n",
         (TEST_KGRAPH + "test_exhaustive_frozen_lambda2",
          TEST_KGRAPH + "test_exhaustive_against_oracle")),
+    Mutant(
+        "the walk keeps one obligation per step", KGRAPH,
+        "                    nxt = nxt | rhos if nxt else rhos\n",
+        "                    nxt = rhos\n",
+        (TEST_KGRAPH + "test_ext_against_oracle",
+         TEST_KGRAPH + "test_mce_both_orders_against_oracle")),
+    Mutant(
+        "the walk stops one edge early", KGRAPH,
+        "        for eid in lam.edges:\n"
+        "            if not S:\n",
+        "        for eid in lam.edges[:-1]:\n"
+        "            if not S:\n",
+        (TEST_KGRAPH + "test_ext_against_oracle",
+         TEST_KGRAPH + "test_mce_lambda2_frozen")),
+    Mutant(
+        # a lone obligation ends the walk, which hands it back unmoved
+        "the walk stops at a single obligation", KGRAPH,
+        "            if not S:\n"
+        "                break\n",
+        "            if len(S) < 2:\n"
+        "                break\n",
+        (TEST_KGRAPH + "test_ext_against_oracle",
+         TEST_KGRAPH + "test_mce_both_orders_against_oracle")),
+    Mutant(
+        "MCE splits at the walked path's degree", KGRAPH,
+        "        v, word, m = lam.range, lam.edges, mu.degree\n",
+        "        v, word, m = lam.range, lam.edges, lam.degree\n",
+        (TEST_KGRAPH + "test_mce_lambda2_frozen",
+         TEST_KGRAPH + "test_mce_both_orders_against_oracle")),
+    Mutant(
+        "the successor table keeps the last move dict per edge", KGRAPH,
+        "                        succ[a] = succ[a] | rhos if a in succ else rhos\n",
+        "                        succ[a] = rhos\n",
+        (TEST_KGRAPH + "test_witness_matches_search_by_ext",
+         TEST_KGRAPH + "test_exhaustive_against_oracle")),
+    Mutant(
+        "the search queues the dead successors and drops the live", KGRAPH,
+        "                        if paths.get((u, ())) not in rhos:  # no vertex obligation\n",
+        "                        if paths.get((u, ())) in rhos:  # no vertex obligation\n",
+        (TEST_KGRAPH + "test_exhaustive_cyclic",
+         TEST_KGRAPH + "test_witness_matches_search_by_ext")),
     Mutant(
         "the empty-E return dropped", KGRAPH,
         "        if not E:\n"

@@ -30,12 +30,14 @@ from conftest import (
     exhaustive_oracle_bool,
     RANDOM_PRODUCT_SEEDS,
     mce_oracle,
+    mce_pairs_oracle,
     paths_oracle,
     product_graph,
     random_acyclic_product,
     random_one_graph,
     reach_oracle,
     two_squares_graph,
+    within,
     witness_oracle,
 )
 
@@ -944,6 +946,23 @@ def test_mce_against_oracle(acyclic_graph):
                     assert g.compose(lam, rho) == g.compose(mu, tau)
 
 
+# rank-2 products of seeded random 1-graphs with cycles (even seeds), the
+# shape of the cyclic-queries benchmark graphs
+PRODUCT_GRAPHS = {
+    f"product{seed}": lambda seed=seed: product_graph(random_one_graph(seed),
+                                                      random_one_graph(seed + 100))
+    for seed in range(2, 12, 2)
+}
+# the graphs the walk through the move tables is gated on: the oracle graphs,
+# the cyclic products, and the acyclic products with squares
+WALK_GRAPHS = {
+    **ORACLE_GRAPHS,
+    **PRODUCT_GRAPHS,
+    **{f"acyclic_product{seed}": (lambda seed=seed: random_acyclic_product(seed))
+       for seed in RANDOM_PRODUCT_SEEDS},
+}
+
+
 def _oracle_pool(g, box):
     """Every path of an acyclic graph, or those of degree <= box in a
     cyclic one."""
@@ -952,13 +971,14 @@ def _oracle_pool(g, box):
     return [p for v in g.vertices for p in g.paths_upto(v, box[:g.k])]
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+@pytest.mark.parametrize("name", sorted(WALK_GRAPHS))
 def test_mce_both_orders_against_oracle(name):
-    # Each pair in both argument orders: where the lengths differ, one
-    # order extends lam and the other extends mu, so both sides of the
-    # shorter-gap rule run against the oracle.
-    g = ORACLE_GRAPHS[name]()
-    pool = _oracle_pool(g, (2, 2, 1))
+    # Each pair in both argument orders: the walk runs along the first path
+    # with the second as its obligation, so each path of a pair is walked
+    # once, against the oracle, and each order must give the other's pairs
+    # swapped.
+    g = WALK_GRAPHS[name]()
+    pool = _oracle_pool(g, (1, 1) if name in PRODUCT_GRAPHS else (2, 2, 1))
     both_sides = 0
     for lam in pool:
         for mu in pool:
@@ -971,6 +991,41 @@ def test_mce_both_orders_against_oracle(name):
                 assert ext == g.compose(mu, tau) and ext.degree == d
             both_sides += bool(pairs) and len(lam.edges) != len(mu.edges)
     assert both_sides or not g.edge_ids()
+
+
+@pytest.mark.parametrize("name", sorted(WALK_GRAPHS))
+def test_ext_against_oracle(name):
+    # ext walks lam's edges through the move tables: for lam of two or more
+    # edges and E of one to three paths at r(lam), on cyclic graphs too, it
+    # gives the tails past lam of the common extensions mce_oracle finds;
+    # and the walk obeys Ext(lam*mu; E) = Ext(mu; Ext(lam; E)) for every mu
+    # at s(lam)
+    g = WALK_GRAPHS[name]()
+    pool = _oracle_pool(g, (2, 2, 1))
+    at = collections.defaultdict(list)
+    for p in pool:
+        at[p.range].append(p)
+    rng = random.Random(name)
+    walks = [lam for lam in pool if len(lam.edges) >= 2]
+    for lam in rng.sample(walks, min(len(walks), 40)):
+        for size in (1, 2, 3):
+            E = rng.sample(at[lam.range], min(size, len(at[lam.range])))
+            got = g.ext(lam, E)
+            assert got == {rho for mu in E for rho, _ in mce_pairs_oracle(g, lam, mu)}, (lam, E)
+            for mu in at[lam.source]:
+                assert g.ext(g.compose(lam, mu), E) == g.ext(mu, got), (lam, mu, E)
+    assert walks or not g.edge_ids()
+
+
+def test_mce_on_a_branching_graph_does_not_list_the_gap():
+    # commuting_loops(4) has four colour-2 loops, so the paths of degree
+    # (0, 10) number 4^10: a search through them takes some 30 s, and the
+    # walk along e^10 with f1^10 as its obligation takes ten steps
+    g = presets.commuting_loops(4)
+    e10, f10 = g.path(["e"] * 10), g.path(["f1"] * 10)
+    with within(5, "minimal_common_extensions(e^10, f1^10)"):
+        assert g.minimal_common_extensions(e10, f10) == {(f10, e10)}
+        assert g.minimal_common_extensions(f10, e10) == {(e10, f10)}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
@@ -1187,19 +1242,11 @@ def test_path_repr_shortens_a_label_past_32_characters():
     assert g.path(["e"] * 17).label() == ".".join("e" * 17)  # the label stays whole
 
 
-# rank-2 products of seeded random 1-graphs with cycles (even seeds), the
-# shape of the cyclic-queries benchmark graphs
-PRODUCT_GRAPHS = {
-    f"product{seed}": lambda seed=seed: product_graph(random_one_graph(seed),
-                                                      random_one_graph(seed + 100))
-    for seed in range(2, 12, 2)
-}
-
-
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS) + sorted(PRODUCT_GRAPHS))
 def test_witness_matches_search_by_ext(name):
-    # the move-table search against the search by ext, on cyclic graphs
-    # too, where exhaustive_oracle is not exact: the same witness, or None
+    # the move-table search against a search that takes each Ext(a; S)
+    # from mce_oracle, on cyclic graphs too, where exhaustive_oracle is not
+    # exact: the same witness, or None
     g = {**ORACLE_GRAPHS, **PRODUCT_GRAPHS}[name]()
     cases = [(v, combo) for v in g.vertices for size in range(4)
              for combo in itertools.combinations(g.paths_upto(v, (1,) * g.k), size)]
