@@ -1,11 +1,11 @@
 """Exact arithmetic in the Kumjian-Pask algebra of a finite rank-k graph.
 
 Elements are kept in span form: finite R-linear combinations of products
-s_lam * s_mu^* indexed by path pairs with a common source.  One product
-rule, s_mu^* s_nu = sum of s_alpha s_beta^* over the minimal common
-extensions (alpha, beta) of mu and nu, multiplies span forms
-(:func:`multiply`); a word in the generators is multiplied out factor by
-factor with that same rule (:func:`reduce`).
+s_lam * s_mu^* indexed by path pairs with a common source.  One kernel
+writes the product rule, s_mu^* s_nu = sum of s_alpha s_beta^* over the
+minimal common extensions (alpha, beta) of mu and nu: :func:`multiply`
+calls it once, and :func:`reduce` folds each generator word through it
+over a plain term dict, one step per factor.
 """
 
 from dataclasses import dataclass
@@ -52,8 +52,8 @@ class SpanForm:
         self._add(((key, self.ring.value(coeff)),))
 
     def _add(self, pairs):
-        """The one accumulator: add each (key, ring value) pair, drop the zero
-        terms and return self.  Unlike _add_term it checks nothing."""
+        """The accumulator of sums: add each (key, ring value) pair, drop the
+        zero terms and return self.  Unlike _add_term it checks nothing."""
         terms, zero = self._terms, self.ring.zero
         for key, coeff in pairs:
             cur = terms.get(key)
@@ -87,7 +87,9 @@ class SpanForm:
         return SpanForm(self.ring)._add((k, -c) for k, c in self._terms.items())
 
     def __sub__(self, other):
-        return self + (-other)
+        _same_ring(self, other, "minus")
+        return SpanForm(self.ring)._add(self._terms.items())._add(
+            (k, -c) for k, c in other._terms.items())
 
     def scale(self, coeff):
         coeff = self.ring.value(coeff)
@@ -107,13 +109,6 @@ class SpanForm:
             f"{text(c)}*s({l.label()})g({m.label()})" for (l, m), c in self.items()
         ]
         return "SpanForm(" + " + ".join(bits) + ")"
-
-    def index_paths(self):
-        out = set()
-        for lam, mu in self._terms:
-            out.add(lam)
-            out.add(mu)
-        return out
 
     def graph(self):
         for lam, _ in self._terms:
@@ -144,27 +139,27 @@ def reduce(ring, weighted_words):
 
     Each word is a non-empty list of PathSym/GhostSym factors.  A factor is
     the one-term span form s_lam = s_lam s_s(lam)^* or s_mu^* = s_s(mu) s_mu^*,
-    and a word is the left-to-right product of its factors under the one
-    product rule of :func:`multiply`.
+    and a word is folded left to right over a term dict, one step of the
+    product kernel of :func:`multiply` per factor.
     """
-    out = SpanForm(ring)
+    out, one, zero = SpanForm(ring), ring.one, ring.zero
     for coeff, word in weighted_words:
-        if coeff == ring.zero:
+        if coeff == zero:
             continue
         if not word:
             raise NotComposable("empty generator word")
-        product = None
+        terms = None
         for f in word:
             p = f.path
             v = p.graph.vertex(p.source)
-            key = (p, v) if isinstance(f, PathSym) else (v, p)
-            if product is None:
-                product = SpanForm(ring, {key: coeff})  # the caller's value
+            rho, tau = (p, v) if isinstance(f, PathSym) else (v, p)
+            if terms is None:
+                terms = SpanForm(ring, {(rho, tau): coeff})._terms  # the caller's value
             else:
-                product = multiply(product, SpanForm(ring)._add([(key, ring.one)]))
-            if not product._terms:
+                terms = _products(terms, {rho.range: ((rho, tau, one),)}, {}, zero)
+            if not terms:
                 break
-        out._add(product._terms.items())
+        out._add(terms.items())
     return out
 
 
@@ -175,11 +170,19 @@ def multiply(a, b):
     by_range = {}
     for (rho, tau), s in b._terms.items():
         by_range.setdefault(rho.range, []).append((rho, tau, s))
-    products = []
-    for (lam, mu), r in a._terms.items():
+    out = SpanForm(a.ring)
+    _products(a._terms, by_range, out._terms, a.ring.zero)
+    return out
+
+
+def _products(terms, by_range, out, zero):
+    """The product rule, written once: add r*s * (lam m, tau n) to the term dict out for
+    each term r * (lam, mu), each (rho, tau, s) in by_range[r(mu)] and each minimal
+    common extension mu m = rho n, dropping a term whose sum is zero; return out."""
+    for (lam, mu), r in terms.items():
         g = lam.graph
-        # the graph's memos read inline, calling in only on a miss; a memoised
-        # empty frozenset is a hit, so the miss test is `is None`
+        # the graph's memos read inline, calling in only on a miss: a memoised
+        # empty MCE set is a hit (`is None`), and a memoised path is never false
         mce, composed = g._mce, g._composed
         for rho, tau, s in by_range.get(mu.range, ()):
             exts = mce.get((mu, rho))
@@ -187,15 +190,16 @@ def multiply(a, b):
                 exts = g.minimal_common_extensions(mu, rho)
             for m1, r1 in exts:
                 # lam.m1 and tau.r1 both end at s(m1) = s(r1)
-                left = composed.get((lam, m1))
-                if left is None:
-                    left = g.compose(lam, m1)
-                right = composed.get((tau, r1))
-                if right is None:
-                    right = g.compose(tau, r1)
-                products.append(((left, right), r * s))
-    # a list: cheaper than a generator on one-term products, dearer in memory
-    return SpanForm(a.ring)._add(products)
+                left = composed.get((lam, m1)) or g.compose(lam, m1)
+                right = composed.get((tau, r1)) or g.compose(tau, r1)
+                key, rs = (left, right), r * s
+                cur = out.get(key)
+                new = rs if cur is None else cur + rs
+                if new == zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = new
+    return out
 
 
 def grade(a):
@@ -209,12 +213,12 @@ def grade(a):
 
 
 def kp4_defect(ring, g, v, E):
-    """The element prod_{lam in E} (s_v - s_lam s_lam^*); zero iff E is
-    exhaustive at v (over any ring with 1 != 0)."""
-    E = g.at(v, E)
+    """The element prod_{lam in E} (s_v - s_lam s_lam^*); zero iff E is exhaustive
+    at v (over any ring with 1 != 0).  A step is acc - acc s_lam s_lam^*: acc s_v
+    = acc, as each term s_nu s_mu^* of acc has r(mu) = v."""
     acc = vertex_unit(ring, g, v)
-    for lam in sorted(E, key=lambda p: p.sort_key()):
-        acc = multiply(acc, vertex_unit(ring, g, v) - generator(ring, lam, lam))
+    for lam in sorted(g.at(v, E), key=lambda p: p.sort_key()):
+        acc = acc - multiply(acc, generator(ring, lam, lam))
     return acc
 
 

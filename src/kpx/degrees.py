@@ -6,6 +6,7 @@ eventually-periodic infinite paths.
 """
 
 import math
+import operator
 
 from .errors import DegreeOutOfRange
 
@@ -27,17 +28,17 @@ def sub(m, n):
     """Componentwise difference m - n; requires n <= m."""
     if not le(n, m):
         raise DegreeOutOfRange(f"cannot subtract {n} from {m}")
-    return tuple(a - b for a, b in zip(m, n))
+    return tuple(map(operator.sub, m, n))
 
 
 def diff(m, n):
     """Componentwise difference allowing negative entries (a Z^k element)."""
-    return tuple(a - b for a, b in zip(m, n))
+    return tuple(map(operator.sub, m, n))
 
 
 def le(m, n):
-    return all(a <= b for a, b in zip(m, n))
+    return all(map(operator.le, m, n))
 
 
 def join(m, n):
-    return tuple(max(a, b) for a, b in zip(m, n))
+    return tuple(map(max, m, n))

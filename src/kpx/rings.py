@@ -197,12 +197,14 @@ def integer(literal):
 
 
 def text(c):
-    """Every digit of a ring value: str() refuses an int past the process's
-    digit limit, Decimal() converts any int exactly."""
-    if not isinstance(c, (int, Fraction)):
+    """Every digit of a ring value: str() writes an int up to the process's
+    digit limit and refuses one past it, which Decimal() converts exactly."""
+    if isinstance(c, Fraction) and c.denominator != 1:
+        return f"{text(c.numerator)}/{text(c.denominator)}"
+    try:
         return str(c)
-    num = Decimal(c.numerator)
-    return str(num) if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
+    except ValueError:  # an int, or a whole Fraction, past the digit limit
+        return str(Decimal(int(c)))
 
 
 ZZ = IntegerRing()

@@ -281,6 +281,14 @@ def random_acyclic_product(seed):
 
 RANDOM_PRODUCT_SEEDS = range(6)
 
+# rank-2 products of seeded random 1-graphs with cycles (even seeds), the
+# shape of the cyclic-queries benchmark graphs
+PRODUCT_GRAPHS = {
+    f"product{seed}": lambda seed=seed: product_graph(random_one_graph(seed),
+                                                      random_one_graph(seed + 100))
+    for seed in range(2, 12, 2)
+}
+
 
 # two disjoint loops, and a chain that runs into a loop with a sink s off
 # its first vertex
@@ -778,7 +786,7 @@ def expand_core_in_theta(a):
     for (lam, mu) in a._terms:
         if lam.degree != mu.degree:
             raise ValueError(f"term ({lam!r}, {mu!r}) has non-zero degree")
-    pi = pi_closure(g, a.index_paths())
+    pi = pi_closure(g, {p for key in a._terms for p in key})
     coeffs = {}
     for (lam, mu), r in a._terms.items():
         extensions = [g.vertex(lam.source)] + sorted(

@@ -116,8 +116,8 @@ MUTANTS = (
          TEST_CLI + "test_malformed_document_says_what_is_wrong")),
     Mutant(
         "text writes an int with str", RINGS,
-        "    if not isinstance(c, (int, Fraction)):\n",
-        "    if not isinstance(c, Fraction):\n",
+        "        return str(Decimal(int(c)))\n",
+        "        raise\n",
         (TEST_CLI + "test_reprs_print_coefficients_past_the_digit_limit",
          TEST_CLI + "test_eval_prints_coefficients_past_the_digit_limit")),
     Mutant(
@@ -377,6 +377,37 @@ MUTANTS = (
         "            exts = mce.get((rho, mu))\n",
         (TEST_ALGEBRA + "test_multiply_answers_from_the_graph_memos",
          TEST_ALGEBRA + "test_multiply_matches_oracle")),
+    Mutant(
+        "the product kernel keeps a term whose sum is zero", ALGEBRA,
+        "                if new == zero:\n"
+        "                    out.pop(key, None)\n"
+        "                else:\n"
+        "                    out[key] = new\n",
+        "                out[key] = new\n",
+        (TEST_ALGEBRA + "test_zero_divisors_leave_no_terms",
+         TEST_ALGEBRA + "test_multiply_matches_oracle")),
+    Mutant(
+        "the product kernel drops the right coefficient", ALGEBRA,
+        "                key, rs = (left, right), r * s\n",
+        "                key, rs = (left, right), r\n",
+        (TEST_ALGEBRA + "test_multiply_matches_oracle",)),
+    Mutant(
+        "reduce takes a word's coefficient unchecked", ALGEBRA,
+        "                terms = SpanForm(ring, {(rho, tau): coeff})._terms  # the caller's value\n",
+        "                terms = {(rho, tau): coeff}\n",
+        (TEST_ALGEBRA + "test_reduce_checks_each_word_coefficient",
+         TEST_ALGEBRA + "test_derived_operations_check_nothing")),
+    Mutant(
+        "degrees.le is strict", "kpx/degrees.py",
+        "    return all(map(operator.le, m, n))\n",
+        "    return all(map(operator.lt, m, n))\n",
+        ("tests/test_rings.py::test_degree_helpers_match_their_definitions",)),
+    Mutant(
+        "func_from_terms keeps the new coefficient of an overlap", GROUPOID,
+        "                entries += [(s + coeff, piece) for piece in inter]\n",
+        "                entries += [(coeff, piece) for piece in inter]\n",
+        (TEST_GROUPOID + "test_func_from_terms_accumulates",
+         TEST_GROUPOID + "test_func_semantics")),
     Mutant(
         # the same answer, since nested members add nothing to the union of
         # cylinders, but a search over larger obligation sets

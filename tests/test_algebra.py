@@ -1,6 +1,7 @@
 """Span forms: generator words, multiplication, grading, matrix units, zero tests."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,7 @@ from kpx.rings import QQ, ZZ, IntegersMod, ModInt
 
 from conftest import (
     ORACLE_GRAPHS,
+    PRODUCT_GRAPHS,
     RANDOM_ACYCLIC_SEEDS,
     RANDOM_PRODUCT_SEEDS,
     core_is_zero,
@@ -191,7 +193,7 @@ def products_match_oracles(ring, graphs, family):
     seeded graphs; the number of non-zero products."""
     nonzero = 0
     for seed, g in graphs:
-        pool = g.all_paths()
+        pool = oracle_pool(g)
         rng = random.Random(f"{family} {seed} {ring}")
         for _ in range(8):
             words = random_words(g, ring, rng, pool)
@@ -216,6 +218,15 @@ def test_products_match_oracles_on_random_products(ring):
     graphs = [(seed, random_acyclic_product(seed)) for seed in RANDOM_PRODUCT_SEEDS]
     assert all(g.squares and g.is_acyclic() for _, g in graphs)
     assert products_match_oracles(ring, graphs, "product graphs") >= 3 * len(graphs)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+def test_products_match_oracles_on_cyclic_products(ring):
+    # the cyclic products of 1-graphs, the shape of the cyclic benchmark
+    # graphs, on their paths up to degree (3, 1)
+    graphs = [(name, build()) for name, build in sorted(PRODUCT_GRAPHS.items())]
+    assert not any(g.is_acyclic() for _, g in graphs)
+    assert products_match_oracles(ring, graphs, "cyclic products") >= 2 * len(graphs)
 
 
 def test_multiply_answers_from_the_graph_memos(lambda2, monkeypatch):
@@ -305,6 +316,20 @@ def test_derived_operations_check_nothing(lambda2, ring, monkeypatch):
     reduce(ring, [(ring.one, [PathSym(e1), PathSym(f1), GhostSym(f1)]),
                   (ring.from_int(2), [GhostSym(e1), PathSym(e1), GhostSym(e1)])])
     assert len(checked) == 2
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, IntegersMod(6)], ids=["QQ", "ZZ", "Z6"])
+def test_reduce_checks_each_word_coefficient(lambda2, ring):
+    # a word's coefficient comes from the caller, so the ring checks it as
+    # SpanForm does, for a word of one factor and of several
+    e1, ef, v2 = P(lambda2, "e1"), P(lambda2, "e1.f1"), lambda2.vertex("v2")
+    for word, key in (([PathSym(e1)], (e1, v2)),
+                      ([PathSym(e1), PathSym(P(lambda2, "f1"))], (ef, lambda2.vertex("v4")))):
+        got = reduce(ring, [(7, word)])._terms
+        assert got == {key: ring.value(7)} and type(got[key]) is type(ring.one)
+        for bad in (1.5, True, Fraction(1, 2) if ring is not QQ else 1.0):
+            with pytest.raises(errors.CoefficientNotInRing):
+                reduce(ring, [(bad, word)])
 
 
 def test_reduce_vertex_then_deep_path():

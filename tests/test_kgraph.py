@@ -21,6 +21,7 @@ from kpx.kgraph import Edge, KGraph, KGraphSpec, Path, Square, omega_graph
 from conftest import (
     CYCLE_GRAPHS,
     ORACLE_GRAPHS,
+    PRODUCT_GRAPHS,
     _tail,
     below,
     compose_oracle,
@@ -946,13 +947,6 @@ def test_mce_against_oracle(acyclic_graph):
                     assert g.compose(lam, rho) == g.compose(mu, tau)
 
 
-# rank-2 products of seeded random 1-graphs with cycles (even seeds), the
-# shape of the cyclic-queries benchmark graphs
-PRODUCT_GRAPHS = {
-    f"product{seed}": lambda seed=seed: product_graph(random_one_graph(seed),
-                                                      random_one_graph(seed + 100))
-    for seed in range(2, 12, 2)
-}
 # the graphs the walk through the move tables is gated on: the oracle graphs,
 # the cyclic products, and the acyclic products with squares
 WALK_GRAPHS = {

@@ -1,6 +1,10 @@
 """Coefficient rings and the element/cell text grammar."""
 
+import itertools
+import math
 import operator
+import re
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -135,6 +139,42 @@ def test_degree_arithmetic_refuses_what_it_cannot_form():
         degrees.sub((1, 1), (0, 2))
 
 
+def test_degree_helpers_match_their_definitions():
+    # componentwise, over every pair of degrees of ranks 1 to 3 with entries
+    # in {0, 1, 3, inf}: diff may go negative, sub refuses unless n <= m, le
+    # holds iff it holds at each entry, join takes each entry's maximum; inf
+    # - inf is nan, which equals nothing, so entries compare by their text
+    for k in (1, 2, 3):
+        pool = list(itertools.product((0, 1, 3, math.inf), repeat=k))
+        for m, n in itertools.product(pool, repeat=2):
+            below = all(m[i] <= n[i] for i in range(k))
+            assert degrees.le(m, n) is below
+            assert str(degrees.diff(m, n)) == str(tuple(m[i] - n[i] for i in range(k)))
+            assert degrees.join(m, n) == tuple(max(m[i], n[i]) for i in range(k))
+            if all(n[i] <= m[i] for i in range(k)):
+                assert str(degrees.sub(m, n)) == str(tuple(m[i] - n[i] for i in range(k)))
+            else:
+                with pytest.raises(errors.DegreeOutOfRange):
+                    degrees.sub(m, n)
+    assert degrees.diff((1, 0, 2), (3, 0, 1)) == (-2, 0, 1)
+    assert degrees.le((1, 2), (1, 2)) and not degrees.le((1, 3), (2, 2))
+
+
+def test_text_writes_every_digit_at_below_and_past_the_limit():
+    # str() writes an int up to the digit limit and Decimal one past it: the
+    # same digits either way, with a sign, and for each part of a Fraction
+    limit = sys.get_int_max_str_digits() or 4300
+    for d in (limit - 1, limit, limit + 1):
+        nines, power = 10**d - 1, 10**d
+        assert rings.text(nines) == "9" * d and rings.text(-nines) == "-" + "9" * d
+        assert rings.text(-power) == "-1" + "0" * d and rings.text(power + 7) == "1" + "0" * (d - 1) + "7"
+        assert rings.text(Fraction(-nines, power + 1)) == f"-{'9' * d}/1{'0' * (d - 1)}1"
+        assert rings.text(Fraction(1, nines)) == f"1/{'9' * d}"
+        assert rings.text(Fraction(power)) == "1" + "0" * d
+    assert [rings.text(c) for c in (0, -1, Fraction(1, 1), Fraction(4, -6), ModInt(6, 7))] == [
+        "0", "-1", "1", "-2/3", "1"]
+
+
 def test_is_prime_matches_trial_division():
     # the reference is a sieve of Eratosthenes: each composite is crossed out
     # by trial division's smallest witness, a prime p <= isqrt(n)
@@ -212,9 +252,12 @@ def test_forms_over_two_rings_do_not_combine(lambda2):
     # values of neither, such as 3/2 in a form over Z
     z, q = parse_element(lambda2, ZZ, "s(v1)"), parse_element(lambda2, QQ, "1/2*s(v1)")
     z6 = parse_element(lambda2, IntegersMod(6), "s(v1)")
+    # each refusal names its operation: equals refuses as a - b does
+    words = ((operator.add, "plus"), (operator.sub, "minus"), (multiply, "times"), (equals, "minus"))
     for a, b in ((z, q), (q, z), (q, z6), (z6, q), (z, z6)):
-        for combine in (operator.add, operator.sub, multiply, equals):
-            with pytest.raises(errors.CoefficientNotInRing, match=r"^a form over "):
+        for combine, word in words:
+            message = f"^a form over {re.escape(str(a.ring))} {word} one over {re.escape(str(b.ring))}$"
+            with pytest.raises(errors.CoefficientNotInRing, match=message):
                 combine(a, b)
     assert z != parse_element(lambda2, QQ, "s(v1)")
     # two parses of one ring are one ring, so their forms combine and compare
