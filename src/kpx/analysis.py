@@ -1,13 +1,13 @@
 """Structural analysis: aperiodicity, cofinality, and simplicity verdicts.
 
-Verdicts are three-valued; on acyclic graphs every question below is
-decided exactly, while on cyclic graphs the procedures are sound searches
-that may return "unknown".
+Cofinality is decided exactly on every finite graph.  Aperiodicity is
+decided exactly on acyclic graphs; on cyclic graphs its search may return
+"unknown", the one source of an unknown verdict.
 """
 
 from dataclasses import dataclass, fields
 
-from . import boundary, groupoid, rings
+from . import groupoid, rings
 from .rings import QQ
 
 
@@ -23,10 +23,9 @@ class AperiodicityVerdict:
 
 @dataclass(frozen=True)
 class CofinalityVerdict:
-    status: str  # "cofinal" | "not_cofinal" | "unknown"
+    status: str  # "cofinal" | "not_cofinal"
     vertex: str | None = None
-    path: object | None = None  # a boundary path unreachable from vertex
-    note: str = ""
+    within: tuple | None = None  # vertices that vertex misses, which a boundary path never leaves
 
 
 @dataclass(frozen=True)
@@ -77,13 +76,16 @@ def _lassos(g, done):
 def check_aperiodic(g):
     """Decide whether every vertex ranges an aperiodic boundary path.
 
-    Acyclic graphs are aperiodic outright.  On cyclic graphs, a vertex that
-    is not tangled carries a single boundary path, its staircase; if that
-    path closes a cycle, all of v's boundary is periodic and a kernel
-    witness in the style of the one-sided shift argument is produced from
-    the first lasso.  The tangled vertices, those that reach a vertex
-    receiving two edges of one colour, are one backward walk; those that
-    reach a cycle stay unresolved.
+    Acyclic graphs are aperiodic outright.  On cyclic graphs, the first
+    lasso of _lassos, the staircase of a vertex that is not tangled, gives
+    the periodic verdict (v, m, n), with a kernel witness in the style of
+    the one-sided shift argument.  Nothing checks that the lasso is a
+    boundary path, and an untangled vertex can carry other boundary paths
+    (the staircase may skip a colour that an exhaustive set forces, and off
+    local convexity v may receive two colours from two loops), so the
+    certificate is not proved to hold at v.  The tangled vertices, those
+    that reach a vertex receiving two edges of one colour, are one backward
+    walk; those that reach a cycle stay unresolved.
 
     On a cyclic graph the answer is never "aperiodic": say no vertex that
     reaches a cycle is tangled, take a cycle w_0 ... w_n = w_0 (g_i from
@@ -118,51 +120,50 @@ def check_aperiodic(g):
 
 
 def check_cofinal(g):
-    """Decide whether every vertex can reach every boundary path.
+    """Decide whether every vertex reaches every boundary path.
 
-    A boundary path x meets reachable(v) exactly when that set holds its
-    tail vertex x.head.source (the source of a finite x, a vertex on the
-    cycle of a lasso), since every vertex x visits reaches it.  On acyclic
-    graphs the tails are the sinks (vertices that receive no edge), and one
-    pass along peel_order records the sinks each vertex reaches; the
-    witness is the first vertex, in vertex order, that misses a sink, with
-    the first sink it misses (a boundary path that sorts before the longer
-    ones).  On cyclic graphs, strong connectivity certifies cofinality, in
-    two walks: the first vertex reaches every vertex and every vertex
-    reaches it.  Otherwise a lasso mu.alpha of _lassos is a witness when
-    some vertex misses reaching([alpha.range]).  If every vertex reaches
-    the first tail t, every vertex reaches each vertex of reachable(t), so
-    no lasso met from there is a witness, and reachable(t) joins done.  A
-    later lasso closes a cycle outside reachable(t), which t misses, so it
-    is a witness.  The search thus makes at most two reaching walks and one
-    reachable walk; failing a witness, unknown.
+    T*(H) is the least vertex set that holds H and each vertex at which the
+    edges from the set form a non-empty exhaustive set.  For H closed under
+    sources, every boundary path at v meets H iff v is in T*(H): boundary
+    paths meet every finite exhaustive set (Farthing-Muhly-Yeend 2005), and
+    v's boundary is compact (compare Lewin-Sims 2010).  Each reachable(w)
+    holds a terminal component, so the graph is cofinal iff it has exactly
+    one, C, and T*(C) is every vertex.  T*(C) is one worklist.  A vertex
+    all of whose edges come from the set joins at once, as in the peel, so
+    an acyclic graph runs no search.  Any other vertex that receives an
+    edge from a vertex that joins is queued, and searched by one
+    is_exhaustive call once no vertex joins at once; it is queued again
+    each time the source of an edge it receives joins.  Otherwise the
+    verdict names w in the first terminal component and the vertices, in
+    vertex order, of a second one or those outside T*(C): w reaches none,
+    and some boundary path never leaves them.
     """
-    if g.is_acyclic():
-        sinks = g.sinks()
-        reach = {w: 1 << i for i, w in enumerate(sinks)}  # vertex -> bit i per sinks[i] reached
-        for u in g.peel_order():  # after every vertex u reaches; a sink receives no edge
-            for eid in g.out_edges(u):
-                reach[u] = reach.get(u, 0) | reach[g.edge(eid).source]
-        for v in g.vertices:
-            if missed := ~reach[v] & (1 << len(sinks)) - 1:
-                w = sinks[(missed & -missed).bit_length() - 1]
-                return CofinalityVerdict(status="not_cofinal", vertex=v,
-                                         path=boundary.finite(g.vertex(w)))
-        return CofinalityVerdict(status="cofinal", note="every vertex reaches every sink")
-    v0 = g.vertices[0]
-    if len(g.reachable(v0)) == len(g.reaching([v0])) == len(g.vertices):
-        return CofinalityVerdict(status="cofinal", note="all-pairs reachability")
-    done = _tangled(g) | set(g.peel_order())
-    for _, mu, alpha in _lassos(g, done):
-        reaching = g.reaching([alpha.range])
-        for v in g.vertices:
-            if v not in reaching:
-                return CofinalityVerdict(status="not_cofinal", vertex=v,
-                                         path=boundary.lasso(mu, alpha))
-        done.update(g.reachable(alpha.range))
-    return CofinalityVerdict(
-        status="unknown", note="reachability incomplete and no witness found"
-    )
+    terminal = g.terminal_components()
+    if len(terminal) > 1:
+        return CofinalityVerdict(status="not_cofinal", vertex=terminal[0][0], within=terminal[1])
+    into, joined = g._source_index(), set(*terminal)  # empty for the graph with no vertex
+    waiting = dict(g._indegree)  # v -> the edges v receives whose source has not joined
+    todo, recheck = list(joined), {}  # joined vertices to pass on; vertices to search, in order
+    while todo or recheck:
+        if todo:
+            u = todo.pop()
+            for c in range(1, g.k + 1):
+                for eid in into[(u, c)]:
+                    v = g.edge(eid).range
+                    waiting[v] -= 1
+                    if v not in joined and waiting[v]:
+                        recheck[v] = None
+                    elif v not in joined:  # every edge v receives comes from the set
+                        joined.add(v)
+                        todo.append(v)
+        elif (v := recheck.popitem()[0]) not in joined and g.is_exhaustive(
+                v, [g.path([e]) for e in g.out_edges(v) if g.edge(e).source in joined]):
+            joined.add(v)
+            todo.append(v)
+    if len(joined) == len(g.vertices):
+        return CofinalityVerdict(status="cofinal")
+    return CofinalityVerdict(status="not_cofinal", vertex=terminal[0][0],
+                             within=tuple(v for v in g.vertices if v not in joined))
 
 
 # ----------------------------------------------------------------------

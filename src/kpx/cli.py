@@ -218,14 +218,11 @@ def cmd_analyze(g, args):
         )
     lines.append(f"cofinal: {rep.cofinality.status}")
     if rep.cofinality.status == "not_cofinal":
-        payload["cofinality_witness"] = {
-            "vertex": rep.cofinality.vertex,
-            "path": rep.cofinality.path.label(),
-        }
-        lines.append(
-            f"cofinality witness: vertex={rep.cofinality.vertex} "
-            f"path={rep.cofinality.path.label()}"
-        )
+        w, within = rep.cofinality.vertex, rep.cofinality.within
+        # a sink is a finite boundary path; another set is listed
+        key, value = ("within", list(within)) if g.out_edges(within[0]) else ("path", within[0])
+        payload["cofinality_witness"] = {"vertex": w, key: value}
+        lines.append(f"cofinality witness: vertex={w} {key}={' '.join(within)}")
     lines.append(f"ring: {ring.name} (field: {rep.ring_is_field})")
     lines.append(f"basically simple: {rep.basically_simple}")
     lines.append(f"simple: {rep.simple}")

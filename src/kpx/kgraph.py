@@ -261,6 +261,7 @@ class KGraph:
         self._composed = {}  # (lam, mu) -> compose(lam, mu), composable pairs only
         self._all_paths_cache = None
         self._peel = None  # see peel_order
+        self._terminal = None  # see terminal_components
         self._counts = {}  # vertex u -> [N(u, 1), ..., N(u, k)] (see count_paths_to)
         self._mce = {}  # (lam, mu) -> minimal_common_extensions(lam, mu)
         self._move_table = {}  # (mu, colour) -> _moves(mu, colour)
@@ -282,7 +283,7 @@ class KGraph:
     def _source_index(self):
         """(vertex, color) -> the sorted ids of the edges with that source,
         built on first use: only the walks from source to range (peel_order,
-        paths_to, count_paths_to, reaching) read it."""
+        paths_to, count_paths_to, reaching, check_cofinal) read it."""
         if self._in is None:
             self._in = self._index(by_source=True)
         return self._in
@@ -854,6 +855,48 @@ class KGraph:
                             order.append(r)
             self._peel = tuple(order)
         return self._peel
+
+    def terminal_components(self):
+        """The strongly connected components that reach no vertex outside
+        themselves, each in vertex order, listed by their first vertex (built
+        once): the sinks, and those that one iterative Tarjan pass, stepping
+        from range to source, cuts from what the peel leaves.  The peeled
+        vertices count as cut from the start, so an acyclic graph runs none."""
+        if self._terminal is None:
+            edges, out, n = self._edges, self._out, len(self.vertices)
+            place = {v: i for i, v in enumerate(self.vertices)}
+
+            def sources(v):
+                return [edges[eid].source for c in range(1, self.k + 1) for eid in out[(v, c)]]
+
+            def enter(u):
+                index[u] = low[u] = len(index)
+                work.append((u, iter(sources(u)), len(stack)))  # (vertex, sources left, stack place)
+                stack.append(u)
+
+            found = [(v,) for v in self.vertices if not self._indegree[v]]
+            index, low, stack, work = dict.fromkeys(self.peel_order(), n), {}, [], []  # n: cut
+            for root in self.vertices:
+                if root not in index:
+                    enter(root)
+                while work:
+                    v, todo, at = work[-1]
+                    for u in todo:
+                        if u not in index:
+                            enter(u)
+                            break
+                        low[v] = min(low[v], index[u])
+                    else:
+                        work.pop()
+                        if work:
+                            low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                        if low[v] == index[v]:
+                            cut, stack[at:] = stack[at:], []
+                            index.update(dict.fromkeys(cut, n))
+                            if set(cut).issuperset(u for w in cut for u in sources(w)):
+                                found.append(tuple(sorted(cut, key=place.get)))
+            self._terminal = tuple(sorted(found, key=lambda c: place[c[0]]))
+        return self._terminal
 
     def sinks(self):
         """The vertices that receive no edge (no edge has them as range),

@@ -18,7 +18,7 @@ import pytest
 from kpx import boundary as bnd
 from kpx import groupoid as gpd
 from kpx import presets
-from kpx.analysis import AperiodicityVerdict, CofinalityVerdict
+from kpx.analysis import AperiodicityVerdict
 from kpx.algebra import GhostSym, PathSym, SpanForm, generator, kp4_defect, multiply
 from kpx.errors import DegreeOutOfRange, NotAcyclic, NotComposable
 from kpx.degrees import diff, join, le, sub, zero
@@ -266,17 +266,23 @@ def random_two_graph(seed):
 RANDOM_ACYCLIC_SEEDS = [s for s in range(40) if random_two_graph(s).is_acyclic()]
 
 
-def random_acyclic_product(seed):
-    """A seeded acyclic 2-graph with squares: the product of two acyclic
-    random_one_graphs (odd seeds), each drawn again until it has an edge,
-    so that every pair of their edges spans a commuting square."""
+def random_acyclic_factors(seed):
+    """Two acyclic random_one_graphs (odd seeds), each drawn again until it
+    has an edge."""
     rng = random.Random(f"product {seed}")
     factors = []
     while len(factors) < 2:
         g = random_one_graph(2 * rng.randrange(100) + 1)
         if g.spec.edges:
             factors.append(g)
-    return product_graph(*factors)
+    return factors
+
+
+def random_acyclic_product(seed):
+    """A seeded acyclic 2-graph with squares: the product of the two
+    random_acyclic_factors, so that every pair of their edges spans a
+    commuting square."""
+    return product_graph(*random_acyclic_factors(seed))
 
 
 RANDOM_PRODUCT_SEEDS = range(6)
@@ -404,16 +410,13 @@ def reach_oracle(g):
     return after, cyclic
 
 
-def verdict_oracle(g):
-    """check_aperiodic and check_cofinal from reach_oracle and the raw edge
-    list.  A vertex is deterministic iff no vertex of {v} | after[v]
-    receives two edges of one colour; its staircase follows the first edge
-    by (colour, id) that each vertex receives.  A lasso is the staircase of
-    a deterministic vertex that reaches a cycle, when it closes one; the
-    first lasso in vertex order makes the graph periodic.  Cofinal means
-    every vertex reaches every vertex (cyclic) or every sink (acyclic);
-    otherwise the witness is the first vertex that misses a sink (acyclic)
-    or the tail of a lasso, tried in vertex order (cyclic)."""
+def aperiodicity_oracle(g):
+    """check_aperiodic from reach_oracle and the raw edge list.  A vertex
+    is deterministic iff no vertex of {v} | after[v] receives two edges of
+    one colour; its staircase follows the first edge by (colour, id) that
+    each vertex receives.  A lasso is the staircase of a deterministic
+    vertex that reaches a cycle, when it closes one; the first lasso in
+    vertex order makes the graph periodic."""
     after, cyclic = reach_oracle(g)
     reach = {v: after[v] | {v} for v in g.vertices}
     edges = sorted(g.spec.edges, key=lambda e: (e.color, e.id))
@@ -439,37 +442,114 @@ def verdict_oracle(g):
         if v in cyclic and not reach[v] & branching and (found := lasso(v)):
             lassos.append((v, found))
     if not cyclic:
-        aper = AperiodicityVerdict(status="aperiodic", note="acyclic graph")
-    elif lassos:
+        return AperiodicityVerdict(status="aperiodic", note="acyclic graph")
+    if lassos:
         v, (mu, alpha) = lassos[0]
         nu = g.compose(mu, alpha)
-        aper = AperiodicityVerdict(status="periodic", vertex=v, m=mu.degree, n=nu.degree,
+        return AperiodicityVerdict(status="periodic", vertex=v, m=mu.degree, n=nu.degree,
                                    witness=(mu, nu, alpha),
                                    note="deterministic region closes a cycle")
-    elif unresolved := sorted(v for v in cyclic if reach[v] & branching):
-        aper = AperiodicityVerdict(status="unknown",
+    if unresolved := sorted(v for v in cyclic if reach[v] & branching):
+        return AperiodicityVerdict(status="unknown",
                                    note=f"cyclic non-deterministic region at {unresolved}")
-    else:
-        aper = AperiodicityVerdict(status="aperiodic", note="all regions resolve")
+    return AperiodicityVerdict(status="aperiodic", note="all regions resolve")
 
-    if not cyclic:
-        sinks = sorted(v for v in g.vertices if not after[v])
-        missed = [(v, w) for v in g.vertices for w in sinks if w not in reach[v]]
-        if not missed:
-            return aper, CofinalityVerdict(status="cofinal",
-                                           note="every vertex reaches every sink")
-        v, w = missed[0]
-        return aper, CofinalityVerdict(status="not_cofinal", vertex=v,
-                                       path=bnd.finite(g.vertex(w)))
-    if all(reach[v] == set(g.vertices) for v in g.vertices):
-        return aper, CofinalityVerdict(status="cofinal", note="all-pairs reachability")
-    for _, (mu, alpha) in lassos:
-        x = bnd.lasso(mu, alpha)
-        for v in g.vertices:
-            if x.head.source not in reach[v]:
-                return aper, CofinalityVerdict(status="not_cofinal", vertex=v, path=x)
-    return aper, CofinalityVerdict(status="unknown",
-                                   note="reachability incomplete and no witness found")
+
+# ----------------------------------------------------------------------
+# cofinality references, which share no code with kpx.analysis
+#
+# Lemma.  For a vertex set H closed under sources (s(lam) in H whenever
+# r(lam) is), let T*(H) be the least set that holds H and each vertex v at
+# which the edges whose source lies in the set form a non-empty exhaustive
+# set.  Every boundary path at v meets H iff v is in T*(H).  A boundary path
+# meets each finite exhaustive set at each vertex it visits
+# (Farthing-Muhly-Yeend 2005), which gives the "if" by induction on the stage
+# at which v joins; for the "only if", v's boundary is compact, so finitely
+# many cylinders Z(lam_j) with s(lam_j) in H cover it, and induction on the
+# join of their degrees, through Ext (Raeburn-Sims-Yeend 2004), gives the
+# stages.  Every reachable set is closed under sources, so a graph is
+# cofinal iff T*(reachable(w)) is every vertex for every vertex w.
+
+
+def received_edges(g, v, sources):
+    """The one-edge paths at v whose source lies in sources."""
+    return [g.path([e.id]) for e in g.spec.edges if e.range == v and e.source in sources]
+
+
+def t_star_oracle(g, H):
+    """T*(H) by brute force: each round tests every vertex outside the set
+    and adds those at which the edges from the set form a non-empty
+    exhaustive set, until a round adds none.  witness_oracle tests
+    exhaustiveness, as exhaustive_oracle enumerates every path at a vertex
+    and so holds only on acyclic graphs."""
+    joined = set(H)
+    while more := {v for v in g.vertices if v not in joined
+                   and (E := received_edges(g, v, joined)) and witness_oracle(g, v, E) is None}:
+        joined |= more
+    return joined
+
+
+def cofinal_oracle(g):
+    """Cofinality by the lemma: T*(reachable(w)) is every vertex, for every
+    vertex w, with reachability from reach_oracle."""
+    after, _ = reach_oracle(g)
+    return all(t_star_oracle(g, after[w] | {w}) == set(g.vertices) for w in g.vertices)
+
+
+def refutes_cofinality(g, w, within):
+    """Whether (w, within) certifies that g is not cofinal: within is a
+    non-empty vertex set that w does not reach, and at each of its vertices
+    the edges from outside it form no non-empty exhaustive set.  Then the
+    rest of the graph holds reachable(w) and is closed under T*'s rule, so
+    it holds T*(reachable(w)), and by the lemma each vertex of within
+    carries a boundary path that w misses."""
+    after, _ = reach_oracle(g)
+    K = set(within)
+    outside = set(g.vertices) - K
+    return bool(K) and not K & (after[w] | {w}) and all(
+        not (E := received_edges(g, v, outside)) or witness_oracle(g, v, E) is not None
+        for v in K)
+
+
+def one_graph_cofinal(g):
+    """The 1-graph rule: a finite 1-graph is cofinal iff every vertex
+    reaches every vertex that receives no edge and every vertex on a cycle.
+
+    The boundary paths of a row-finite 1-graph are its infinite paths and
+    its finite paths whose source receives no edge.  If every vertex reaches
+    each such source and each vertex on a cycle, it meets every boundary
+    path: a finite one ends at such a source, and an infinite one visits
+    some vertex infinitely often, which lies on a cycle.  Conversely, a
+    vertex that misses a vertex s receiving no edge misses the boundary path
+    s, and one that misses a vertex c on a cycle misses the infinite path
+    round that cycle from c, as each vertex of that path reaches c."""
+    after, _ = reach_oracle(g)
+    tails = {v for v in g.vertices if not after[v] or v in after[v]}
+    return all(tails <= after[v] | {v} for v in g.vertices)
+
+
+def product_cofinal(a, b):
+    """The factor rule: product_graph(a, b) of two 1-graphs is cofinal iff
+    a and b are.
+
+    The product is locally convex: an edge e*w and an edge u*f at u*w give
+    the edge s(e)*f at s(e*w).  So its boundary paths are the paths x with
+    no edge of colour i at x(n) whenever n <= d(x) and n_i = d(x)_i
+    (Raeburn-Sims-Yeend 2003), which are the pairs of boundary paths of the
+    factors, and a vertex u*w reaches a vertex of the pair (x, y) iff u
+    reaches a vertex of x and w one of y.  Every vertex of a finite graph
+    carries a boundary path, so a failing pair in one factor gives one in
+    the product, whatever the vertex and path taken in the other."""
+    return one_graph_cofinal(a) and one_graph_cofinal(b)
+
+
+def sourceless_shape(shape):
+    """The two-vertex 1-graph number shape (0..15) in which both vertices
+    receive an edge: e0 from a source into a, e1 from a source into b and
+    one more edge e2, the four sources and ends read off shape's four
+    bits.  So the graph is cyclic and every vertex receives an edge."""
+    bits = ["ab"[(shape >> i) & 1] for i in range(4)]
+    return one_graph("ab", [("a", bits[0]), ("b", bits[1]), (bits[2], bits[3])])
 
 
 def reduce_oracle(ring, weighted_words):

@@ -308,6 +308,78 @@ MUTANTS = (
         (TEST_ANALYSIS + "test_verdicts_against_reference",
          TEST_ANALYSIS + "test_cyclic_two_graphs_are_never_found_aperiodic")),
     Mutant(
+        "the edge rule takes some edge, not an exhaustive set", ANALYSIS,
+        "        elif (v := recheck.popitem()[0]) not in joined and g.is_exhaustive(\n"
+        "                v, [g.path([e]) for e in g.out_edges(v) if g.edge(e).source in joined]):\n",
+        "        elif (v := recheck.popitem()[0]) not in joined and bool(\n"
+        "                [g.path([e]) for e in g.out_edges(v) if g.edge(e).source in joined]):\n",
+        (TEST_ANALYSIS + "test_cofinality_on_sourceless_products",
+         TEST_ANALYSIS + "test_cofinality_decides_every_random_two_graph")),
+    Mutant(
+        "the terminal component count is off by one", ANALYSIS,
+        "    if len(terminal) > 1:\n",
+        "    if len(terminal) > 2:\n",
+        (TEST_ANALYSIS + "test_acyclic_cofinality_witness_on_many_sinks",
+         TEST_ANALYSIS + "test_acyclic_cofinality_on_random_graphs")),
+    Mutant(
+        "the worklist queues a vertex for its first joined source only", ANALYSIS,
+        "                    if v not in joined and waiting[v]:\n"
+        "                        recheck[v] = None\n",
+        "                    if v not in joined and waiting[v]:\n"
+        "                        if waiting[v] == g._indegree[v] - 1:\n"
+        "                            recheck[v] = None\n",
+        (TEST_ANALYSIS + "test_a_vertex_searched_too_early_is_searched_again",)),
+    Mutant(
+        "a vertex joins with one edge from outside the set", ANALYSIS,
+        "                    if v not in joined and waiting[v]:\n",
+        "                    if v not in joined and waiting[v] > 1:\n",
+        (TEST_ANALYSIS + "test_cofinality_decides_every_random_two_graph",
+         TEST_CLI + "test_analyze_cofinality_certificates")),
+    Mutant(
+        "any cut component counts as terminal", KGRAPH,
+        "                            if set(cut).issuperset(u for w in cut for u in sources(w)):\n",
+        "                            if cut:\n",
+        (TEST_KGRAPH + "test_peel_order_against_oracle",
+         TEST_KGRAPH + "test_terminal_components_on_random_graphs")),
+    Mutant(
+        "Tarjan's low link ignores the child's", KGRAPH,
+        "                            low[work[-1][0]] = min(low[work[-1][0]], low[v])\n",
+        "                            pass\n",
+        (TEST_KGRAPH + "test_peel_order_against_oracle",
+         TEST_KGRAPH + "test_terminal_components_on_random_graphs")),
+    Mutant(
+        "a square's endpoints go unchecked", KGRAPH,
+        "        if e.range != f2.range or f.source != e2.source:\n",
+        "        if False:\n",
+        (TEST_KGRAPH + "test_square_endpoint_mismatch",)),
+    Mutant(
+        "a square's second side may list the lower colour first", KGRAPH,
+        "        if f2.color <= e2.color:\n",
+        "        if False:\n",
+        (TEST_KGRAPH + "test_first_validation_error",)),
+    Mutant(
+        "a square's first side may repeat", KGRAPH,
+        "        if first in swap:\n",
+        "        if False:\n",
+        (TEST_KGRAPH + "test_first_validation_error",
+         TEST_KGRAPH + "test_duplicate_square_side")),
+    Mutant(
+        "the cube check compares nothing", KGRAPH,
+        "                    if a != b:\n",
+        "                    if False:\n",
+        (TEST_KGRAPH + "test_cube_inconsistent_rejected",)),
+    Mutant(
+        "one cube orientation skips its last swap", KGRAPH,
+        "                    a = [*swap[y1, z1], x2]\n",
+        "                    a = [y1, z1, x2]\n",
+        (TEST_KGRAPH + "test_cube_consistency_accepts_lattices",
+         TEST_KGRAPH + "test_cube_inconsistent_rejected")),
+    Mutant(
+        "'+' binds like '*' in an element", ELEMENTS,
+        '        while self.peek() == "*":\n',
+        '        while self.peek() in ("*", "+"):\n',
+        (TEST_CLI + "test_element_signs_and_whitespace",)),
+    Mutant(
         "the plain parse takes a broken run", CLI,
         "        elif run and run_end != i - 1:  # argparse splits a broken run differently\n",
         "        elif False:\n",

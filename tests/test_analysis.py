@@ -17,16 +17,23 @@ from conftest import (
     ACYCLIC_ORACLE_GRAPHS,
     CYCLE_GRAPHS,
     ORACLE_GRAPHS,
+    RANDOM_PRODUCT_SEEDS,
+    aperiodicity_oracle,
     below,
     boundary_oracle,
+    cofinal_oracle,
     groupoid_points,
     one_graph,
     periodicity_kernel,
+    product_cofinal,
     product_graph,
+    random_acyclic_factors,
     random_one_graph,
     random_two_graph,
     reach_oracle,
-    verdict_oracle,
+    refutes_cofinality,
+    sourceless_shape,
+    witness_oracle,
 )
 
 
@@ -64,67 +71,77 @@ def test_cofinality(lambda2, omega13, loop, twodots, cloops):
     assert ana.check_cofinal(loop).status == "cofinal"
     assert ana.check_cofinal(cloops).status == "cofinal"
     v = ana.check_cofinal(twodots)
-    assert v.status == "not_cofinal" and v.path is not None
+    assert v.status == "not_cofinal" and refutes_cofinality(twodots, v.vertex, v.within)
+
+
+def test_the_graph_with_no_vertex_is_cofinal():
+    # no terminal component and no boundary path: cofinal by default
+    g = KGraph(KGraphSpec(1, (), (), ()))
+    assert g.terminal_components() == ()
+    assert ana.check_cofinal(g).status == "cofinal"
+    assert cofinal_oracle(g)
 
 
 def test_cofinality_counterexample_fields(lambda2):
     v = ana.check_cofinal(lambda2)
-    # the witness boundary path is unreachable from the named vertex
+    # the sinks v4 and v5 are lambda2's terminal components; the finite
+    # boundary path v5 is unreachable from v4
+    assert (v.vertex, v.within) == ("v4", ("v5",))
     reach = lambda2.reachable(v.vertex)
-    x = v.path
+    x = bnd.finite(lambda2.vertex(v.within[0]))
     visited = {bnd.prefix(x, n).source for n in below(x.degree)}
     assert not (visited & reach)
 
 
 def test_cofinality_cyclic_counterexample():
-    # two disjoint loops: the loop at a is a boundary path that b cannot reach
+    # two disjoint loops, two terminal components: the loop at b is a
+    # boundary path that a cannot reach
     spec = KGraphSpec(
         k=1,
         vertices=("a", "b"),
         edges=(Edge("p", 1, "a", "a"), Edge("q", 1, "b", "b")),
         squares=(),
     )
-    v = ana.check_cofinal(KGraph.validate(spec))
-    assert v.status == "not_cofinal"
-    assert v.vertex == "b" and v.path.label() == "a(p)^oo"
+    g = KGraph.validate(spec)
+    v = ana.check_cofinal(g)
+    assert (v.status, v.vertex, v.within) == ("not_cofinal", "a", ("b",))
+    assert refutes_cofinality(g, v.vertex, v.within)
 
 
-def _first_missed_sink(g):
-    """The acyclic witness rule by brute force: the first vertex, in vertex
-    order, that cannot reach some sink, with the first sink (sorted) it
-    misses; None if there is no such vertex."""
-    after, _ = reach_oracle(g)
-    sinks = sorted(v for v in g.vertices if not after[v])
-    return next(((v, w) for v in g.vertices for w in sinks
-                 if w not in after[v] | {v}), None)
+def _first_two_sinks(g):
+    """The acyclic witness rule from the raw edge list: the first vertex, in
+    vertex order, that receives no edge, with the second; None if there
+    are fewer than two."""
+    sinks = [v for v in g.vertices if all(e.range != v for e in g.spec.edges)]
+    return (sinks[0], (sinks[1],)) if len(sinks) > 1 else None
 
 
 @pytest.mark.parametrize("vertices, arrows, want", [
-    # a chain that forks into two sinks listed last: every vertex before
-    # the sinks reaches both, so the first sink is the witness
+    # a chain that forks into two sinks listed last
     ("abcst", [("a", "b"), ("b", "c"), ("c", "s"), ("c", "t")], ("s", "t")),
     # the sinks listed last against their sorted order
     ("abts", [("a", "b"), ("b", "t"), ("b", "s")], ("t", "s")),
-    # a vertex before the sinks misses one
-    ("abcst", [("a", "b"), ("a", "c"), ("b", "s"), ("c", "t")], ("b", "t")),
-    # three sinks, the first vertex reaching all of them
+    # a vertex before the sinks misses one: the witness is still the sinks
+    ("abcst", [("a", "b"), ("a", "c"), ("b", "s"), ("c", "t")], ("s", "t")),
+    # three sinks
     ("axyz", [("a", "x"), ("a", "y"), ("a", "z")], ("x", "y")),
 ])
 def test_acyclic_cofinality_witness_on_many_sinks(vertices, arrows, want):
     g = one_graph(vertices, arrows)
-    assert _first_missed_sink(g) == want
+    assert _first_two_sinks(g) == (want[0], want[1:])
     v = ana.check_cofinal(g)
-    assert (v.status, v.vertex, v.path.label()) == ("not_cofinal", *want)
+    assert (v.status, v.vertex, v.within) == ("not_cofinal", want[0], want[1:])
+    assert refutes_cofinality(g, v.vertex, v.within)
 
 
 def test_acyclic_cofinality_on_random_graphs():
-    # odd seeds give acyclic graphs: cofinal iff one sink, and the witness
-    # follows the brute-force rule
+    # odd seeds give acyclic graphs, whose terminal components are their
+    # sinks: cofinal iff one sink, and the witness is the first two sinks
     for seed in range(1, 100, 2):
         g = random_one_graph(seed)
-        want = _first_missed_sink(g)
+        want = _first_two_sinks(g)
         v = ana.check_cofinal(g)
-        got = None if v.status == "cofinal" else (v.vertex, v.path.label())
+        got = None if v.status == "cofinal" else (v.vertex, v.within)
         assert got == want, seed
         assert (want is None) == (len(g.sinks()) == 1), seed
 
@@ -148,27 +165,42 @@ def _later_staircases():
 
 
 def _reference_graphs():
-    """The oracle and cycle graphs, two 2-graphs whose later staircases run
-    into walked vertices, 300 random 1-graphs, 40 products of two random
-    1-graphs (both, one or neither cyclic) and commuting_loops(1..4)."""
+    """(name, graph, whether it is cofinal) for the oracle and cycle graphs,
+    two 2-graphs whose later staircases run into walked vertices, 300
+    random 1-graphs, 40 products of two random 1-graphs (both, one or
+    neither cyclic) and commuting_loops(1..4).  The products take the factor
+    rule, the rest the brute-force T*."""
     for name, build in {**ORACLE_GRAPHS, **CYCLE_GRAPHS}.items():
-        yield name, build()
-    yield from _later_staircases()
+        g = build()
+        yield name, g, cofinal_oracle(g)
+    for name, g in _later_staircases():
+        yield name, g, cofinal_oracle(g)
     for seed in range(300):
-        yield f"random{seed}", random_one_graph(seed)
+        g = random_one_graph(seed)
+        yield f"random{seed}", g, cofinal_oracle(g)
     for seed in range(40):
-        yield f"product{seed}", product_graph(random_one_graph(seed),
-                                              random_one_graph(seed + 300))
+        a, b = random_one_graph(seed), random_one_graph(seed + 300)
+        yield f"product{seed}", product_graph(a, b), product_cofinal(a, b)
     for n in range(1, 5):
-        yield f"cloops{n}", presets.commuting_loops(n)
+        g = presets.commuting_loops(n)
+        yield f"cloops{n}", g, cofinal_oracle(g)
+
+
+def assert_cofinality(g, cofinal, name):
+    """check_cofinal's status is the reference's, and a not_cofinal
+    certificate holds by the definitions."""
+    got = ana.check_cofinal(g)
+    assert got.status == ("cofinal" if cofinal else "not_cofinal"), name
+    assert cofinal or refutes_cofinality(g, got.vertex, got.within), name
+    return got
 
 
 def test_verdicts_against_reference():
-    # every field, the witness paths and the note included
+    # aperiodicity in every field, the witness paths and the note included
     statuses = set()
-    for name, g in _reference_graphs():
-        got = ana.check_aperiodic(g), ana.check_cofinal(g)
-        assert got == verdict_oracle(g), name
+    for name, g, cofinal in _reference_graphs():
+        got = ana.check_aperiodic(g), assert_cofinality(g, cofinal, name)
+        assert got[0] == aperiodicity_oracle(g), name
         statuses |= {v.status for v in got}
     assert statuses == {"aperiodic", "periodic", "cofinal", "not_cofinal", "unknown"}
 
@@ -189,7 +221,8 @@ def test_cyclic_two_graphs_are_never_found_aperiodic():
         resolved = not any(after[v] & branching or v in branching for v in cyclic)
         got = ana.check_aperiodic(g)
         assert got.status in (("periodic",) if resolved else ("periodic", "unknown")), seed
-        assert (got, ana.check_cofinal(g)) == verdict_oracle(g), seed
+        assert got == aperiodicity_oracle(g), seed
+        assert_cofinality(g, cofinal_oracle(g), seed)
         seen[resolved, got.status] += 1
     assert set(seen) == {(True, "periodic"), (False, "periodic"), (False, "unknown")}
 
@@ -201,7 +234,7 @@ NOT_COFINAL = {"ds100_011", "ds20_01", "ds31_12", "lambda2", "twodots", "twosqua
 @pytest.mark.parametrize("name", sorted(ACYCLIC_ORACLE_GRAPHS))
 def test_cofinal_matches_boundary_sweep(name):
     # v reaches a boundary path x iff v Lambda x(n) is non-empty for some n;
-    # the witness is the first (v, x) that fails, x in boundary sort order
+    # the sweep finds the first (v, x) that fails, x in boundary sort order
     g = ACYCLIC_ORACLE_GRAPHS[name]()
     boundary = sorted((lam for lam in g.all_paths() if boundary_oracle(g, lam)),
                       key=Path.sort_key)
@@ -213,13 +246,124 @@ def test_cofinal_matches_boundary_sweep(name):
     want = next(((v, lam.label()) for v in g.vertices for lam in boundary
                  if not reaches(v, lam)), None)
     got = ana.check_cofinal(g)
-    assert (want is not None) == (name in NOT_COFINAL)
+    assert (want is not None) == (name in NOT_COFINAL) == (got.status == "not_cofinal")
     if want is None:
-        assert (got.status, got.vertex, got.path) == ("cofinal", None, None)
+        assert (got.vertex, got.within) == (None, None)
     else:
-        assert (got.status, got.vertex, got.path.label()) == ("not_cofinal", *want)
+        # the certificate's set is a second sink, a finite boundary path
+        # that the vertex misses
+        (sink,) = got.within
+        assert boundary_oracle(g, g.vertex(sink)) and not reaches(got.vertex, g.vertex(sink))
     if name == "lambda2":
         assert want == ("v2", "v5")
+
+
+def two_loops_joined():
+    """Two vertices a and b with colour-1 loops e at a and g at b, and f of
+    colour 2 from b into a, with e.f = f.g."""
+    return KGraph(KGraphSpec(2, ("a", "b"), (Edge("e", 1, "a", "a"), Edge("g", 1, "b", "b"),
+                                             Edge("f", 2, "a", "b")),
+                             (Square(("e", "f"), ("f", "g")),)))
+
+
+def test_cofinal_when_an_exhaustive_edge_leads_into_the_terminal_loop():
+    # {f} is exhaustive at a, as e^n.f = f.g^n, so every boundary path at a
+    # runs through f into b, which every vertex reaches; a's colour-1 loop
+    # alone is no boundary path
+    g = two_loops_joined()
+    assert g.is_exhaustive("a", [g.parse_path("f")])
+    assert witness_oracle(g, "a", [g.parse_path("f")]) is None
+    assert g.terminal_components() == (("b",),)
+    assert ana.check_cofinal(g).status == "cofinal"
+    assert cofinal_oracle(g)
+
+
+def test_not_cofinal_with_two_terminal_loops():
+    # v receives h (colour 1) from u1 and k (colour 2) from u2, with a
+    # colour-1 loop at u1 and a colour-2 loop at u2: two terminal components
+    g = KGraph(KGraphSpec(2, ("v", "u1", "u2"),
+                          (Edge("h", 1, "v", "u1"), Edge("k", 2, "v", "u2"),
+                           Edge("a", 1, "u1", "u1"), Edge("b", 2, "u2", "u2")), ()))
+    got = assert_cofinality(g, cofinal_oracle(g), "two loops")
+    assert (got.vertex, got.within) == ("u1", ("u2",))
+
+
+def test_cofinal_where_a_lasso_is_no_boundary_path():
+    # random_two_graph(576): {f0} is exhaustive at v0, as e3^n.f0 = f0.e1^n,
+    # so the lasso v0(e3)^oo is no boundary path; every boundary path at v0
+    # enters v1, which every vertex reaches
+    g = random_two_graph(576)
+    assert witness_oracle(g, "v0", [g.parse_path("f0")]) is None
+    assert g.is_exhaustive("v0", [g.parse_path("f0")])
+    assert_cofinality(g, True, 576)
+    assert cofinal_oracle(g)
+
+
+@pytest.mark.parametrize("seeds", [(34,), (50,), (34, 34), (34, 50), (34, 59),
+                                   (50, 34), (50, 50), (50, 59)])
+def test_cofinal_on_one_terminal_cycle(seeds):
+    # each of random_one_graph(34) and (50) has one terminal cycle that every
+    # vertex reaches; so do their products, and (59) is cofinal too
+    graphs = [random_one_graph(seed) for seed in seeds]
+    g = product_graph(*graphs) if len(graphs) == 2 else graphs[0]
+    assert len(g.terminal_components()) == 1
+    want = product_cofinal(*graphs) if len(graphs) == 2 else cofinal_oracle(g)
+    assert want
+    assert_cofinality(g, want, seeds)
+
+
+def test_a_vertex_searched_too_early_is_searched_again():
+    # u receives two edges, from x and y, which each receive one from the
+    # loop t; times a loop w, u*w also receives its colour-2 loop, so it
+    # never joins by count.  Its colour-1 edges are exhaustive only once
+    # both x*w and y*w have joined, and its first search comes before that
+    a = one_graph("uxyt", [("u", "x"), ("u", "y"), ("x", "t"), ("y", "t"), ("t", "t")])
+    b = one_graph("w", [("w", "w")])
+    g = product_graph(a, b)
+    assert not g.is_exhaustive("u*w", [g.parse_path("e1*w")])
+    assert g.is_exhaustive("u*w", [g.parse_path("e0*w"), g.parse_path("e1*w")])
+    assert product_cofinal(a, b) and cofinal_oracle(g)
+    assert_cofinality(g, True, "late search")
+
+
+def test_cofinality_decides_every_random_two_graph():
+    # every seed, acyclic or not, against the brute-force T*
+    statuses = collections.Counter()
+    for seed in range(600):
+        g = random_two_graph(seed)
+        statuses[assert_cofinality(g, cofinal_oracle(g), seed).status] += 1
+    assert set(statuses) == {"cofinal", "not_cofinal"}
+
+
+def test_cofinality_on_random_one_graph_products():
+    # every ninth pair of the 120 x 60 random_one_graph products, against
+    # the factor rule
+    for i in range(120):
+        for j in range(60):
+            if (60 * i + j) % 9 == 0:
+                a, b = random_one_graph(i), random_one_graph(j)
+                assert_cofinality(product_graph(a, b), product_cofinal(a, b), (i, j))
+
+
+def test_cofinality_on_sourceless_products():
+    # the 256 products of the 16 two-vertex 1-graphs in which every vertex
+    # receives an edge, against the factor rule and the brute-force T*
+    statuses = collections.Counter()
+    for x in range(16):
+        for y in range(16):
+            a, b = sourceless_shape(x), sourceless_shape(y)
+            g = product_graph(a, b)
+            assert cofinal_oracle(g) == product_cofinal(a, b), (x, y)
+            statuses[assert_cofinality(g, product_cofinal(a, b), (x, y)).status] += 1
+    assert statuses == {"cofinal": 100, "not_cofinal": 156}
+
+
+@pytest.mark.parametrize("seed", RANDOM_PRODUCT_SEEDS)
+def test_cofinality_on_random_acyclic_products(seed):
+    a, b = random_acyclic_factors(seed)
+    g = product_graph(a, b)
+    assert_cofinality(g, product_cofinal(a, b), seed)
+    assert product_cofinal(a, b) == (len(g.sinks()) == 1)
 
 
 def test_effective_minimal_match_direct_checks(acyclic_graph):

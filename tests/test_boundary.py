@@ -13,7 +13,7 @@ from kpx.groupoid import dim_over_field
 from kpx.kgraph import Path, omega_graph
 from kpx.rings import QQ
 
-from conftest import ACYCLIC_ORACLE_GRAPHS, CYCLE_GRAPHS, boundary_oracle, paths_oracle
+from conftest import ACYCLIC_ORACLE_GRAPHS, CYCLE_GRAPHS, boundary_oracle, one_graph, paths_oracle
 
 # lattice segments, named by rank and corner, the first three among the
 # acyclic oracle graphs; the sweep of boundary_oracle takes seconds on
@@ -196,13 +196,18 @@ def test_lasso_canonical_form(loop):
     x = bnd.lasso(v, e)
     assert x.degree == (INF,)
     assert bnd.shift(x, (3,)) == x
+    assert (x.label(), bnd.lasso(e, ee).label()) == ("v(e)^oo", "v(e)^oo")
 
 
 @pytest.mark.parametrize("graph, top", [
     (presets.single_loop, (12,)), (lambda: presets.commuting_loops(2), (4, 4)),
     (lambda: presets.commuting_loops(3), (3, 3)),
-    (CYCLE_GRAPHS["twoloops"], (8,)), (CYCLE_GRAPHS["chain_to_loop"], (8,))],
-    ids=["single_loop", "commuting_loops2", "commuting_loops3", "twoloops", "chain_to_loop"])
+    (CYCLE_GRAPHS["twoloops"], (8,)), (CYCLE_GRAPHS["chain_to_loop"], (8,)),
+    # a 2-cycle: its half is no cycle, so the root of each power is found by
+    # passing over the halves that are not
+    (lambda: one_graph("ab", [("a", "b"), ("b", "a")]), (8,))],
+    ids=["single_loop", "commuting_loops2", "commuting_loops3", "twoloops", "chain_to_loop",
+         "two_cycle"])
 def test_primitive_root_by_brute_force(graph, top):
     # p^q = c for some q >= 1, and p is no power s^j (j >= 2) of any cycle s
     g = graph()

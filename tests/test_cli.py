@@ -517,6 +517,41 @@ def test_analyze_over_a_non_field(capsys, tmp_path):
     assert "basically simple: unknown\nsimple: no\n" in out
 
 
+def test_analyze_cofinality_certificates(capsys, tmp_path):
+    # the loops e at a and g at b, with f from b into a and e.f = f.g: {f}
+    # is exhaustive at a, so every boundary path at a enters b, and the
+    # graph is cofinal
+    two = tmp_path / "two_loops.json"
+    two.write_text(json.dumps({
+        "k": 2, "vertices": ["a", "b"],
+        "edges": [{"id": "e", "color": 1, "range": "a", "source": "a"},
+                  {"id": "g", "color": 1, "range": "b", "source": "b"},
+                  {"id": "f", "color": 2, "range": "a", "source": "b"}],
+        "squares": [{"first": ["e", "f"], "second": ["f", "g"]}]}))
+    assert run(capsys, "--graph", str(two), "exhaustive", "--vertex", "a", "f") == (
+        0, "exhaustive: true\n")
+    head = "acyclic: False\nhas_sources: True\nlocally_convex: True\nrow_finite: True\n"
+    assert run(capsys, "--graph", str(two), "analyze") == (
+        0, head + "aperiodic: periodic\n"
+        "periodicity: vertex=a m=(0, 0) n=(1, 0) mu=a nu=e alpha=e\n"
+        "cofinal: cofinal\nring: Q (field: True)\nbasically simple: no\nsimple: no\n")
+    # the sink s is the one terminal component, and the boundary paths at v
+    # and u that keep to the loop at v never meet it: the certificate lists
+    # the vertices outside T*({s}), in vertex order
+    chain = tmp_path / "loop_off_a_sink.json"
+    chain.write_text(json.dumps({
+        "k": 1, "vertices": ["s", "v", "u"],
+        "edges": [{"id": "l", "color": 1, "range": "v", "source": "v"},
+                  {"id": "e", "color": 1, "range": "v", "source": "s"},
+                  {"id": "h", "color": 1, "range": "u", "source": "v"}]}))
+    assert run(capsys, "--graph", str(chain), "analyze") == (
+        0, head + "aperiodic: unknown\ncofinal: not_cofinal\n"
+        "cofinality witness: vertex=s within=v u\nring: Q (field: True)\n"
+        "basically simple: no\nsimple: no\n")
+    code, out = run(capsys, "--graph", str(chain), "analyze", "--json")
+    assert json.loads(out)["cofinality_witness"] == {"vertex": "s", "within": ["v", "u"]}
+
+
 # runs each argv of the JSON list argv[1] through kpx.cli.main and prints
 # the JSON list of their [exit code, stdout, stderr]
 _BATCH = """
@@ -663,8 +698,8 @@ def test_validate_and_info_on_large_graphs_in_time(capsys):
 
 
 def test_analyze_large_acyclic_graphs_in_time(capsys, tmp_path):
-    # acyclic cofinality is one pass along the peel order, so analyze builds
-    # no reachability set per vertex, one sink or many
+    # an acyclic graph's terminal components are its sinks, so analyze
+    # builds no reachability set per vertex, one sink or many
     with within(2, "--omega 3000 analyze"):
         got = run(capsys, "--omega", "3000", "analyze")
     assert got == (0, "acyclic: True\nhas_sources: True\nlocally_convex: True\n"
@@ -673,8 +708,8 @@ def test_analyze_large_acyclic_graphs_in_time(capsys, tmp_path):
                       "dimension: 9006001\n")
     code, out = run_in_time(capsys, "--omega", "40,40", "analyze")
     assert code == 0 and out.endswith("simple: yes\ndimension: 2825761\n")
-    # a chain of 2,000 vertices into the two sinks a and b: every chain
-    # vertex reaches both, and the witness is the first sink with the other
+    # a chain of 2,000 vertices into the two sinks a and b, two terminal
+    # components: the witness is the first sink with the other
     n = 2000
     doc = {
         "k": 1,
@@ -698,9 +733,9 @@ def test_analyze_large_cyclic_graphs_in_time(capsys, tmp_path):
     # a ring is strongly connected and one staircase closes it; with a loop
     # at v0 every vertex reaches a vertex that receives two edges of one
     # colour, so aperiodicity is unknown.  A chain into a loop is neither:
-    # every staircase ends in the loop, which every vertex reaches, so
-    # cofinality stays unknown after one walk over the chain.  None builds
-    # a reachability set per vertex.
+    # every staircase ends in the loop, the one terminal component, and each
+    # chain vertex joins T* of it through its one edge.  None builds a
+    # reachability set per vertex.
     n = 2000
     doc = {
         "k": 1,
@@ -735,7 +770,7 @@ def test_analyze_large_cyclic_graphs_in_time(capsys, tmp_path):
     mu = ".".join(f"e{i}" for i in range(n - 1))
     assert got == (0, head + "aperiodic: periodic\n"
                    f"periodicity: vertex=v0 m=({n - 1},) n=({n},) mu={mu} nu={mu}.loop alpha=loop\n"
-                   "cofinal: unknown\nring: Q (field: True)\n"
+                   "cofinal: cofinal\nring: Q (field: True)\n"
                    "basically simple: no\nsimple: no\n")
 
 

@@ -36,7 +36,9 @@ from conftest import (
     product_graph,
     random_acyclic_product,
     random_one_graph,
+    random_two_graph,
     reach_oracle,
+    sourceless_shape,
     two_squares_graph,
     within,
     witness_oracle,
@@ -884,6 +886,17 @@ def _check_peel_order(g):
     assert g.reaching([]) == set()
     targets = g.vertices[::2]
     assert g.reaching(targets) == {u for u in g.vertices if (after[u] | {u}) & set(targets)}
+    _check_terminal_components(g)
+
+
+def _check_terminal_components(g):
+    """A vertex lies in a terminal component iff every vertex it reaches
+    reaches it back, and then its component is itself with what it
+    reaches; each component in vertex order, listed by its first vertex."""
+    after, _ = reach_oracle(g)
+    want = {tuple(w for w in g.vertices if w in after[v] | {v})
+            for v in g.vertices if all(v in after[w] for w in after[v])}
+    assert g.terminal_components() == tuple(sorted(want, key=lambda c: g.vertices.index(c[0])))
 
 
 @pytest.mark.parametrize("name", sorted({**ORACLE_GRAPHS, **CYCLE_GRAPHS}))
@@ -895,6 +908,18 @@ def test_peel_order_on_random_graphs():
     # odd seeds are acyclic, even ones mostly cyclic (see random_one_graph)
     for seed in range(100):
         _check_peel_order(random_one_graph(seed))
+
+
+def test_terminal_components_on_random_graphs():
+    # products of cyclic 1-graphs, two-vertex shapes and random 2-graphs
+    # hold many cyclic components, terminal and not, with sinks among them
+    for seed in range(0, 80, 2):
+        _check_terminal_components(product_graph(random_one_graph(seed),
+                                                 random_one_graph(seed + 1)))
+    for x, y in itertools.product(range(16), repeat=2):
+        _check_terminal_components(product_graph(sourceless_shape(x), sourceless_shape(y)))
+    for seed in range(300):
+        _check_terminal_components(random_two_graph(seed))
 
 
 @pytest.mark.parametrize("name", sorted({**ORACLE_GRAPHS, **CYCLE_GRAPHS}))
