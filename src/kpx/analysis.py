@@ -98,8 +98,8 @@ def check_aperiodic(g):
     """
     if g.is_acyclic():
         return AperiodicityVerdict(status="aperiodic", note="acyclic graph")
-    tangled = _tangled(g)
-    for v, mu, alpha in _lassos(g, tangled | set(g.peel_order())):
+    tangled, peeled = _tangled(g), set(g.peel_order())
+    for v, mu, alpha in _lassos(g, tangled | peeled):
         nu = g.compose(mu, alpha)
         return AperiodicityVerdict(
             status="periodic",
@@ -111,7 +111,7 @@ def check_aperiodic(g):
         )
     return AperiodicityVerdict(
         status="unknown",
-        note=f"cyclic non-deterministic region at {sorted(tangled - set(g.peel_order()))}",
+        note=f"cyclic non-deterministic region at {sorted(tangled - peeled)}",
     )
 
 
@@ -122,48 +122,22 @@ def check_aperiodic(g):
 def check_cofinal(g):
     """Decide whether every vertex reaches every boundary path.
 
-    T*(H) is the least vertex set that holds H and each vertex at which the
-    edges from the set form a non-empty exhaustive set.  For H closed under
-    sources, every boundary path at v meets H iff v is in T*(H): boundary
-    paths meet every finite exhaustive set (Farthing-Muhly-Yeend 2005), and
-    v's boundary is compact (compare Lewin-Sims 2010).  Each reachable(w)
-    holds a terminal component, so the graph is cofinal iff it has exactly
-    one, C, and T*(C) is every vertex.  T*(C) is one worklist.  A vertex
-    all of whose edges come from the set joins at once, as in the peel, so
-    an acyclic graph runs no search.  Any other vertex that receives an
-    edge from a vertex that joins is queued, and searched by one
-    is_exhaustive call once no vertex joins at once; it is queued again
-    each time the source of an edge it receives joins.  Otherwise the
-    verdict names w in the first terminal component and the vertices, in
-    vertex order, of a second one or those outside T*(C): w reaches none,
-    and some boundary path never leaves them.
+    For H closed under sources, every boundary path at v meets H iff v is in
+    T*(H) (KGraph.t_star): boundary paths meet every finite exhaustive set
+    (Farthing-Muhly-Yeend 2005), and v's boundary is compact (compare
+    Lewin-Sims 2010).  Each reachable(w) holds a terminal component, so the
+    graph is cofinal iff it has exactly one, C, and T*(C) is every vertex.
+    Otherwise the verdict names w in the first terminal component and the
+    vertices, in vertex order, of a second one or those outside T*(C): w
+    reaches none, and some boundary path never leaves them.
     """
     terminal = g.terminal_components()
     if len(terminal) > 1:
         return CofinalityVerdict(status="not_cofinal", vertex=terminal[0][0], within=terminal[1])
-    into, joined = g._source_index(), set(*terminal)  # empty for the graph with no vertex
-    waiting = dict(g._indegree)  # v -> the edges v receives whose source has not joined
-    todo, recheck = list(joined), {}  # joined vertices to pass on; vertices to search, in order
-    while todo or recheck:
-        if todo:
-            u = todo.pop()
-            for c in range(1, g.k + 1):
-                for eid in into[(u, c)]:
-                    v = g.edge(eid).range
-                    waiting[v] -= 1
-                    if v not in joined and waiting[v]:
-                        recheck[v] = None
-                    elif v not in joined:  # every edge v receives comes from the set
-                        joined.add(v)
-                        todo.append(v)
-        elif (v := recheck.popitem()[0]) not in joined and g.is_exhaustive(
-                v, [g.path([e]) for e in g.out_edges(v) if g.edge(e).source in joined]):
-            joined.add(v)
-            todo.append(v)
-    if len(joined) == len(g.vertices):
-        return CofinalityVerdict(status="cofinal")
-    return CofinalityVerdict(status="not_cofinal", vertex=terminal[0][0],
-                             within=tuple(v for v in g.vertices if v not in joined))
+    joined = g.t_star(set(*terminal))  # empty for the graph with no vertex
+    if within := tuple(v for v in g.vertices if v not in joined):
+        return CofinalityVerdict(status="not_cofinal", vertex=terminal[0][0], within=within)
+    return CofinalityVerdict(status="cofinal")
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ import sys
 from . import algebra, analysis, boundary, elements, groupoid, io, rings
 from .errors import KpxError, ParseError, quoted
 from .kgraph import omega_graph
-from .rings import QQ, parse_ring
+from .rings import parse_ring
 
 EXIT_OK = 0
 EXIT_FALSE = 1

@@ -8,10 +8,11 @@ rewriting rules that transport any edge word into that normal form.  Path
 sets by range (exact degree, degree box, relative boundary, all paths) all
 come from one enumerator that grows normal-form words one color at a time;
 the paths with a given source grow from that source, one edge at a time.
-The graph owns every derived cache; the source index (the edges by source
-and colour), the peel order, the path counts and the path list are each
-built on first use, and the literal cache parses each path literal once
-(``parse_path``).
+One counted walk back along the edges (Kahn's rule) gives the peel order,
+``reaching`` and T* (``t_star``).  The graph owns every derived cache; the
+source index (the edges by source and colour), the peel order, the path
+counts and the path list are each built on first use, and the literal cache
+parses each path literal once (``parse_path``).
 """
 
 import collections
@@ -282,8 +283,8 @@ class KGraph:
 
     def _source_index(self):
         """(vertex, color) -> the sorted ids of the edges with that source,
-        built on first use: only the walks from source to range (peel_order,
-        paths_to, count_paths_to, reaching, check_cofinal) read it."""
+        built on first use: only the walks from source to range (_join,
+        paths_to and count_paths_to) read it."""
         if self._in is None:
             self._in = self._index(by_source=True)
         return self._in
@@ -836,25 +837,58 @@ class KGraph:
     def is_acyclic(self):
         return len(self.peel_order()) == len(self.vertices)
 
+    def _join(self, order, waiting):
+        """Kahn's rule over the source index, the one backward walk: peel_order,
+        reaching and t_star differ only in the start list and the counts.
+        Each edge out of a vertex of order, which grows as vertices join,
+        counts down waiting at its range, which joins at exactly 0; starts
+        hold 0 and the rest more, so joined vertices hold <= 0 and none joins
+        twice.  Returns, in a dict, the vertices a count left above 0."""
+        edges, into, recheck = self._edges, self._source_index(), {}
+        for u in order:  # the list grows as vertices join
+            for c in range(1, self.k + 1):
+                for eid in into[(u, c)]:
+                    r = edges[eid].range
+                    waiting[r] -= 1
+                    if not waiting[r]:
+                        order.append(r)
+                    elif waiting[r] > 0:
+                        recheck[r] = None
+        return recheck
+
     def peel_order(self):
         """The vertices that reach no cycle, each after every vertex it
-        reaches (built once).  Kahn's peeling over the edge index: a vertex
-        joins once the source of every edge it receives has joined, so one
-        that reaches a cycle never joins, and one that reaches none joins by
-        induction on the longest path it ranges."""
+        reaches (built once): _join from the vertices that receive no edge,
+        with in-degrees as counts.  A vertex that reaches a cycle never joins,
+        and one that reaches none does, by induction on its longest path."""
         if self._peel is None:
-            edges, into = self._edges, self._source_index()
-            waiting = dict(self._indegree)  # v -> the edges v receives whose source has not joined
-            order = [v for v in self.vertices if not waiting[v]]
-            for u in order:  # the list grows as vertices join
-                for c in range(1, self.k + 1):
-                    for eid in into[(u, c)]:
-                        r = edges[eid].range
-                        waiting[r] -= 1
-                        if not waiting[r]:
-                            order.append(r)
+            order = [v for v, n in self._indegree.items() if not n]
+            self._join(order, dict(self._indegree))
             self._peel = tuple(order)
         return self._peel
+
+    def t_star(self, H):
+        """T*(H): the least vertex set that holds H and each vertex at which
+        the edges it receives from the set form a non-empty exhaustive set.
+
+        _join starts from H, with in-degrees as counts, 0 for H and 1 for a
+        sink outside H, which never joins.  A vertex whose edges all come from
+        the set joins by count, as all the edges at a vertex are exhaustive.
+        When none can, one that _join left above 0 is searched by one
+        is_exhaustive call on the edges it receives from joined vertices, and
+        joins with count 0 if they are exhaustive; a failed one is searched
+        again only after one of its sources joins."""
+        waiting = {v: n or 1 for v, n in self._indegree.items()}
+        for v in H:  # the id checked as vertex() checks it, with no path built
+            waiting[v if type(v) is str and v in self._vset else self.vertex(v)] = 0
+        recheck = self._join([v for v in self.vertices if not waiting[v]], waiting)
+        while recheck:
+            v, edges = recheck.popitem()[0], self._edges
+            if waiting[v] > 0 and self.is_exhaustive(v, [
+                    self.path([e]) for e in self.out_edges(v) if waiting[edges[e].source] <= 0]):
+                waiting[v] = 0
+                recheck |= self._join([v], waiting)
+        return {v for v, n in waiting.items() if n <= 0}
 
     def terminal_components(self):
         """The strongly connected components that reach no vertex outside
@@ -928,28 +962,20 @@ class KGraph:
 
     def reachable(self, v):
         """Vertices w with a path from range v to source w, including v."""
-        return self._walk([v], forward=True)
-
-    def reaching(self, targets):
-        """Vertices u with a path from range u to source some target, or a target."""
-        return self._walk(targets, forward=False)
-
-    def _walk(self, start, forward):
-        """The vertices joined to a start vertex by a path, start included,
-        stepping from each edge's range to its source if forward, else back."""
-        seen = {self.vertex(v).range for v in start}  # the ids, each checked
-        index = self._out if forward else self._source_index()
+        seen = {self.vertex(v).range}
         stack = list(seen)
         while stack:
-            w = stack.pop()
-            for c in range(1, self.k + 1):
-                for eid in index[(w, c)]:
-                    e = self._edges[eid]
-                    u = e.source if forward else e.range
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
+            new = {self._edges[eid].source for eid in self.out_edges(stack.pop())} - seen
+            seen |= new
+            stack += new
         return seen
+
+    def reaching(self, targets):
+        """Vertices u with a path from range u to source some target, or a
+        target: _join from the checked target ids, at count 0, the rest at 1."""
+        start = list(dict.fromkeys(self.vertex(v).range for v in targets))
+        self._join(start, dict.fromkeys(self.vertices, 1) | dict.fromkeys(start, 0))
+        return set(start)
 
     def max_path_degree(self):
         """Componentwise maximum degree over all paths (acyclic graphs)."""

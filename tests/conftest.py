@@ -21,7 +21,7 @@ from kpx import presets
 from kpx.analysis import AperiodicityVerdict
 from kpx.algebra import GhostSym, PathSym, SpanForm, generator, kp4_defect, multiply
 from kpx.errors import DegreeOutOfRange, NotAcyclic, NotComposable
-from kpx.degrees import diff, join, le, sub, zero
+from kpx.degrees import diff, join, le, sub
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Square, omega_graph
 
 
@@ -228,6 +228,14 @@ def product_graph(a, b):
                       second=(e2(e.range, f).id, e1(e, f.source).id))
                for e in ea for f in eb]
     return KGraph(KGraphSpec(k=2, vertices=vertices, edges=tuple(edges), squares=tuple(squares)))
+
+
+def two_loops_joined():
+    """Two vertices a and b with colour-1 loops e at a and g at b, and f of
+    colour 2 from b into a, with e.f = f.g."""
+    return KGraph(KGraphSpec(2, ("a", "b"), (Edge("e", 1, "a", "a"), Edge("g", 1, "b", "b"),
+                                             Edge("f", 2, "a", "b")),
+                             (Square(("e", "f"), ("f", "g")),)))
 
 
 def random_two_graph(seed):

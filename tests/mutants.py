@@ -284,21 +284,22 @@ MUTANTS = (
          TEST_GROUPOID + "test_cell_subtract_pointwise")),
     Mutant(
         "peel_order joins a vertex one edge early", KGRAPH,
-        "                        waiting[r] -= 1\n"
-        "                        if not waiting[r]:\n",
-        "                        waiting[r] -= 1\n"
-        "                        if waiting[r] == 1:\n",
+        "                    waiting[r] -= 1\n"
+        "                    if not waiting[r]:\n",
+        "                    waiting[r] -= 1\n"
+        "                    if waiting[r] == 1:\n",
         (TEST_KGRAPH + "test_peel_order_against_oracle",)),
     Mutant(
         "peel_order starts from the vertices reversed", KGRAPH,
-        "            order = [v for v in self.vertices if not waiting[v]]\n",
-        "            order = [v for v in reversed(self.vertices) if not waiting[v]]\n",
+        "            order = [v for v, n in self._indegree.items() if not n]\n",
+        "            order = [v for v, n in reversed(self._indegree.items()) if not n]\n",
         (TEST_KGRAPH + "test_peel_order_against_oracle",
          TEST_KGRAPH + "test_peel_order_on_random_graphs")),
     Mutant(
         "reaching walks forward", KGRAPH,
-        "        return self._walk(targets, forward=False)\n",
-        "        return self._walk(targets, forward=True)\n",
+        "        self._join(start, dict.fromkeys(self.vertices, 1) | dict.fromkeys(start, 0))\n"
+        "        return set(start)\n",
+        "        return set().union(*map(self.reachable, start))\n",
         (TEST_KGRAPH + "test_peel_order_against_oracle",
          TEST_ANALYSIS + "test_verdicts_against_reference")),
     Mutant(
@@ -308,11 +309,9 @@ MUTANTS = (
         (TEST_ANALYSIS + "test_verdicts_against_reference",
          TEST_ANALYSIS + "test_cyclic_two_graphs_are_never_found_aperiodic")),
     Mutant(
-        "the edge rule takes some edge, not an exhaustive set", ANALYSIS,
-        "        elif (v := recheck.popitem()[0]) not in joined and g.is_exhaustive(\n"
-        "                v, [g.path([e]) for e in g.out_edges(v) if g.edge(e).source in joined]):\n",
-        "        elif (v := recheck.popitem()[0]) not in joined and bool(\n"
-        "                [g.path([e]) for e in g.out_edges(v) if g.edge(e).source in joined]):\n",
+        "the edge rule takes some edge, not an exhaustive set", KGRAPH,
+        "            if waiting[v] > 0 and self.is_exhaustive(v, [\n",
+        "            if waiting[v] > 0 and bool([\n",
         (TEST_ANALYSIS + "test_cofinality_on_sourceless_products",
          TEST_ANALYSIS + "test_cofinality_decides_every_random_two_graph")),
     Mutant(
@@ -322,19 +321,45 @@ MUTANTS = (
         (TEST_ANALYSIS + "test_acyclic_cofinality_witness_on_many_sinks",
          TEST_ANALYSIS + "test_acyclic_cofinality_on_random_graphs")),
     Mutant(
-        "the worklist queues a vertex for its first joined source only", ANALYSIS,
-        "                    if v not in joined and waiting[v]:\n"
-        "                        recheck[v] = None\n",
-        "                    if v not in joined and waiting[v]:\n"
-        "                        if waiting[v] == g._indegree[v] - 1:\n"
-        "                            recheck[v] = None\n",
+        "the worklist queues a vertex for its first joined source only", KGRAPH,
+        "                    elif waiting[r] > 0:\n",
+        "                    elif waiting[r] == self._indegree[r] - 1:\n",
         (TEST_ANALYSIS + "test_a_vertex_searched_too_early_is_searched_again",)),
     Mutant(
-        "a vertex joins with one edge from outside the set", ANALYSIS,
-        "                    if v not in joined and waiting[v]:\n",
-        "                    if v not in joined and waiting[v] > 1:\n",
+        "a vertex joins with one edge from outside the set", KGRAPH,
+        "        waiting = {v: n or 1 for v, n in self._indegree.items()}",
+        "        waiting = {v: max(n - 1, 1) for v, n in self._indegree.items()}",
         (TEST_ANALYSIS + "test_cofinality_decides_every_random_two_graph",
          TEST_CLI + "test_analyze_cofinality_certificates")),
+    Mutant(
+        # it can join again by count, and its edges count down twice
+        "a vertex that joins by search keeps a positive count", KGRAPH,
+        "                waiting[v] = 0\n",
+        "",
+        (TEST_KGRAPH + "test_t_star_against_oracle",)),
+    Mutant(
+        # it is then a start vertex, so it joins with H
+        "a sink outside H gets count 0", KGRAPH,
+        "        waiting = {v: n or 1 for v, n in self._indegree.items()}",
+        "        waiting = dict(self._indegree)",
+        (TEST_KGRAPH + "test_t_star_against_oracle",
+         TEST_KGRAPH + "test_t_star_checks_each_id")),
+    Mutant(
+        "the search takes every edge the vertex receives", KGRAPH,
+        " for e in self.out_edges(v) if waiting[edges[e].source] <= 0]):\n",
+        " for e in self.out_edges(v)]):\n",
+        (TEST_KGRAPH + "test_t_star_against_oracle",
+         TEST_ANALYSIS + "test_cofinality_decides_every_random_two_graph")),
+    Mutant(
+        "_parse_degree takes a negative entry", CLI,
+        "    if any(c < 0 for c in deg):\n",
+        "    if False:\n",
+        (TEST_CLI + "test_long_literals_are_quoted_by_a_prefix",)),
+    Mutant(
+        "_parse_degree takes a degree of another rank", CLI,
+        "    if k is not None and len(deg) != k:\n",
+        "    if False:\n",
+        (TEST_CLI + "test_long_literals_are_quoted_by_a_prefix",)),
     Mutant(
         "any cut component counts as terminal", KGRAPH,
         "                            if set(cut).issuperset(u for w in cut for u in sources(w)):\n",

@@ -22,7 +22,7 @@ from kpx.algebra import (
 from kpx.degrees import zero as zero_degree
 from kpx.errors import NotBijective
 from kpx.kgraph import KGraph, KGraphSpec, omega_graph
-from kpx.rings import QQ, ZZ, IntegersMod
+from kpx.rings import QQ, ZZ
 
 from conftest import (
     boundary_oracle,

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from kpx import algebra as alg
 from kpx import boundary as bnd
 from kpx import errors, presets
 from kpx.degrees import diff

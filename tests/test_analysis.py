@@ -33,6 +33,7 @@ from conftest import (
     reach_oracle,
     refutes_cofinality,
     sourceless_shape,
+    two_loops_joined,
     witness_oracle,
 )
 
@@ -256,14 +257,6 @@ def test_cofinal_matches_boundary_sweep(name):
         assert boundary_oracle(g, g.vertex(sink)) and not reaches(got.vertex, g.vertex(sink))
     if name == "lambda2":
         assert want == ("v2", "v5")
-
-
-def two_loops_joined():
-    """Two vertices a and b with colour-1 loops e at a and g at b, and f of
-    colour 2 from b into a, with e.f = f.g."""
-    return KGraph(KGraphSpec(2, ("a", "b"), (Edge("e", 1, "a", "a"), Edge("g", 1, "b", "b"),
-                                             Edge("f", 2, "a", "b")),
-                             (Square(("e", "f"), ("f", "g")),)))
 
 
 def test_cofinal_when_an_exhaustive_edge_leads_into_the_terminal_loop():

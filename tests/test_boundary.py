@@ -1,7 +1,6 @@
 """Boundary paths: enumeration, canonical lassos, shift orbits, generators."""
 
 import functools
-import itertools
 import math
 
 import pytest

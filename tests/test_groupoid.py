@@ -11,7 +11,7 @@ import pytest
 
 from kpx import degrees, errors, presets
 from kpx import groupoid as gpd
-from kpx.algebra import SpanForm, grade, is_zero, multiply
+from kpx.algebra import is_zero, multiply
 from kpx.elements import parse_cell, parse_element
 from kpx.rings import QQ, ZZ, IntegersMod
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from kpx import boundary as bnd
 from kpx import errors, presets
 from kpx import groupoid as gpd
-from kpx.degrees import join, le, sub, zero
+from kpx.degrees import join, le, zero
 from kpx.kgraph import Edge, KGraph, KGraphSpec, Path, Square, omega_graph
 
 from conftest import (
@@ -39,6 +39,8 @@ from conftest import (
     random_two_graph,
     reach_oracle,
     sourceless_shape,
+    t_star_oracle,
+    two_loops_joined,
     two_squares_graph,
     within,
     witness_oracle,
@@ -920,6 +922,42 @@ def test_terminal_components_on_random_graphs():
         _check_terminal_components(product_graph(sourceless_shape(x), sourceless_shape(y)))
     for seed in range(300):
         _check_terminal_components(random_two_graph(seed))
+
+
+def _check_t_star(g):
+    """t_star agrees with the brute-force T* from the tail of each strongly
+    connected component C (reachable(C) less C, the start set that decides
+    whether C carries a boundary path that never leaves it), from no
+    vertex, from every vertex but the sinks, from every other vertex and
+    from each single vertex."""
+    after, _ = reach_oracle(g)
+    components = {frozenset(w for w in after[v] | {v} if w == v or v in after[w])
+                  for v in g.vertices}
+    starts = [set().union(*(after[v] for v in C)) - C for C in components]
+    starts += [set(), set(g.vertices) - set(g.sinks()), g.vertices[::2]]
+    starts += [{v} for v in g.vertices]
+    for H in starts:
+        assert g.t_star(H) == t_star_oracle(g, H), sorted(H)
+
+
+def test_t_star_against_oracle():
+    for seed in range(200):
+        _check_t_star(random_two_graph(seed))
+    for x, y in itertools.product(range(16), repeat=2):
+        _check_t_star(product_graph(sourceless_shape(x), sourceless_shape(y)))
+    _check_t_star(two_loops_joined())
+    for build in PRODUCT_GRAPHS.values():
+        _check_t_star(build())
+
+
+def test_t_star_checks_each_id(lambda2):
+    # the sink v5 receives no edge, so it never joins, and an unknown id is
+    # refused; from v4, v2 and v3 join by count, and v1 not, as e3 at v1
+    # meets neither e1 nor f2
+    assert lambda2.t_star(["v1", "v2", "v3", "v4"]) == {"v1", "v2", "v3", "v4"}
+    assert lambda2.t_star(["v4"]) == {"v2", "v3", "v4"}
+    with pytest.raises(errors.UnknownId):
+        lambda2.t_star(["v1", "nope"])
 
 
 @pytest.mark.parametrize("name", sorted({**ORACLE_GRAPHS, **CYCLE_GRAPHS}))
